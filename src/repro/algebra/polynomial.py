@@ -274,9 +274,14 @@ class Polynomial:
         :class:`~repro.algebra.substitution.SubstitutionEngine` kernel,
         which the reduction and rewriting passes drive incrementally.
         """
-        if self.support_mask() & (1 << var) == 0:
+        support = self.support_mask()
+        if support & (1 << var) == 0:
             return self
-        engine = SubstitutionEngine(self._terms, 1 << var)
+        # One step on a private copy: with no index candidates the engine
+        # stays in scan mode, so it never builds an occurrence index that
+        # would be thrown away after this single substitution.
+        engine = SubstitutionEngine()
+        engine.reset(self._terms, 0, support)
         engine.substitute(var, list(replacement._terms.items()))
         return Polynomial._raw(engine.terms)
 

@@ -99,9 +99,12 @@ class SubstitutionEngine:
         Initial term map: a ``Mapping`` or iterable of
         ``(mask, coefficient)`` pairs; the engine takes a private copy.
     index_mask:
-        Bitmask of the substitution-candidate variables.  Substituting a
-        variable outside the mask is reported as absent, so callers must
-        include every variable they intend to substitute.
+        Bitmask of the substitution-candidate variables.  Once indexed,
+        the engine reports a variable outside the mask as absent, so
+        callers must include every variable they intend to substitute.
+        An empty mask keeps the engine in scan mode for good, where any
+        variable of the support can be substituted: the one-shot path of
+        :meth:`repro.algebra.polynomial.Polynomial.substitute`.
     vanishing:
         Optional vanishing-monomial oracle (duck-typed
         ``is_vanishing_mask``/``removed_count``/``cache``); when present,

@@ -16,7 +16,9 @@ model code.  It re-derives every claim in a certificate from scratch:
    polynomial through its cone of gate tails.
 6. **model** — the rewritten model agrees with the gate-level circuit on
    every primary-input assignment (exhaustive up to 12 inputs, otherwise
-   64 deterministic samples derived from the netlist hash).
+   64 deterministic samples derived from the netlist hash), evaluated
+   bit-parallel over all assignments at once with the one-assignment loop
+   as reference and error path.
 7. **replay** — substituting the schedule into the specification
    polynomial reproduces the recorded remainder (coefficients compared
    modulo the ring modulus, which the engine may apply at different
@@ -39,6 +41,17 @@ from repro.errors import CertificateError
 #: Guard on intermediate replay size (far above any honest certificate).
 REPLAY_TERM_LIMIT = 2_000_000
 
+#: Widest lane, in bits per assignment, of the bit-parallel model check.
+#: Honest certificates need at most 10; a certificate that would need more
+#: (a hostile coefficient) is checked by the scalar loop instead, so it
+#: cannot inflate the packed integers.
+LANE_WIDTH_LIMIT = 64
+
+#: The model stage is exhaustive up to this many primary inputs and
+#: otherwise checks ``_SAMPLES`` assignments derived from the netlist hash.
+_EXHAUSTIVE_INPUTS = 12
+_SAMPLES = 64
+
 _REQUIRED = {"method": str, "circuit": str, "specification": str,
              "verdict": str, "netlist_sha256": str, "variables": list,
              "inputs": list, "outputs": list, "gates": list, "model": list,
@@ -48,6 +61,11 @@ _REQUIRED = {"method": str, "circuit": str, "specification": str,
 
 def _fail(message: str, stage: str, step: int | None = None) -> None:
     raise CertificateError(message, stage=stage, step=step)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: ``true``/``false`` decode to ``bool``, which is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _decode_terms(encoded, what: str, num_vars: int) -> dict[int, int]:
@@ -73,7 +91,7 @@ def _decode_tails(encoded, what: str, num_vars: int,
     tails: dict[int, Polynomial] = {}
     for entry in encoded:
         if not isinstance(entry, list) or len(entry) != 2 \
-                or not isinstance(entry[0], int):
+                or not _is_int(entry[0]) or not isinstance(entry[1], list):
             _fail(f"{what}: malformed tail entry", "structure")
         var, terms = entry
         if var < 0 or var >= num_vars or var in tails:
@@ -109,6 +127,154 @@ def _sample_assignments(inputs: list[int], seed: str, count: int):
                for position, var in enumerate(inputs)}
 
 
+def _ones(count: int, width: int) -> int:
+    """``count`` lanes of ``width`` bits holding 1 each (``count`` a power of 2)."""
+    ones, filled = 1, 1
+    while filled < count:
+        ones |= ones << (filled * width)
+        filled *= 2
+    return ones
+
+
+def _exhaustive_lanes(inputs: list[int], width: int) -> tuple[dict[int, int], int]:
+    """Packed inputs of all ``2^len(inputs)`` assignments, plus the all-ones int.
+
+    Lane ``i`` holds assignment ``i`` of the scalar loop: the input at
+    position ``p`` is bit ``p`` of ``i``, so its lanes repeat a period of
+    ``2^p`` zeros and ``2^p`` ones, built by doubling.
+    """
+    total = 1 << len(inputs)
+    lanes: dict[int, int] = {}
+    for position, var in enumerate(inputs):
+        run = 1 << position
+        pattern = _ones(run, width) << (run * width)
+        period = 2 * run
+        while period < total:
+            pattern |= pattern << (period * width)
+            period *= 2
+        lanes[var] = pattern
+    return lanes, _ones(total, width)
+
+
+def _sampled_lanes(inputs: list[int], seed: str,
+                   width: int) -> tuple[dict[int, int], int]:
+    """Packed inputs of the ``_SAMPLES`` sampled assignments, plus the all-ones int."""
+    lanes = dict.fromkeys(inputs, 0)
+    for index, assignment in enumerate(
+            _sample_assignments(inputs, seed, _SAMPLES)):
+        for var, bit in assignment.items():
+            if bit:
+                lanes[var] |= 1 << (index * width)
+    return lanes, _ones(_SAMPLES, width)
+
+
+def _lane_width(tails) -> int:
+    """Smallest lane width ``w >= 3`` with ``2^(w-2) >= max sum |coeff|``."""
+    bound = max((sum(abs(coeff) for _, coeff in tail.term_masks())
+                 for tail in tails), default=0)
+    return max(3, (bound - 1).bit_length() + 2)
+
+
+def _lane_sum(tail: Polynomial, values: dict[int, int], ones: int,
+              bias: int) -> int:
+    """``tail`` in every lane at once, on top of ``bias`` per lane."""
+    total = bias
+    for mask, coeff in tail.term_masks():
+        indicator = ones
+        while mask and indicator:
+            low = mask & -mask
+            indicator &= values[low.bit_length() - 1]
+            mask ^= low
+        total += coeff * indicator
+    return total
+
+
+def _lanes_agree(lanes: dict[int, int], ones: int, width: int,
+                 gates: dict[int, Polynomial], model: dict[int, Polynomial],
+                 schedule: list[int]) -> bool:
+    """Bit-parallel model check: every packed assignment at once.
+
+    ``lanes`` packs each primary input into one int: lane ``i``, the bits
+    from ``i * width`` up, holds the input's value under assignment ``i``.
+    A monomial's lane indicator is the AND of its variables' ints (the
+    all-lanes-one int ``ones`` for the constant monomial), and a tail's
+    value is the sum of ``coeff * indicator`` on top of a bias of
+    ``2^(width-2)`` per lane.  ``width`` must satisfy ``2^(width-2) >=
+    sum |coeff|`` for every tail (see :func:`_lane_width`), so every lane
+    stays within ``[0, 2^(width-1)]`` and never borrows from or carries
+    into its neighbour.  A gate is Boolean in every lane exactly when
+    ``sum XOR bias`` has no bit outside lane bit 0; that int is then the
+    gate's packed value.  A model tail agrees in every lane exactly when
+    ``sum == bias + value``.  Returns ``False`` on the first violation,
+    without saying where: :func:`_check_model_scalar` does that.
+    """
+    bias = ones << (width - 2)
+    values = dict(lanes)
+    for var in sorted(gates):
+        value = _lane_sum(gates[var], values, ones, bias) ^ bias
+        if value & ones != value:
+            return False
+        values[var] = value
+    return all(_lane_sum(model[var], values, ones, bias) == bias + values[var]
+               for var in schedule)
+
+
+def _check_model_scalar(assignments, gates: dict[int, Polynomial],
+                        model: dict[int, Polynomial],
+                        schedule: list[int]) -> None:
+    """The reference model check, one assignment at a time.
+
+    Raises the stage-``model`` error of the first failure in assignment
+    order: a gate outside the Boolean domain, else the first schedule
+    step whose model polynomial disagrees with the circuit.
+    """
+    order = sorted(gates)
+    for assignment in assignments:
+        values = dict(assignment)
+        for var in order:
+            value = gates[var].evaluate(values)
+            if value not in (0, 1):
+                _fail(f"gate {var} evaluates outside the Boolean domain",
+                      "model")
+            values[var] = value
+        for step, var in enumerate(schedule):
+            if model[var].evaluate(values) != values[var]:
+                _fail(f"model polynomial of variable {var} disagrees with "
+                      f"the circuit (schedule step {step})", "model", step)
+
+
+def _check_model(inputs: list[int], seed: str, gates: dict[int, Polynomial],
+                 model: dict[int, Polynomial], schedule: list[int]) -> str:
+    """Stage model: return the mode, or raise the scalar loop's first failure.
+
+    The bit-parallel check decides acceptance.  The scalar loop runs in two
+    cases: when the lanes find a violation, so the error names exactly the
+    first failure in assignment order (if the loop then passes, the two
+    kernels disagree and the certificate is rejected rather than
+    accepted); and when a lane would be wider than
+    :data:`LANE_WIDTH_LIMIT` bits.
+    """
+    exhaustive = len(inputs) <= _EXHAUSTIVE_INPUTS
+    mode = "exhaustive" if exhaustive else "sampled"
+    width = _lane_width([*gates.values(), *model.values()])
+    packed = width <= LANE_WIDTH_LIMIT
+    if packed:
+        lanes, ones = (_exhaustive_lanes(inputs, width) if exhaustive
+                       else _sampled_lanes(inputs, seed, width))
+        if _lanes_agree(lanes, ones, width, gates, model, schedule):
+            return mode
+    if exhaustive:
+        assignments = ({var: (index >> position) & 1
+                        for position, var in enumerate(inputs)}
+                       for index in range(1 << len(inputs)))
+    else:
+        assignments = _sample_assignments(inputs, seed, _SAMPLES)
+    _check_model_scalar(assignments, gates, model, schedule)
+    if packed:
+        _fail("bit-parallel and scalar model evaluation disagree", "model")
+    return mode
+
+
 def check_certificate(document: dict) -> dict:
     """Check one certificate document; raise ``CertificateError`` on failure.
 
@@ -139,7 +305,7 @@ def check_certificate(document: dict) -> dict:
         _fail(f"unknown verdict {body['verdict']!r}", "structure")
     num_vars = len(body["variables"])
     inputs = body["inputs"]
-    if not all(isinstance(var, int) and 0 <= var < num_vars for var in inputs):
+    if not all(_is_int(var) and 0 <= var < num_vars for var in inputs):
         _fail("inputs outside the variable table", "structure")
     input_mask = 0
     for var in inputs:
@@ -160,7 +326,7 @@ def check_certificate(document: dict) -> dict:
     schedule = body["schedule"]
     seen: set[int] = set()
     for step, var in enumerate(schedule):
-        if not isinstance(var, int) or var not in model:
+        if not _is_int(var) or var not in model:
             _fail(f"schedule step {step} names {var!r}, which has no model "
                   "polynomial", "schedule", step)
         if var in seen:
@@ -177,8 +343,9 @@ def check_certificate(document: dict) -> dict:
         if not isinstance(entry, list) or len(entry) != 2:
             _fail(f"vanishing rule {step} is malformed", "vanishing", step)
         mask, cone = entry
-        if not isinstance(mask, int) or mask < 0 or mask >> num_vars \
-                or not isinstance(cone, list):
+        if not _is_int(mask) or mask < 0 or mask >> num_vars \
+                or not isinstance(cone, list) \
+                or not all(_is_int(var) for var in cone):
             _fail(f"vanishing rule {step} is malformed", "vanishing", step)
         poly = Polynomial.from_term_masks({mask: 1})
         for var in sorted(set(cone), reverse=True):
@@ -194,27 +361,8 @@ def check_certificate(document: dict) -> dict:
                   "to zero", "vanishing", step)
 
     # Stage: model — gate circuit and rewritten model agree pointwise.
-    if len(inputs) <= 12:
-        mode = "exhaustive"
-        assignments = ({var: (index >> position) & 1
-                        for position, var in enumerate(inputs)}
-                       for index in range(1 << len(inputs)))
-    else:
-        mode = "sampled"
-        assignments = _sample_assignments(inputs, body["netlist_sha256"], 64)
-    order = sorted(gates)
-    for assignment in assignments:
-        values = dict(assignment)
-        for var in order:
-            value = gates[var].evaluate(values)
-            if value not in (0, 1):
-                _fail(f"gate {var} evaluates outside the Boolean domain",
-                      "model")
-            values[var] = value
-        for step, var in enumerate(schedule):
-            if model[var].evaluate(values) != values[var]:
-                _fail(f"model polynomial of variable {var} disagrees with "
-                      f"the circuit (schedule step {step})", "model", step)
+    mode = _check_model(inputs, body["netlist_sha256"], gates, model,
+                        schedule)
 
     # Stage: replay — the schedule reproduces the recorded remainder.
     replayed = spec

@@ -245,6 +245,27 @@ def test_polynomial_substitute_delegates_to_engine():
     assert dict(result.term_masks()) == expected
 
 
+@pytest.mark.parametrize("size", [INDEX_THRESHOLD // 2, INDEX_THRESHOLD - 1,
+                                  INDEX_THRESHOLD, 4 * INDEX_THRESHOLD])
+def test_polynomial_substitute_matches_the_indexed_engine(size):
+    """The one-shot scan path yields the indexed path's term map."""
+    rng = random.Random(size)
+    num_vars = 14
+    for _ in range(8):
+        terms: dict[int, int] = {}
+        while len(terms) < size:
+            terms[rng.getrandbits(num_vars)] = rng.choice([-3, -2, -1, 1, 2, 3])
+        poly = Polynomial.from_term_masks(terms)
+        for var in rng.sample(range(2, num_vars), 4):
+            tail = _random_terms(rng, rng.randint(1, 4), var) or {0: 1}
+            indexed = SubstitutionEngine(terms, 1 << var)
+            indexed._build_index()
+            assert indexed.indexed
+            indexed.substitute(var, list(tail.items()))
+            result = poly.substitute(var, Polynomial.from_term_masks(tail))
+            assert dict(result.term_masks()) == indexed.terms
+
+
 # ---------------------------------------------------------------------------
 # substitute_batch: differential equivalence with the sequential kernel
 # ---------------------------------------------------------------------------

@@ -191,3 +191,32 @@ def test_wrong_format_and_version_are_rejected(certificate):
     wrong_version = copy.deepcopy(certificate)
     wrong_version["version"] = 2
     _expect_rejection(wrong_version, "structure")
+
+
+def _set_cone(cone):
+    def edit(body):
+        body["vanishing"][2][1] = cone
+    return edit
+
+
+def _boolean_input(body):
+    # ``true == 1`` in Python, so a JSON boolean could pass for variable 1.
+    body["inputs"][1] = True
+
+
+def _non_list_tail(body):
+    body["gates"][3][1] = 5
+
+
+@pytest.mark.parametrize("edit, stage, step", [
+    (_set_cone([5, "x"]), "vanishing", 2),
+    (_set_cone([[5]]), "vanishing", 2),
+    (_boolean_input, "structure", None),
+    (_non_list_tail, "structure", None),
+], ids=["cone-string", "cone-list", "input-boolean", "tail-not-a-list"])
+def test_malformed_entries_raise_certificate_error(certificate, edit, stage,
+                                                   step):
+    """Malformed input is a ``CertificateError``, never another exception."""
+    assert certificate["body"]["inputs"][1] == 1
+    error = _expect_rejection(_mutate(certificate, edit), stage, step)
+    assert error.step == step

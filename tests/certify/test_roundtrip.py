@@ -10,6 +10,8 @@ canonical body (and therefore the identical content hash).
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.certify import (
@@ -18,6 +20,7 @@ from repro.certify import (
     certificate_hash,
     check_certificate,
 )
+from repro.errors import CertificateError
 from repro.generators.adders import generate_adder
 from repro.generators.catalog import architecture_names
 from repro.generators.multipliers import generate_multiplier
@@ -67,6 +70,31 @@ def test_adder_certificates_roundtrip():
     _check_rows(
         ((lambda kind=kind: generate_adder(kind, WIDTH)), method, "adder")
         for kind in ADDER_KINDS for method in MT_METHODS)
+
+
+@pytest.mark.parametrize("width, mode", [(6, "exhaustive"), (8, "sampled")])
+def test_model_check_mode_boundary_roundtrips(width, mode):
+    """12 inputs (6 bits) is the largest exhaustive model check; 16 are sampled."""
+    certificate = _emit(generate_multiplier("SP-AR-RC", width), "mt-lr",
+                        "multiplier")
+    assert check_certificate(certificate)["model_check"] == mode
+
+    # A partial-product gate plus the constant 1 evaluates to 2 wherever
+    # both of its inputs are 1 (and flips the circuit where they are not).
+    # The gate must not sit in a vanishing cone, or the vanishing stage
+    # would reject first.
+    body = copy.deepcopy(certificate["body"])
+    cited = {var for _mask, cone in body["vanishing"] for var in cone}
+    input_mask = sum(1 << var for var in body["inputs"])
+    gate = next(terms for var, terms in body["gates"]
+                if var not in cited and len(terms) == 1
+                and terms[0][0].bit_count() == 2
+                and not terms[0][0] & ~input_mask)
+    gate.insert(0, [0, 1])
+    corrupted = {**certificate, "body": body, "sha256": certificate_hash(body)}
+    with pytest.raises(CertificateError) as excinfo:
+        check_certificate(corrupted)
+    assert excinfo.value.stage == "model"
 
 
 def test_refuted_certificate_roundtrips():

@@ -100,6 +100,17 @@ def test_certify_job_emits_checks_and_cross_checks(workflow):
     assert "tampered" in commands
 
 
+def test_certify_job_checks_both_model_modes(workflow):
+    """6- and 8-bit certificates exercise the exhaustive and sampled model check."""
+    commands = " ".join(step.get("run", "")
+                        for step in workflow["jobs"]["certify"]["steps"])
+    assert "for arch in SP-AR-RC SP-WT-CL BP-WT-CL" in commands
+    assert "for width in 6 8" in commands
+    assert "check-certificate wide/*.json" in commands
+    assert 'grep -q "model-check=exhaustive"' in commands
+    assert 'grep -q "model-check=sampled"' in commands
+
+
 def test_chaos_job_runs_two_seeds_and_drain_smoke(workflow):
     """Seeded fault-injection suite (two seeds) + SIGTERM drain smoke.
 

@@ -212,6 +212,27 @@ def test_check_certificate_rejects_tampering_exit_1(tmp_path, capsys):
     assert "INVALID [hash]" in capsys.readouterr().err
 
 
+def test_check_certificate_malformed_file_among_several(tmp_path, capsys):
+    """A malformed certificate is reported and the other files still check."""
+    import json
+
+    from repro.certify import certificate_hash
+    paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]
+    for path in paths:
+        assert main(["verify", "-a", "SP-AR-RC", "-w", "3",
+                     "--certificate", str(path)]) == 0
+    document = json.loads(paths[1].read_text())
+    document["body"]["vanishing"][0][1] = [5, "x"]
+    document["sha256"] = certificate_hash(document["body"])
+    paths[1].write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["check-certificate", *map(str, paths)]) == 1
+    captured = capsys.readouterr()
+    assert f"{paths[1]}: INVALID [vanishing step 0]" in captured.err
+    assert f"{paths[0]}: valid verified" in captured.out
+    assert f"{paths[2]}: valid verified" in captured.out
+
+
 def test_check_certificate_missing_file_exit_1(tmp_path, capsys):
     assert main(["check-certificate", str(tmp_path / "nope.json")]) == 1
     assert "INVALID" in capsys.readouterr().err
