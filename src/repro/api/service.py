@@ -70,8 +70,7 @@ def experiment_config_for(budgets: Budgets,
 
 
 def request_cache_key(request: VerificationRequest,
-                      golden_architecture: str = "SP-AR-RC",
-                      hasher=None) -> str | None:
+                      golden_architecture: str = "SP-AR-RC") -> str | None:
     """Content-addressed result-cache key of a request (``None`` = uncacheable).
 
     The request-level view of
@@ -88,8 +87,7 @@ def request_cache_key(request: VerificationRequest,
                           certificate=request.certificate)
     config = experiment_config_for(request.budgets, golden_architecture)
     return result_cache_key(job, config,
-                            task_timeout_s=request.budgets.task_timeout_s,
-                            hasher=hasher)
+                            task_timeout_s=request.budgets.task_timeout_s)
 
 
 class VerificationService:

@@ -22,6 +22,7 @@ Two execution modes are provided:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -33,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.api.registry import backend_names, get_backend, scheduling_rank
-from repro.api.report import VerificationReport, format_seconds
+from repro.api.report import VerificationReport
 from repro.baselines.bdd.equivalence import bdd_equivalence_check
 from repro.baselines.sat.miter import sat_equivalence_check
 from repro.errors import BlowUpError, ReproError
@@ -58,6 +59,7 @@ class ExperimentConfig:
     * ``REPRO_BENCH_MONOMIAL_BUDGET`` — remainder-size budget of GB reduction,
     * ``REPRO_BENCH_SAT_CONFLICTS`` — CDCL conflict budget,
     * ``REPRO_BENCH_BDD_NODES`` — ROBDD node budget,
+    * ``REPRO_BENCH_JOBS`` — worker processes of batch runs (default 1),
     * ``REPRO_BENCH_CACHE`` — directory for the on-disk result cache,
     * ``REPRO_BENCH_CONE_CACHE`` — directory for the incremental cone cache.
     """
@@ -97,10 +99,6 @@ class ExperimentConfig:
         config.cache_dir = os.environ.get("REPRO_BENCH_CACHE") or None
         config.cone_cache_dir = os.environ.get("REPRO_BENCH_CONE_CACHE") or None
         return config
-
-
-#: Legacy alias — the canonical formatter lives with the report schema.
-_format_seconds = format_seconds
 
 
 def run_membership_testing(architecture: str, width: int, method: str,
@@ -272,38 +270,38 @@ def _guarded_run_job(job: VerificationJob, config: ExperimentConfig) -> dict:
 # On-disk result cache
 # ---------------------------------------------------------------------------
 
-class NetlistHasher:
-    """Memoized content hashes of generated multiplier netlists.
+#: Bound on the process-wide netlist-hash memo: the 50-architecture catalog
+#: at 40 widths, about 0.7 MB when full.
+NETLIST_HASH_MEMO_SIZE = 2048
+
+
+@functools.lru_cache(maxsize=NETLIST_HASH_MEMO_SIZE)
+def _netlist_digest(architecture: str, width: int) -> str:
+    from repro.circuit.verilog import write_verilog
+    netlist = generate_multiplier(architecture, width)
+    return hashlib.sha256(write_verilog(netlist).encode("utf-8")).hexdigest()
+
+
+def netlist_hash(architecture: str, width: int) -> str | None:
+    """Content hash of a generated multiplier netlist (``None`` = not hashable).
 
     The hash is over the emitted gate-level Verilog, so two architecture
     names generating the same gates share a hash (and therefore a cache
-    entry), while any generator change invalidates it.  Extracted from
-    :class:`ResultCache` so cache keys can be computed without a cache
-    directory — the fleet dispatcher and the HTTP cache routes key
-    content the same way the runner does.
+    entry), while any generator change invalidates it.  Each (architecture,
+    width) is generated and hashed once per process: the result cache, the
+    HTTP server and the fleet dispatcher share one bounded LRU memo, which
+    is thread-safe and survives the worker pool's ``fork``.  Only
+    successful digests are memoised, so an unknown architecture or a
+    transient failure is uncacheable for this call alone.
     """
-
-    def __init__(self) -> None:
-        self._hashes: dict[tuple[str, int], str | None] = {}
-
-    def hash(self, architecture: str, width: int) -> str | None:
-        """Content hash of a generated netlist (``None`` = not hashable)."""
-        key = (architecture, width)
-        if key not in self._hashes:
-            try:
-                from repro.circuit.verilog import write_verilog
-                netlist = generate_multiplier(architecture, width)
-                digest = hashlib.sha256(
-                    write_verilog(netlist).encode("utf-8")).hexdigest()
-            except Exception:  # noqa: BLE001 - unknown arch etc: uncacheable
-                digest = None
-            self._hashes[key] = digest
-        return self._hashes[key]
+    try:
+        return _netlist_digest(architecture, width)
+    except Exception:  # noqa: BLE001 - unknown arch etc: uncacheable
+        return None
 
 
 def result_cache_key(job: VerificationJob, config: ExperimentConfig,
-                     task_timeout_s: float | None = None,
-                     hasher: NetlistHasher | None = None) -> str | None:
+                     task_timeout_s: float | None = None) -> str | None:
     """Content-addressed cache key of a job (``None`` = uncacheable).
 
     The single source of truth for result-cache keying, shared by
@@ -318,16 +316,14 @@ def result_cache_key(job: VerificationJob, config: ExperimentConfig,
         config = job.config
     if job.task_timeout_s is not None:
         task_timeout_s = job.task_timeout_s
-    if hasher is None:
-        hasher = NetlistHasher()
-    netlist_hash = hasher.hash(job.architecture, job.width)
-    if netlist_hash is None:
+    netlist = netlist_hash(job.architecture, job.width)
+    if netlist is None:
         return None
     from repro import __version__
     document = {
         "schema": ResultCache.SCHEMA,
         "version": __version__,
-        "netlist": netlist_hash,
+        "netlist": netlist,
         "method": job.method,
         "width": job.width,
         "certificate": job.certificate,
@@ -341,8 +337,8 @@ def result_cache_key(job: VerificationJob, config: ExperimentConfig,
         },
     }
     if job.method == "sat-cec":
-        document["golden"] = hasher.hash(config.golden_architecture,
-                                         job.width)
+        document["golden"] = netlist_hash(config.golden_architecture,
+                                          job.width)
     serial = json.dumps(document, sort_keys=True)
     return hashlib.sha256(serial.encode("utf-8")).hexdigest()
 
@@ -389,26 +385,19 @@ class ResultCache:
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._hasher = NetlistHasher()
 
     # -- keying ----------------------------------------------------------------
-
-    def _netlist_hash(self, architecture: str, width: int) -> str | None:
-        """Content hash of a generated netlist (``None`` = not hashable)."""
-        return self._hasher.hash(architecture, width)
 
     def key(self, job: VerificationJob, config: ExperimentConfig,
             task_timeout_s: float | None = None) -> str | None:
         """Cache key of a job under the given budgets (``None`` = uncacheable).
 
-        Delegates to :func:`result_cache_key` with this cache's memoized
-        netlist hasher — job-level overrides (``job.config``,
-        ``job.task_timeout_s``) take precedence over the batch-level
-        arguments, so two jobs of one batch running under different budget
-        groups never share an entry.
+        Delegates to :func:`result_cache_key` — job-level overrides
+        (``job.config``, ``job.task_timeout_s``) take precedence over the
+        batch-level arguments, so two jobs of one batch running under
+        different budget groups never share an entry.
         """
-        return result_cache_key(job, config, task_timeout_s=task_timeout_s,
-                                hasher=self._hasher)
+        return result_cache_key(job, config, task_timeout_s=task_timeout_s)
 
     # -- storage ---------------------------------------------------------------
 

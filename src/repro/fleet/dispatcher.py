@@ -139,7 +139,7 @@ class FleetDispatcher:
                  client_factory: "Callable[[WorkerSpec], VerificationClient] | None" = None,
                  request_timeout_s: float = 300.0,
                  retry_base_delay_s: float = 0.05) -> None:
-        from repro.experiments.runner import NetlistHasher, ResultCache
+        from repro.experiments.runner import ResultCache
 
         self.topology = topology
         self.golden_architecture = golden_architecture
@@ -147,7 +147,6 @@ class FleetDispatcher:
         self.request_timeout_s = request_timeout_s
         self._client_factory = client_factory
         self._clients: dict[str, VerificationClient] = {}
-        self._hasher = NetlistHasher()
         self.cache = (ResultCache(topology.cache_dir)
                       if topology.cache_dir else None)
         self.retry_policy = RetryPolicy(max_attempts=topology.max_attempts,
@@ -315,8 +314,7 @@ class _FleetRun:
             if self.d.cache is not None:
                 from repro.api.service import request_cache_key
 
-                key = request_cache_key(request, self.d.golden_architecture,
-                                        hasher=self.d._hasher)
+                key = request_cache_key(request, self.d.golden_architecture)
                 if key is not None:
                     report = self.d.cache.get_report(key)
                     if report is not None:

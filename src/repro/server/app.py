@@ -260,7 +260,6 @@ class VerificationServerApp:
         self.fleet_topology = fleet_topology
         self._shared_cache_client_instance = None
         self._result_cache = None
-        self._request_hasher = None
         self.job_store = JobStore(limit=job_store_limit)
         self._job_executor = ThreadPoolExecutor(
             max_workers=job_workers, thread_name_prefix="repro-batch")
@@ -381,12 +380,7 @@ class VerificationServerApp:
             return None
         from repro.api.service import request_cache_key
 
-        if self._request_hasher is None:
-            from repro.experiments.runner import NetlistHasher
-
-            self._request_hasher = NetlistHasher()
-        return request_cache_key(request, self.golden_architecture,
-                                 hasher=self._request_hasher)
+        return request_cache_key(request, self.golden_architecture)
 
     def _shared_cache_get(self, key: str):
         """Best-effort coordinator lookup; any failure is just a miss."""

@@ -1,6 +1,6 @@
 """Tests for small formatting helpers of the experiment harness."""
 
-from repro.experiments.runner import _format_seconds
+from repro.api.report import format_seconds as _format_seconds
 
 
 def test_format_seconds_paper_style():

@@ -16,6 +16,7 @@ from repro.experiments.runner import (
     ParallelRunner,
     ResultCache,
     VerificationJob,
+    result_cache_key,
 )
 
 
@@ -87,6 +88,41 @@ def test_cache_key_depends_on_budgets_and_content(tmp_path, config):
     assert cache.key(other_method, config) != base
     unknown = VerificationJob("XX-YY-ZZ", 3, "mt-lr")
     assert cache.key(unknown, config) is None
+
+
+PINNED_KEYS = [
+    (VerificationJob("SP-AR-RC", 4, "mt-lr"),
+     "7b1ec336f18e208f9dbad0f3ee0be6cc83e7f26486210d82225cb57bd9a54eff"),
+    (VerificationJob("BP-WT-CL", 8, "sat-cec"),
+     "e1dfe7713d392e01adcaed00a37d707a0092295a141e6c5b72b6e56c5d6c7490"),
+    (VerificationJob("SP-WT-CL", 6, "mt-fo", certificate=True),
+     "541f8e91b0460ff4ecfcfc0c40f0ff6175a084c57a4b0970c02216760a17b36b"),
+]
+
+
+@pytest.mark.parametrize("job,digest", PINNED_KEYS,
+                         ids=[job.architecture for job, _ in PINNED_KEYS])
+def test_cache_key_bytes_are_pinned(job, digest):
+    """Existing ``--cache`` directories and fleet shared caches keep hitting.
+
+    The digests change only with ``repro.__version__``,
+    ``ResultCache.SCHEMA`` or the generators' Verilog output, and only on
+    purpose: update them in the same change, which invalidates every
+    on-disk entry.  The sat-cec key also covers the golden netlist hash.
+    """
+    runner_module._netlist_digest.cache_clear()
+    assert result_cache_key(job, ExperimentConfig()) == digest
+
+
+def test_request_cache_key_bytes_are_pinned():
+    """The request-level key a server or fleet batch uses (see above)."""
+    from repro.api.request import VerificationRequest
+    from repro.api.service import request_cache_key
+
+    request = VerificationRequest.from_architecture(
+        "SP-AR-RC", 4, "mt-lr", find_counterexample=False)
+    assert request_cache_key(request) == \
+        "d31f5f442c5a325736bcfce886dd4eb4322aa463b452e5c276d3149d84f70a6e"
 
 
 def test_error_rows_are_not_cached(tmp_path, config, monkeypatch):

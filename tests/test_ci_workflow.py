@@ -70,6 +70,14 @@ def test_bench_smoke_job_gates_and_uploads(workflow):
     assert "BENCH" in uploads[0]["with"]["path"]
 
 
+def test_bench_smoke_job_runs_perfbench_tests(workflow):
+    """perfbench/tests lies outside `testpaths`; this job is what runs it."""
+    commands = " ".join(step.get("run", "")
+                        for step in workflow["jobs"]["bench-smoke"]["steps"])
+    assert "python -m pytest perfbench/tests -q" in commands
+    assert ".[dev]" in commands, "pytest must be installed to run it"
+
+
 def test_json_report_smoke_step_validates_schema(workflow):
     """The CI must pipe `--json` output through a JSON parser and check keys."""
     commands = " ".join(step.get("run", "")
