@@ -15,14 +15,14 @@ Quickstart::
     assert report.verdict == "verified"
     print(report.to_json(indent=2))
 
-Report JSON schema (version 5)
+Report JSON schema (version 6)
 ------------------------------
 
 ``VerificationReport.to_json()`` emits one object with exactly these keys,
 in this order (absent values are ``null``, never omitted)::
 
     {
-      "schema": 5,                  // report schema version
+      "schema": 6,                  // report schema version
       "verdict": "verified",        // "verified" | "refuted" | "budget"
                                     //   | "not_applicable" | "error"
       "status": "ok",               // legacy table-row status: "ok" |
@@ -54,19 +54,10 @@ in this order (absent values are ``null``, never omitted)::
                                     //   {"backend": "sat-cec", "status",
                                     //    "agrees",
                                     //    "counterexample_confirmed", ...}
-      "attempts": null,             // retry/fallback history when the
+      "attempts": null              // retry/fallback history when the
                                     //   report took more than one attempt
                                     //   (see docs/robustness.md); null on
                                     //   the untroubled path
-      "incremental": null           // cone counters of an incremental
-                                    //   request: {"cones",
-                                    //   "replayed_cones", "reduced_cones",
-                                    //   "cache_hits", "cache_misses"}
-                                    //   (see docs/incremental.md); null
-                                    //   on the from-scratch path — incl.
-                                    //   the transparent fallback when a
-                                    //   cone exceeds the per-cone input
-                                    //   limit
     }
 
 The serialization is canonical — fixed top-level key order, counters in
@@ -80,11 +71,11 @@ reserved to align the report version with the on-disk result-cache
 ``SCHEMA`` (which advanced when cached rows became report documents) and
 is wire-identical to 1; version 3 appends ``certificate`` and
 ``cross_check``; version 4 appends ``attempts`` (the resilience layer's
-retry/fallback history); version 5 appends ``incremental`` (the cone
-counters of the per-cone proof-reuse path, ``docs/incremental.md``).
-``from_json``/``from_dict`` accept schema 1-4 documents (the newer
-fields read as ``null``) and re-serialize them as schema 5 — see the
-migration table in ``docs/http-api.md``.
+retry/fallback history); version 5 appended an ``incremental`` block of
+per-cone counters; version 6 removes it again, together with the
+per-cone verification path that filled it.  ``from_json``/``from_dict``
+accept only the current version — see the table in
+``docs/http-api.md``.
 
 The registry (:mod:`repro.api.registry`) is imported eagerly — it is pure
 data and safe everywhere — while the request/report/service modules load

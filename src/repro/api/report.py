@@ -26,16 +26,9 @@ from repro.errors import VerificationError
 #: Version of the report JSON schema (see ``repro/api/__init__.py``).
 #: Version 3 added the ``certificate`` and ``cross_check`` fields;
 #: version 4 added the ``attempts`` retry/fallback history; version 5
-#: added the ``incremental`` cone-level counters of the per-cone
-#: proof-reuse path (:mod:`repro.incremental`).
-REPORT_SCHEMA = 5
-
-#: Older schema versions :meth:`VerificationReport.from_dict` still parses.
-#: Versions 1 and 2 carried the same keys minus ``certificate`` and
-#: ``cross_check``; version 3 additionally lacked ``attempts``; version 4
-#: additionally lacked ``incremental``.  All four parse with the missing
-#: fields as ``None``.
-LEGACY_REPORT_SCHEMAS = (1, 2, 3, 4)
+#: added an ``incremental`` cone-counter block, which version 6 removed
+#: again.  :meth:`VerificationReport.from_dict` reads only this version.
+REPORT_SCHEMA = 6
 
 #: Verdicts a report can carry.
 VERDICTS = ("verified", "refuted", "budget", "not_applicable", "error")
@@ -66,7 +59,6 @@ EXIT_CODES = {
 _ROW_BASE_KEYS = frozenset((
     "architecture", "width", "method", "status", "time", "time_s",
     "verified", "reason", "certificate", "cross_check", "attempts",
-    "incremental",
 ))
 
 
@@ -119,12 +111,6 @@ class VerificationReport:
     #: attempt when the run needed more than one, ``None`` on the common
     #: first-attempt-succeeded path so resilience-off output is unchanged.
     attempts: list | None = None
-    #: Cone-level counters of the incremental path (``repro.incremental``):
-    #: ``cones`` / ``replayed_cones`` / ``reduced_cones`` / ``cache_hits``
-    #: / ``cache_misses``.  ``None`` on from-scratch runs, so
-    #: incremental-off output is byte-identical to a schema-4 report apart
-    #: from the version number.
-    incremental: dict | None = None
     #: The wrapped backend result object (in-process runs only; never
     #: serialized — ``from_json`` reports carry ``None``).
     result: Any = field(default=None, repr=False, compare=False)
@@ -182,7 +168,6 @@ class VerificationReport:
             "certificate": self.certificate,
             "cross_check": self.cross_check,
             "attempts": self.attempts,
-            "incremental": self.incremental,
         }
 
     def to_json(self, indent: int | None = None) -> str:
@@ -195,15 +180,14 @@ class VerificationReport:
     def from_dict(cls, document: Mapping[str, Any]) -> "VerificationReport":
         """Rebuild a report from :meth:`to_dict` output.
 
-        Accepts the current schema plus every version in
-        :data:`LEGACY_REPORT_SCHEMAS`; legacy documents parse with the
-        fields added since (``certificate``, ``cross_check``) as ``None``.
+        Only :data:`REPORT_SCHEMA` documents parse; any other version is
+        an error rather than a guess at the fields it lacks.
         """
         schema = document.get("schema")
-        if schema != REPORT_SCHEMA and schema not in LEGACY_REPORT_SCHEMAS:
+        if schema != REPORT_SCHEMA:
             raise VerificationError(
                 f"unsupported report schema {schema!r}; "
-                f"expected {REPORT_SCHEMA} or one of {LEGACY_REPORT_SCHEMAS}")
+                f"expected {REPORT_SCHEMA}")
         counterexample = document.get("counterexample")
         return cls(
             verdict=document["verdict"],
@@ -222,9 +206,7 @@ class VerificationReport:
             certificate=document.get("certificate"),
             cross_check=document.get("cross_check"),
             attempts=list(document["attempts"])
-            if document.get("attempts") is not None else None,
-            incremental=dict(document["incremental"])
-            if document.get("incremental") is not None else None)
+            if document.get("attempts") is not None else None)
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
@@ -257,8 +239,6 @@ class VerificationReport:
             row["cross_check"] = self.cross_check
         if self.attempts is not None:
             row["attempts"] = self.attempts
-        if self.incremental is not None:
-            row["incremental"] = self.incremental
         row.update(self.counters)
         return row
 
@@ -286,8 +266,7 @@ class VerificationReport:
             counters=counters,
             certificate=row.get("certificate"),
             cross_check=row.get("cross_check"),
-            attempts=row.get("attempts"),
-            incremental=row.get("incremental"))
+            attempts=row.get("attempts"))
 
     # -- backend-result constructors -------------------------------------------
 

@@ -95,13 +95,6 @@ class VerificationRequest:
     #: Emit a checkable proof certificate (:mod:`repro.certify` format) on
     #: the report; requires a backend whose spec declares ``certifiable``.
     certificate: bool = False
-    #: Verify through the per-cone proof-reuse path
-    #: (:mod:`repro.incremental`): each output cone is reduced
-    #: independently and replayed from the service's cone cache when its
-    #: canonical hash is unchanged.  Algebraic methods only; incompatible
-    #: with ``certificate`` (the certificate journal is a from-scratch
-    #: reduction schedule).
-    incremental: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -44,7 +44,6 @@ def pool_eligible(request: VerificationRequest) -> bool:
             and request.specification is None
             and not request.xor_and_only
             and not request.find_counterexample
-            and not request.incremental
             and request.seed == 0
             and (not request.certificate
                  or get_backend(request.method).certifiable))
@@ -121,12 +120,6 @@ class VerificationService:
         ``degrades_to``) runs in-process until a rung produces a real
         verdict, every rung recorded in ``attempts``.  ``None`` disables
         graceful degradation.
-    cone_cache_dir:
-        On-disk :class:`~repro.incremental.cache.ConeCache` directory for
-        ``incremental=True`` requests: per-cone reduction results are
-        replayed across submissions (and across concurrent services
-        pointed at the same directory).  ``None`` runs incremental
-        requests uncached — still correct, never reused.
     """
 
     def __init__(self, budgets: Budgets | None = None,
@@ -135,8 +128,7 @@ class VerificationService:
                  task_timeout_s: float | None = None,
                  cache_dir: str | os.PathLike | None = None,
                  retry_policy=None,
-                 fallback_policy=None,
-                 cone_cache_dir: str | os.PathLike | None = None) -> None:
+                 fallback_policy=None) -> None:
         self.budgets = budgets if budgets is not None else Budgets()
         self.golden_architecture = golden_architecture
         self.jobs = jobs
@@ -144,8 +136,6 @@ class VerificationService:
         self.cache_dir = cache_dir
         self.retry_policy = retry_policy
         self.fallback_policy = fallback_policy
-        self.cone_cache_dir = cone_cache_dir
-        self._cone_cache = None
         #: Cache hit / fresh-execution counts of the last :meth:`run_batch`.
         self.last_cache_hits = 0
         self.last_executed = 0
@@ -177,22 +167,10 @@ class VerificationService:
                 f"backend {backend.name!r} cannot emit proof certificates "
                 "(certifiable backends: "
                 f"{tuple(s.name for s in _certifiable_backends())})")
-        if request.incremental and backend.kind != "algebraic":
-            raise VerificationError(
-                "incremental verification needs an algebraic backend "
-                f"(got {backend.name!r})")
-        if request.incremental and request.certificate:
-            raise VerificationError(
-                "incremental verification cannot emit proof certificates "
-                "(the certificate journal is a from-scratch reduction "
-                "schedule)")
         netlist = request.resolve_netlist()
         circuit = request.display_name(netlist)
         width = request.width or len(netlist.input_word("a")) or None
         if backend.kind == "algebraic":
-            if request.incremental:
-                return self._submit_incremental(request, netlist, circuit,
-                                                width, budgets)
             return self._submit_algebraic(request, netlist, circuit, width,
                                           budgets)
         if request.resolve_specification() != "multiplier":
@@ -231,52 +209,6 @@ class VerificationService:
         if report.verdict == "refuted":
             report.cross_check = self._cross_check_refutation(
                 request, netlist, result, width, budgets)
-        return report
-
-    def cone_cache(self):
-        """The lazily built :class:`ConeCache` (``None`` when unconfigured)."""
-        if self._cone_cache is None and self.cone_cache_dir is not None:
-            from repro.incremental.cache import ConeCache
-            self._cone_cache = ConeCache(self.cone_cache_dir)
-        return self._cone_cache
-
-    def _submit_incremental(self, request: VerificationRequest, netlist,
-                            circuit: str, width: int | None,
-                            budgets: Budgets) -> VerificationReport:
-        """Per-cone verification with proof reuse (``incremental=True``).
-
-        A circuit with a cone wider than the per-cone input limit cannot
-        finish on the per-cone path (the per-output normal form is
-        exponential in the cone's inputs), so the request transparently
-        falls back to the from-scratch engine — identical verdict, and the
-        report's ``incremental`` block stays ``null``.  Genuine budget
-        trips keep the from-scratch contract: a ``budget`` verdict.
-        """
-        from repro.incremental.verify import ConeTooWideError, incremental_verify
-        start = time.perf_counter()
-        try:
-            outcome = incremental_verify(
-                netlist,
-                specification=request.resolve_specification(),
-                method=request.method,
-                budgets=budgets,
-                xor_and_only=request.xor_and_only,
-                find_counterexample=request.find_counterexample,
-                seed=request.seed,
-                cache=self.cone_cache())
-        except ConeTooWideError:
-            return self._submit_algebraic(request, netlist, circuit, width,
-                                          budgets)
-        except BlowUpError as error:
-            return VerificationReport.from_blowup(
-                error, method=request.method, circuit=circuit, width=width,
-                elapsed_s=time.perf_counter() - start)
-        report = VerificationReport.from_result(outcome.result,
-                                                circuit=circuit, width=width)
-        report.incremental = dict(outcome.counters)
-        if report.verdict == "refuted":
-            report.cross_check = self._cross_check_refutation(
-                request, netlist, outcome.result, width, budgets)
         return report
 
     def _cross_check_refutation(self, request: VerificationRequest, netlist,

@@ -165,19 +165,6 @@ def transitive_fanin(netlist: Netlist, signals: Iterable[str]) -> set[str]:
     return cone
 
 
-def output_cones(netlist: Netlist) -> dict[str, set[str]]:
-    """Transitive-fanin cone of every primary output, keyed by output name.
-
-    The per-output view of :func:`transitive_fanin` used by the incremental
-    verifier's cone partitioner (:mod:`repro.incremental`): each set contains
-    the output itself, every gate output feeding it, and the primary inputs
-    it depends on.  Cones of different outputs overlap wherever logic is
-    shared (carry chains, partial-product columns).
-    """
-    return {output: transitive_fanin(netlist, [output])
-            for output in netlist.outputs}
-
-
 def input_support(netlist: Netlist, signal: str) -> set[str]:
     """Primary inputs in the cone of ``signal``."""
     return {s for s in transitive_fanin(netlist, [signal]) if netlist.is_input(s)}

@@ -32,12 +32,10 @@ Serve verification over HTTP (endpoints in ``docs/http-api.md``)::
 
     repro-verify serve --port 8585 --jobs 4 --cache .bench-cache
 
-Sweep every single-gate mutant of an architecture with per-cone proof
-reuse, cross-checking a sample against from-scratch runs
-(``docs/incremental.md``)::
+Verify every single-gate mutant of an architecture; each refutation is
+cross-checked against the SAT miter and a disagreement exits 1::
 
-    repro-verify campaign -a SP-AR-RC -w 4 --cone-cache .cone-cache \
-        --cross-check 25 --out campaign.jsonl
+    repro-verify campaign -a SP-AR-RC -w 4 --out campaign.jsonl
 
 Exit codes (driven by the report verdict, uniform across ``verify``,
 ``verify-verilog`` and ``batch``):
@@ -117,15 +115,6 @@ def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
                         help="emit a checkable proof certificate to PATH "
                              "(algebraic backends only; re-check it with "
                              "'repro-verify check-certificate PATH')")
-    parser.add_argument("--incremental", action="store_true",
-                        help="verify per output cone with proof reuse "
-                             "(docs/incremental.md; algebraic backends only, "
-                             "incompatible with --certificate)")
-    parser.add_argument("--cone-cache", dest="cone_cache", default=None,
-                        metavar="DIR",
-                        help="on-disk cone cache directory for --incremental "
-                             "runs; unchanged cones replay instead of "
-                             "re-reducing")
 
 
 def _budgets_from_args(args: argparse.Namespace) -> Budgets:
@@ -188,15 +177,8 @@ def _report(result, show_stats: bool = False) -> int:
 def _run_request(request: VerificationRequest, args: argparse.Namespace) -> int:
     """Submit one request to the service and render its report."""
     fallback = FallbackPolicy.parse(getattr(args, "fallback", "none"))
-    service = VerificationService(
-        fallback_policy=fallback,
-        cone_cache_dir=getattr(args, "cone_cache", None))
+    service = VerificationService(fallback_policy=fallback)
     report = service.submit(request)
-    if report.incremental is not None:
-        counters = report.incremental
-        print(f"incremental: cones={counters['cones']} "
-              f"replayed={counters['replayed_cones']} "
-              f"reduced={counters['reduced_cones']}", file=sys.stderr)
     if report.attempts and len(report.attempts) > 1:
         trail = " -> ".join(f"{entry['method']}[{entry['kind']}]="
                             f"{entry['outcome']}"
@@ -230,8 +212,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.architecture, args.width, method=args.method,
         circuit_kind="adder" if args.adder else "multiplier",
         budgets=_budgets_from_args(args),
-        certificate=bool(args.certificate),
-        incremental=args.incremental)
+        certificate=bool(args.certificate))
     return _run_request(request, args)
 
 
@@ -239,8 +220,7 @@ def _cmd_verify_verilog(args: argparse.Namespace) -> int:
     request = VerificationRequest.from_verilog(
         path=args.netlist, method=args.method, specification=args.spec,
         budgets=_budgets_from_args(args),
-        certificate=bool(args.certificate),
-        incremental=args.incremental)
+        certificate=bool(args.certificate))
     return _run_request(request, args)
 
 
@@ -340,14 +320,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         if args.retries else None),
           fallback_policy=FallbackPolicy.parse(args.fallback),
           shared_cache_url=args.shared_cache,
-          fleet_topology=fleet_topology,
-          cone_cache_dir=args.cone_cache)
+          fleet_topology=fleet_topology)
     return 0
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    """Run a mutation campaign (see ``docs/incremental.md``)."""
-    from repro.incremental import run_campaign
+    """Run a mutation campaign; exit 1 when a SAT cross-check disagrees."""
+    from repro.experiments.campaign import run_campaign
 
     architectures = [name.strip() for name in args.architectures.split(",")
                      if name.strip()]
@@ -359,12 +338,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         architectures, args.width, args.method,
         budgets=Budgets(monomial_budget=args.monomial_budget,
                         time_budget_s=args.time_budget),
-        cone_cache_dir=args.cone_cache,
         out_path=args.out,
         resume=args.resume,
         sample=args.sample,
         seed=args.seed,
-        cross_check=args.cross_check,
         limit=args.limit,
         jobs=args.jobs,
         on_row=on_row)
@@ -658,18 +635,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="coordinator URL whose /v1/cache/{key} this "
                               "worker checks before executing and populates "
                               "after (docs/fleet.md)")
-    p_serve.add_argument("--cone-cache", dest="cone_cache", default=None,
-                         metavar="DIR",
-                         help="on-disk cone cache directory used by "
-                              "'incremental: true' requests "
-                              "(docs/incremental.md)")
     _add_fallback_argument(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_campaign = sub.add_parser(
         "campaign",
         help="mutation campaign: verify every single-gate mutant of an "
-             "architecture grid with per-cone proof reuse")
+             "architecture grid")
     p_campaign.add_argument("--architectures", "-a", default="SP-AR-RC",
                             help="comma-separated architecture names "
                                  "(default: SP-AR-RC)")
@@ -677,8 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="operand widths in bits (default: 4)")
     p_campaign.add_argument("--method", default="mt-lr",
                             choices=list(backend_names()),
-                            help="verification backend (default: mt-lr; "
-                                 "algebraic methods only)")
+                            help="verification backend (default: mt-lr)")
     p_campaign.add_argument("--out", "-o", default=None, metavar="PATH",
                             help="append one JSON row per mutant to this "
                                  "JSONL file")
@@ -689,17 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="seeded cap on mutants per architecture×"
                                  "width cell (default: all mutants)")
     p_campaign.add_argument("--seed", type=int, default=0,
-                            help="seed of the mutant sample and the "
-                                 "cross-check subset (default: 0)")
-    p_campaign.add_argument("--cross-check", dest="cross_check", type=int,
-                            default=0, metavar="N",
-                            help="re-verify N seeded mutants from scratch "
-                                 "and fail (exit 1) on any verdict "
-                                 "disagreement")
-    p_campaign.add_argument("--cone-cache", dest="cone_cache", default=None,
-                            metavar="DIR",
-                            help="shared cone cache directory; unchanged "
-                                 "cones replay across mutants and runs")
+                            help="seed of the mutant sample (default: 0)")
     p_campaign.add_argument("--limit", type=int, default=None,
                             help="hard cap on executed tasks (smoke runs)")
     p_campaign.add_argument("--jobs", "-j", type=int, default=1,

@@ -2,23 +2,22 @@
 
 A campaign enumerates every single-gate mutation
 (:func:`repro.circuit.mutate.list_mutations`) over an architecture×width
-grid, verifies each mutant through
-:class:`~repro.api.service.VerificationService` on the incremental per-cone
-path with one shared :class:`~repro.incremental.cache.ConeCache`, and emits
-one JSON-lines row per mutant.  Consecutive mutants of one circuit differ
-in a single gate, so after the first few rows almost every cone replays
-from the cache — the workload the ROADMAP's per-cone proof reuse exists
-for.  A sampled subset of rows is additionally re-verified from scratch
-(``cross_check``), pinning the incremental path to the differential
-reference.
+grid, verifies each mutant from scratch through
+:meth:`~repro.api.service.VerificationService.submit`, and emits one
+JSON-lines row per mutant.  Every refuted row carries the service's
+automatic SAT-miter cross-check (``cross_check``); the summary counts the
+refutations it decided and those it contradicted.
 
-Rows are appended and flushed one by one, so an interrupted campaign
-resumes (``resume=True``) executing only the unfinished mutants.
+Mutants are in-memory netlists, which the worker pool and the result
+cache do not take (:func:`~repro.api.service.pool_eligible`), so the
+campaign fans out over its own process pool.  Rows are appended and
+flushed one by one, so an interrupted campaign resumes (``resume=True``)
+executing only the unfinished mutants.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -28,9 +27,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.api.request import Budgets, VerificationRequest
-
-#: Worker-process state built once per worker by :func:`_init_worker`.
-_WORKER = {}
+from repro.api.service import VerificationService
 
 
 @dataclass(frozen=True)
@@ -52,8 +49,7 @@ def enumerate_tasks(architectures: Sequence[str], widths: Sequence[int],
 
     ``sample`` caps the mutants *per cell* via a seeded draw (kept in
     ``list_mutations`` order), so the same (architectures, widths, sample,
-    seed) always yields the same task list — resume files and cross-check
-    subsets depend on that.
+    seed) always yields the same task list — resume files depend on that.
     """
     from repro.circuit.mutate import list_mutations
     from repro.generators.multipliers import generate_multiplier
@@ -79,23 +75,8 @@ def enumerate_tasks(architectures: Sequence[str], widths: Sequence[int],
     return tasks
 
 
-def _build_service(method: str, budgets: Budgets,
-                   cone_cache_dir: str | None):
-    from repro.api.service import VerificationService
-    return VerificationService(budgets=budgets,
-                               cone_cache_dir=cone_cache_dir)
-
-
-def _init_worker(method: str, budgets: Budgets,
-                 cone_cache_dir: str | None) -> None:
-    _WORKER["service"] = _build_service(method, budgets, cone_cache_dir)
-    _WORKER["method"] = method
-    _WORKER["budgets"] = budgets
-
-
-def _execute_task(service, task: CampaignTask, method: str,
-                  budgets: Budgets, cross_check: bool) -> dict:
-    """Verify one campaign cell incrementally; optionally cross-check."""
+def _execute_task(task: CampaignTask, method: str, budgets: Budgets) -> dict:
+    """Verify one campaign cell from scratch and render its row."""
     from repro.circuit.mutate import apply_mutation, list_mutations
     from repro.generators.multipliers import generate_multiplier
 
@@ -105,9 +86,8 @@ def _execute_task(service, task: CampaignTask, method: str,
         mutation = list_mutations(netlist)[task.index]
         netlist = apply_mutation(netlist, mutation)
     request = VerificationRequest.from_netlist(
-        netlist, method=method, budgets=budgets,
-        find_counterexample=False, incremental=True)
-    report = service.submit(request)
+        netlist, method=method, budgets=budgets, find_counterexample=False)
+    report = VerificationService().submit(request)
     row = {
         "id": task.id,
         "architecture": task.architecture,
@@ -116,22 +96,10 @@ def _execute_task(service, task: CampaignTask, method: str,
         "verdict": report.verdict,
         "status": report.status,
         "time_s": report.time_s,
-        "incremental": report.incremental,
     }
-    if cross_check:
-        reference = service.submit(
-            dataclasses.replace(request, incremental=False))
-        row["cross_check"] = {
-            "verdict": reference.verdict,
-            "agrees": reference.verdict == report.verdict,
-        }
+    if report.cross_check is not None:
+        row["cross_check"] = report.cross_check
     return row
-
-
-def _pool_task(args) -> dict:
-    task, cross_check = args
-    return _execute_task(_WORKER["service"], task, _WORKER["method"],
-                         _WORKER["budgets"], cross_check)
 
 
 def _finished_ids(out_path: Path) -> set[str]:
@@ -153,12 +121,10 @@ def _finished_ids(out_path: Path) -> set[str]:
 def run_campaign(architectures: Sequence[str], widths: Sequence[int],
                  method: str = "mt-lr", *,
                  budgets: Budgets | None = None,
-                 cone_cache_dir: str | None = None,
                  out_path: str | Path | None = None,
                  resume: bool = False,
                  sample: int | None = None,
                  seed: int = 0,
-                 cross_check: int = 0,
                  limit: int | None = None,
                  jobs: int = 1,
                  on_row: Callable[[dict], None] | None = None) -> dict:
@@ -166,22 +132,15 @@ def run_campaign(architectures: Sequence[str], widths: Sequence[int],
 
     One JSONL row per task is appended to ``out_path`` (when given) as it
     completes; with ``resume=True`` tasks whose id already appears there
-    are skipped.  ``cross_check`` picks that many mutant rows (seeded) to
-    re-verify from scratch, asserting verdict agreement row by row.  With
-    ``jobs > 1`` the tasks fan across worker processes that share the
-    on-disk cone cache (entries publish atomically, so concurrent writers
-    are safe).
+    are skipped.  ``cross_checked`` counts the rows whose SAT cross-check
+    reached a decision and ``cross_check_disagreements`` those where it
+    contradicted the refutation.  With ``jobs > 1`` the tasks fan across
+    worker processes; rows still arrive in task order.
     """
     if budgets is None:
         budgets = Budgets()
     tasks = enumerate_tasks(architectures, widths, sample=sample, seed=seed,
                             limit=limit)
-    checked_ids: set[str] = set()
-    if cross_check > 0:
-        mutant_ids = [task.id for task in tasks if task.index >= 0]
-        rng = random.Random(f"cross-check:{seed}")
-        checked_ids = set(rng.sample(mutant_ids,
-                                     min(cross_check, len(mutant_ids))))
     skipped = 0
     if resume and out_path is not None:
         finished = _finished_ids(Path(out_path))
@@ -190,7 +149,6 @@ def run_campaign(architectures: Sequence[str], widths: Sequence[int],
         tasks = pending
 
     verdicts: dict[str, int] = {}
-    hits = misses = 0
     cross_checked = disagreements = 0
     out_file = None
     if out_path is not None:
@@ -206,15 +164,12 @@ def run_campaign(architectures: Sequence[str], widths: Sequence[int],
                     out_file.write("\n")
 
     def consume(row: dict) -> None:
-        nonlocal hits, misses, cross_checked, disagreements
+        nonlocal cross_checked, disagreements
         verdicts[row["verdict"]] = verdicts.get(row["verdict"], 0) + 1
-        counters = row.get("incremental") or {}
-        hits += counters.get("cache_hits", 0)
-        misses += counters.get("cache_misses", 0)
-        check = row.get("cross_check")
-        if check is not None:
+        agrees = (row.get("cross_check") or {}).get("agrees")
+        if agrees is not None:
             cross_checked += 1
-            if not check["agrees"]:
+            if not agrees:
                 disagreements += 1
         if out_file is not None:
             out_file.write(json.dumps(row, separators=(",", ":")) + "\n")
@@ -222,24 +177,19 @@ def run_campaign(architectures: Sequence[str], widths: Sequence[int],
         if on_row is not None:
             on_row(row)
 
-    work = [(task, task.id in checked_ids) for task in tasks]
+    execute = functools.partial(_execute_task, method=method, budgets=budgets)
     try:
-        if jobs > 1 and len(work) > 1:
-            context = multiprocessing.get_context()
-            with context.Pool(jobs, initializer=_init_worker,
-                              initargs=(method, budgets,
-                                        cone_cache_dir)) as pool:
-                for row in pool.imap(_pool_task, work):
+        if jobs > 1 and len(tasks) > 1:
+            with multiprocessing.get_context().Pool(jobs) as pool:
+                for row in pool.imap(execute, tasks):
                     consume(row)
         else:
-            service = _build_service(method, budgets, cone_cache_dir)
-            for task, check in work:
-                consume(_execute_task(service, task, method, budgets, check))
+            for task in tasks:
+                consume(execute(task))
     finally:
         if out_file is not None:
             out_file.close()
 
-    total_cones = hits + misses
     return {
         "method": method,
         "seed": seed,
@@ -247,11 +197,6 @@ def run_campaign(architectures: Sequence[str], widths: Sequence[int],
         "executed": len(tasks),
         "skipped": skipped,
         "verdicts": verdicts,
-        "cone_cache": {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / total_cones) if total_cones else 0.0,
-        },
         "cross_checked": cross_checked,
         "cross_check_disagreements": disagreements,
         "out": str(out_path) if out_path is not None else None,

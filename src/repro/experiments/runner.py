@@ -60,8 +60,7 @@ class ExperimentConfig:
     * ``REPRO_BENCH_SAT_CONFLICTS`` — CDCL conflict budget,
     * ``REPRO_BENCH_BDD_NODES`` — ROBDD node budget,
     * ``REPRO_BENCH_JOBS`` — worker processes of batch runs (default 1),
-    * ``REPRO_BENCH_CACHE`` — directory for the on-disk result cache,
-    * ``REPRO_BENCH_CONE_CACHE`` — directory for the incremental cone cache.
+    * ``REPRO_BENCH_CACHE`` — directory for the on-disk result cache.
     """
 
     widths: tuple[int, ...] = (4, 8)
@@ -76,9 +75,6 @@ class ExperimentConfig:
     jobs: int = 1
     #: Directory of the on-disk result cache (``None`` disables caching).
     cache_dir: str | None = None
-    #: Directory of the per-cone proof cache used by incremental runs
-    #: (:mod:`repro.incremental`; ``None`` disables cone reuse).
-    cone_cache_dir: str | None = None
 
     @classmethod
     def from_environment(cls) -> "ExperimentConfig":
@@ -97,7 +93,6 @@ class ExperimentConfig:
             os.environ.get("REPRO_BENCH_BDD_NODES", config.bdd_node_budget))
         config.jobs = int(os.environ.get("REPRO_BENCH_JOBS", config.jobs))
         config.cache_dir = os.environ.get("REPRO_BENCH_CACHE") or None
-        config.cone_cache_dir = os.environ.get("REPRO_BENCH_CONE_CACHE") or None
         return config
 
 
@@ -371,13 +366,11 @@ class ResultCache:
     """
 
     #: Bump when the stored schema or its semantics change within a version.
-    #: 5 = report schema 5 (the ``incremental`` cone-counter block of the
-    #: per-cone proof-reuse path).  4 added the ``attempts``
-    #: retry/fallback history plus an entry-level ``sha256`` integrity
-    #: checksum.  Entries of earlier generations are not re-read (their
-    #: keys differ) but still *parse* via the report layer's legacy-schema
-    #: support, so a directory can hold several generations.
-    SCHEMA = 5
+    #: 6 = report schema 6 (the ``incremental`` block is gone).  4 added
+    #: the ``attempts`` retry/fallback history plus an entry-level
+    #: ``sha256`` integrity checksum.  The key covers this number, so
+    #: entries of earlier generations are simply never looked up.
+    SCHEMA = 6
 
     #: Row statuses that are deterministic outcomes of (circuit, budgets).
     CACHEABLE_STATUSES = ("ok", "mismatch", "TO", "n/a")

@@ -101,8 +101,6 @@ def wire_document(request: VerificationRequest) -> "dict | None":
         document["xor_and_only"] = True
     if request.certificate:
         document["certificate"] = True
-    if request.incremental:
-        document["incremental"] = True
     if request.seed:
         document["seed"] = request.seed
     return document

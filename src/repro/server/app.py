@@ -71,7 +71,7 @@ from repro.server.jobs import JobStore, JobStoreFull
 REQUEST_KEYS = ("method", "architecture", "width", "circuit_kind",
                 "verilog_text", "specification", "budgets",
                 "find_counterexample", "xor_and_only", "certificate",
-                "incremental", "seed")
+                "seed")
 
 #: Budget keys accepted in a wire document — the ``Budgets`` field names.
 BUDGET_KEYS = tuple(field.name for field in dataclasses.fields(Budgets))
@@ -190,7 +190,7 @@ def parse_request_document(document: object) -> VerificationRequest:
                             "verilog_text"), str, "a string")
     _require_types(kwargs, ("width", "seed"), int, "an integer")
     _require_types(kwargs, ("find_counterexample", "xor_and_only",
-                            "certificate", "incremental"), bool, "a boolean")
+                            "certificate"), bool, "a boolean")
     try:
         return VerificationRequest(**kwargs)
     except TypeError as error:
@@ -236,17 +236,12 @@ class VerificationServerApp:
                  retry_policy=None,
                  fallback_policy=None,
                  shared_cache_url: str | None = None,
-                 fleet_topology=None,
-                 cone_cache_dir=None) -> None:
+                 fleet_topology=None) -> None:
         self.budgets = budgets if budgets is not None else Budgets()
         self.golden_architecture = golden_architecture
         self.jobs = jobs
         self.task_timeout_s = task_timeout_s
         self.cache_dir = cache_dir
-        #: Cone-cache directory of the incremental path (``--cone-cache``);
-        #: ``None`` still allows ``"incremental": true`` requests, they
-        #: just reduce every cone.
-        self.cone_cache_dir = cone_cache_dir
         self.max_inflight = max_inflight
         self.retry_after_s = retry_after_s
         self.request_deadline_s = request_deadline_s
@@ -278,10 +273,6 @@ class VerificationServerApp:
         self._retries_total = 0
         self._fallbacks_total = 0
         self._steals_total = 0
-        self._incremental_reports_total = 0
-        self._incremental_cones_total = 0
-        self._incremental_replayed_total = 0
-        self._incremental_reduced_total = 0
         self._shared_cache_hits_total = 0
         self._shared_cache_puts_total = 0
         self._cache_gets_served_total = 0
@@ -303,8 +294,7 @@ class VerificationServerApp:
             task_timeout_s=self.task_timeout_s,
             cache_dir=self.cache_dir,
             retry_policy=self.retry_policy,
-            fallback_policy=self.fallback_policy,
-            cone_cache_dir=self.cone_cache_dir)
+            fallback_policy=self.fallback_policy)
 
     def _batch_runner(self):
         """The batch execution engine: fleet dispatcher or local service.
@@ -342,14 +332,6 @@ class VerificationServerApp:
             self._reports_total += len(reports)
             for report in reports:
                 self._verdicts[report.verdict] += 1
-                counters = report.incremental
-                if counters is not None:
-                    self._incremental_reports_total += 1
-                    self._incremental_cones_total += counters.get("cones", 0)
-                    self._incremental_replayed_total += counters.get(
-                        "replayed_cones", 0)
-                    self._incremental_reduced_total += counters.get(
-                        "reduced_cones", 0)
             self._cache_hits_total += cache_hits
             self._executed_total += executed
             self._retries_total += retries
@@ -593,13 +575,6 @@ class VerificationServerApp:
                             "async_total": self._async_batches_total},
                 "cache": {"hits_total": self._cache_hits_total,
                           "executed_total": self._executed_total},
-                "incremental": {
-                    "reports_total": self._incremental_reports_total,
-                    "cones_total": self._incremental_cones_total,
-                    "replayed_cones_total": self._incremental_replayed_total,
-                    "reduced_cones_total": self._incremental_reduced_total,
-                    "cone_cache_dir": str(self.cone_cache_dir)
-                    if self.cone_cache_dir is not None else None},
                 "pool": {"jobs": self.jobs,
                          "cache_dir": str(self.cache_dir)
                          if self.cache_dir is not None else None},
@@ -631,14 +606,13 @@ class VerificationServerApp:
         ``certificate_version`` differs from its own — mixed-schema
         fleets would silently break byte-parity.
         """
-        from repro.api.report import LEGACY_REPORT_SCHEMAS, REPORT_SCHEMA
+        from repro.api.report import REPORT_SCHEMA
         from repro.certify.certificate import CERTIFICATE_VERSION
         from repro.experiments.runner import ResultCache
 
         return _json_response({
             "version": __version__,
             "report_schema": REPORT_SCHEMA,
-            "legacy_report_schemas": list(LEGACY_REPORT_SCHEMAS),
             "certificate_version": CERTIFICATE_VERSION,
             "cache_schema": ResultCache.SCHEMA,
         })

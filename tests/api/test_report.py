@@ -82,7 +82,7 @@ def test_json_roundtrip_is_byte_identical():
                               "circuit", "width", "specification", "time",
                               "time_s", "reason", "counterexample",
                               "remainder", "counters", "certificate",
-                              "cross_check", "attempts", "incremental"]
+                              "cross_check", "attempts"]
 
 
 def test_verdict_status_and_exit_code_mapping():
@@ -119,28 +119,16 @@ def test_unknown_verdict_and_status_rejected():
                                      "verified": None})
 
 
-def test_from_json_rejects_other_schema_versions():
+@pytest.mark.parametrize("schema", [None, 1, 2, 3, 4, 5, 7, 99, "6"])
+def test_from_json_rejects_other_schema_versions(schema):
+    """Earlier versions (including the schema-5 ``incremental`` one),
+    later and unknown ones, and a null or mistyped version are all
+    refused; only :data:`REPORT_SCHEMA` parses."""
     report = VerificationReport(verdict="verified", method="m", circuit="c")
     document = report.to_dict()
-    document["schema"] = 99
+    document["schema"] = schema
     with pytest.raises(VerificationError, match="unsupported report schema"):
         VerificationReport.from_dict(document)
-
-
-def test_from_json_accepts_legacy_schemas():
-    """Schema-1/2 documents (pre-certificate) must still parse."""
-    row = run_membership_testing("SP-AR-RC", 3, "mt-lr", CONFIG)
-    document = VerificationReport.from_row(row).to_dict()
-    del document["certificate"]
-    del document["cross_check"]
-    for legacy in (1, 2):
-        document["schema"] = legacy
-        revived = VerificationReport.from_dict(json.loads(json.dumps(document)))
-        assert revived.verdict == "verified"
-        assert revived.certificate is None
-        assert revived.cross_check is None
-        # Re-serialization upgrades to the current schema.
-        assert revived.to_dict()["schema"] == REPORT_SCHEMA
 
 
 def test_refuted_report_carries_remainder_and_counterexample():

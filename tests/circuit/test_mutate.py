@@ -1,10 +1,19 @@
 """Tests for bug injection."""
 
+import itertools
+
 import pytest
 
-from repro.circuit.mutate import Mutation, apply_mutation, inject_bug, list_mutations
-from repro.circuit.gates import GateType
-from repro.circuit.simulate import exhaustive_check
+from repro.circuit.mutate import (
+    _SWAPPABLE,
+    Mutation,
+    apply_mutation,
+    inject_bug,
+    list_mutations,
+)
+from repro.circuit.gates import GateType, evaluate_gate
+from repro.circuit.netlist import Netlist
+from repro.circuit.simulate import exhaustive_check, simulate
 from repro.errors import CircuitError
 from repro.generators.multipliers import generate_multiplier
 
@@ -51,3 +60,52 @@ def test_inject_bug_is_deterministic():
     _, first = inject_bug(netlist, seed=3)
     _, second = inject_bug(netlist, seed=3)
     assert first == second
+
+
+@pytest.mark.parametrize("gate_type", list(_SWAPPABLE), ids=lambda t: t.value)
+def test_every_swap_changes_the_gate_function(gate_type):
+    """A mutant that computes the same function would be a silent no-op."""
+    arities = (1,) if gate_type.max_arity == 1 else (2, 3)
+    for arity in arities:
+        netlist = Netlist(f"one_{gate_type.value}")
+        inputs = [netlist.add_input(f"x{i}") for i in range(arity)]
+        netlist.add_gate(gate_type, inputs, "y")
+        netlist.add_output("y")
+        mutations = list_mutations(netlist)
+        assert [m.mutated for m in mutations] == list(_SWAPPABLE[gate_type])
+        for mutation in mutations:
+            mutant = apply_mutation(netlist, mutation)
+            assert mutant.gate_of("y").inputs == tuple(inputs)
+            differs = [
+                bits for bits in itertools.product((0, 1), repeat=arity)
+                if simulate(mutant, dict(zip(inputs, bits)))["y"]
+                != evaluate_gate(gate_type, bits)]
+            assert differs, f"{mutation.key} at arity {arity}"
+
+
+def test_mutation_keys_are_unique_and_self_describing():
+    """Campaign row ids and resume files are built from ``Mutation.key``."""
+    mutations = list_mutations(generate_multiplier("BP-WT-CL", 4))
+    keys = [mutation.key for mutation in mutations]
+    assert len(keys) == len(set(keys))
+    for mutation in mutations:
+        assert mutation.key == (f"{mutation.signal}:{mutation.original.value}"
+                                f"->{mutation.mutated.value}")
+        assert mutation.original.value in mutation.describe()
+        assert mutation.mutated.value in mutation.describe()
+
+
+def test_every_mutation_rewrites_exactly_one_gate():
+    netlist = generate_multiplier("SP-DT-HC", 3)
+    original = {gate.output: gate for gate in netlist.gates()}
+    for mutation in list_mutations(netlist):
+        mutant = apply_mutation(netlist, mutation)
+        mutant.validate()
+        assert mutant.inputs == netlist.inputs
+        assert mutant.outputs == netlist.outputs
+        changed = {gate.output: gate for gate in mutant.gates()
+                   if gate != original[gate.output]}
+        assert list(changed) == [mutation.signal], mutation.key
+        gate = changed[mutation.signal]
+        assert gate.gate_type is mutation.mutated
+        assert gate.inputs == original[mutation.signal].inputs

@@ -92,11 +92,11 @@ def test_cache_key_depends_on_budgets_and_content(tmp_path, config):
 
 PINNED_KEYS = [
     (VerificationJob("SP-AR-RC", 4, "mt-lr"),
-     "7b1ec336f18e208f9dbad0f3ee0be6cc83e7f26486210d82225cb57bd9a54eff"),
+     "83a351eb4d6ef6ff8a8d088ba51981388f4b2294f626f43ab668ff2b69bc166c"),
     (VerificationJob("BP-WT-CL", 8, "sat-cec"),
-     "e1dfe7713d392e01adcaed00a37d707a0092295a141e6c5b72b6e56c5d6c7490"),
+     "3e0688cc716b6b5eb85580a8ad3ee30f4407b59a6ee3619e3f00ce7c038a0feb"),
     (VerificationJob("SP-WT-CL", 6, "mt-fo", certificate=True),
-     "541f8e91b0460ff4ecfcfc0c40f0ff6175a084c57a4b0970c02216760a17b36b"),
+     "a0690bbf3df0308820143080a8b3f5c707e42960ccb1d548c72ac9bc798492df"),
 ]
 
 
@@ -122,7 +122,7 @@ def test_request_cache_key_bytes_are_pinned():
     request = VerificationRequest.from_architecture(
         "SP-AR-RC", 4, "mt-lr", find_counterexample=False)
     assert request_cache_key(request) == \
-        "d31f5f442c5a325736bcfce886dd4eb4322aa463b452e5c276d3149d84f70a6e"
+        "d93284d105cf1ed9a2226fdd5a7732489181b61ba11bd2ffdd3fb61804165b70"
 
 
 def test_error_rows_are_not_cached(tmp_path, config, monkeypatch):

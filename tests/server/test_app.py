@@ -66,6 +66,8 @@ def test_wire_keys_track_the_request_and_budget_dataclasses():
      "unsupported_field"),
     ({"verilog_path": "/etc/passwd"}, "unsupported_field"),
     ({"architecture": "SP-AR-RC", "width": 4, "bogus": 1}, "unknown_field"),
+    ({"architecture": "SP-AR-RC", "width": 4, "incremental": True},
+     "unknown_field"),
     ({"architecture": "SP-AR-RC", "width": 4, "budgets": 7}, "bad_request"),
     ({"architecture": "SP-AR-RC", "width": 4,
       "budgets": {"nope": 1}}, "unknown_field"),
@@ -215,6 +217,8 @@ def test_batch_envelope_reports_serialize_byte_identically(app):
      "bad_request"),
     ({"requests": [{"architecture": "SP-AR-RC", "width": 3}], "extra": 1},
      "unknown_field"),
+    ({"requests": [{"architecture": "SP-AR-RC", "width": 3,
+                    "incremental": True}]}, "unknown_field"),
 ])
 def test_malformed_batches_are_structured_400s(app, document, code):
     response = _post(app, "/v1/batch", document)
@@ -234,3 +238,11 @@ def test_metrics_count_requests_reports_and_errors(app):
     assert metrics["reports"]["verdicts"]["verified"] == 1
     assert metrics["jobs"]["stored"] == 0
     assert metrics["pool"]["jobs"] == 1
+
+
+def test_metrics_document_has_exactly_the_documented_blocks(app):
+    """No per-path block survives: one execution path, one set of counters."""
+    metrics = _body(app.handle("GET", "/metrics"))
+    assert set(metrics) == {"uptime_s", "http", "reports", "batches",
+                            "cache", "pool", "resilience", "fleet",
+                            "shared_cache", "jobs"}

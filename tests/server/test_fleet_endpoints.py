@@ -15,8 +15,7 @@ import time
 import pytest
 
 from repro import __version__
-from repro.api.report import (LEGACY_REPORT_SCHEMAS, REPORT_SCHEMA,
-                              VerificationReport)
+from repro.api.report import REPORT_SCHEMA, VerificationReport
 from repro.api.request import VerificationRequest
 from repro.api.service import request_cache_key
 from repro.certify.certificate import CERTIFICATE_VERSION
@@ -48,7 +47,6 @@ def test_version_handshake_document(client):
     assert document == {
         "version": __version__,
         "report_schema": REPORT_SCHEMA,
-        "legacy_report_schemas": list(LEGACY_REPORT_SCHEMAS),
         "certificate_version": CERTIFICATE_VERSION,
         "cache_schema": ResultCache.SCHEMA,
     }

@@ -86,6 +86,9 @@ def test_json_report_smoke_step_validates_schema(workflow):
     assert "json.tool" in commands
     assert "verdict" in commands
     assert "counters" in commands
+    assert "report.keys() == required" in commands
+    assert 'report["schema"] == 6' in commands
+    assert '"incremental"' not in commands
 
 
 def test_certify_job_emits_checks_and_cross_checks(workflow):
@@ -163,25 +166,27 @@ def test_fleet_job_checks_parity_steals_and_cache(workflow):
     assert "executed=0" in commands
 
 
-def test_campaign_job_reruns_against_one_cone_cache(workflow):
-    """Seeded mutation campaign, twice, with reuse and parity gates.
+def test_campaign_job_reruns_cross_checks_and_resumes(workflow):
+    """Seeded mutation campaign, twice, with cross-check, parity and resume.
 
     The campaign gate must (a) run ``repro-verify campaign`` twice with
-    the same seed against one shared ``--cone-cache`` directory, (b)
-    cross-check a seeded mutant subset from scratch (the command exits 1
-    itself on a verdict disagreement), (c) assert the second run's cone
-    hit rate is at least 0.9, and (d) byte-diff the extracted
-    (id, verdict) columns of the two runs.
+    the same seed, (b) assert the SAT cross-check decided at least one
+    refutation and contradicted none (the command also exits 1 itself on
+    a disagreement), (c) byte-diff the extracted (id, verdict) columns of
+    the two runs, and (d) resume over the first run's output and assert
+    nothing is executed again.
     """
     commands = " ".join(step.get("run", "")
                         for step in workflow["jobs"]["campaign"]["steps"])
-    assert commands.count("repro-verify campaign") >= 2
-    assert "--cone-cache" in commands
-    assert "--cross-check" in commands
-    assert commands.count("--seed 7") >= 2
-    assert "hit_rate" in commands
-    assert ">= 0.9" in commands
+    assert commands.count("repro-verify campaign") >= 3
+    assert commands.count("--seed 7") >= 3
+    assert '["cross_checked"] >= 1' in commands
+    assert '["cross_check_disagreements"] == 0' in commands
     assert "diff verdicts1.txt verdicts2.txt" in commands
+    assert "--resume --out run1.jsonl" in commands
+    assert '["executed"] == 0' in commands
+    assert "--cone-cache" not in commands
+    assert "--cross-check" not in commands
 
 
 def test_docs_job_runs_snippet_check(workflow):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import pytest
 
 from repro.cli import build_parser, main
 from repro.circuit.verilog import save_verilog
@@ -257,3 +258,34 @@ def test_check_certificate_is_engine_free():
             imported.add(node.module)
     assert imported == {"__future__", "hashlib", "json",
                         "repro.algebra.polynomial", "repro.errors"}
+
+
+def test_campaign_smoke(tmp_path, capsys):
+    import json
+    assert main(["campaign", "-a", "SP-AR-RC", "-w", "4", "--sample", "5",
+                 "--seed", "9", "--out", str(tmp_path / "rows.jsonl")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["tasks"] == 6
+    assert summary["cross_checked"] == summary["verdicts"].get("refuted", 0)
+    assert summary["cross_check_disagreements"] == 0
+    rows = (tmp_path / "rows.jsonl").read_text(encoding="utf-8")
+    assert len(rows.splitlines()) == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "-a", "SP-AR-RC", "-w", "4", "--incremental"],
+    ["verify", "-a", "SP-AR-RC", "-w", "4", "--cone-cache", "cones"],
+    ["verify-verilog", "m.v", "--incremental"],
+    ["verify-verilog", "m.v", "--cone-cache", "cones"],
+    ["serve", "--cone-cache", "cones"],
+    ["campaign", "-a", "SP-AR-RC", "-w", "4", "--cone-cache", "cones"],
+    ["campaign", "-a", "SP-AR-RC", "-w", "4", "--cross-check", "2"],
+], ids=["verify--incremental", "verify--cone-cache",
+        "verify-verilog--incremental", "verify-verilog--cone-cache",
+        "serve--cone-cache", "campaign--cone-cache", "campaign--cross-check"])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    """The per-cone path's flags are gone: argparse refuses them (exit 2)."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

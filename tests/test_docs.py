@@ -64,7 +64,7 @@ def _resolve(dotted: str) -> bool:
 
 def test_docs_tree_exists():
     for name in ("architecture.md", "paper-mapping.md", "http-api.md",
-                 "certificates.md", "fleet.md", "incremental.md"):
+                 "certificates.md", "fleet.md"):
         assert (REPO / "docs" / name).exists(), f"missing docs/{name}"
 
 
@@ -179,7 +179,7 @@ def test_readme_links_the_docs_tree():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     for name in ("docs/architecture.md", "docs/paper-mapping.md",
                  "docs/http-api.md", "docs/certificates.md",
-                 "docs/fleet.md", "docs/incremental.md"):
+                 "docs/fleet.md"):
         assert name in readme, f"README must link {name}"
 
 
