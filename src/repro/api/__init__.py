@@ -45,6 +45,9 @@ in this order (absent values are ``null``, never omitted)::
                                     //     max_polynomial_terms,
                                     //     max_monomial_variables,
                                     //     peak_remainder
+                                    //   algebraic budget trip refuted by
+                                    //     simulation (no remainder):
+                                    //     simulated_vectors
                                     //   sat-cec: conflicts, clauses
                                     //   bdd-cec: bdd_nodes
       "certificate": null,          // checkable proof certificate

@@ -154,7 +154,11 @@ register(BackendSpec(
                 "verdict=budget), vanishing_cache_limit (verdict-cache "
                 "cap), and counterexample_tries; produces "
                 "simulation-validated counterexamples on refutations and "
-                "full substitution-engine counters (--stats).",
+                "full substitution-engine counters (--stats). Through the "
+                "service, a budget trip of a counterexample search without "
+                "a certificate is followed by bit-parallel simulation "
+                "against the word-level multiplier/adder relation, which "
+                "turns it into a refutation when a vector disagrees.",
     supports_counterexample=True, supports_stats=True, certifiable=True,
     cost_rank=0,
     budget_keys=_ALGEBRAIC_BUDGETS,

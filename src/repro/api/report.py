@@ -300,6 +300,23 @@ class VerificationReport:
             result=result)
 
     @classmethod
+    def from_simulation(cls, tripped: "VerificationReport",
+                        counterexample: dict[str, int], vectors: int,
+                        elapsed_s: float) -> "VerificationReport":
+        """A budget trip that the service's simulation stage refuted.
+
+        The algebra did not finish, so there is no remainder and no engine
+        counters: ``counters`` holds only ``simulated_vectors``, and
+        ``reason`` keeps the trip's message.
+        """
+        return cls(
+            verdict="refuted", status="mismatch", method=tripped.method,
+            circuit=tripped.circuit, width=tripped.width,
+            time=format_seconds(elapsed_s), time_s=elapsed_s,
+            reason=tripped.reason, counterexample=counterexample,
+            counters={"simulated_vectors": vectors})
+
+    @classmethod
     def from_blowup(cls, error, method: str, circuit: str,
                     width: int | None = None,
                     elapsed_s: float | None = None) -> "VerificationReport":

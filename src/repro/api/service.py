@@ -14,6 +14,7 @@ runner internals.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
@@ -27,6 +28,54 @@ from repro.errors import BlowUpError, VerificationError
 
 def _certifiable_backends():
     return tuple(spec for spec in backends() if spec.certifiable)
+
+
+def _relation_words(netlist) -> tuple[list[str], list[str], list[str]] | None:
+    """The ``a``, ``b`` and ``s`` words that the ``"multiplier"`` and
+    ``"adder"`` specifications relate, or ``None`` when one is missing."""
+    words = (netlist.input_word("a"), netlist.input_word("b"),
+             netlist.output_word("s"))
+    return words if all(words) else None
+
+
+def _replay(netlist, counterexample: dict[str, int]) -> dict[str, int] | None:
+    """Every signal's value under a counterexample (``None``: not a full
+    assignment of the primary inputs)."""
+    from repro.circuit.simulate import simulate
+    from repro.errors import CircuitError
+    try:
+        return simulate(netlist, counterexample)
+    except CircuitError:
+        return None
+
+
+def _confirms_mismatch(netlist, specification,
+                       values: dict[str, int] | None) -> bool | None:
+    """Whether replayed signal values break the word relation ``s = a * b``
+    (or ``a + b``); ``None`` when there is nothing to check."""
+    words = _relation_words(netlist)
+    if values is None or words is None:
+        return None
+    a, b, s = (sum(values[name] << i for i, name in enumerate(names))
+               for names in words)
+    expected = a * b if specification == "multiplier" else a + b
+    return s != expected % (1 << len(words[2]))
+
+
+def _outputs_differ(netlist, golden, counterexample: dict[str, int] | None,
+                    values: dict[str, int] | None) -> bool:
+    """Whether ``counterexample`` satisfies the SAT miter of the two circuits.
+
+    The miter pairs inputs and outputs by name, so the question only
+    arises when both circuits have the same names; ``values`` is the
+    circuit's replay under the counterexample.
+    """
+    from repro.circuit.simulate import simulate
+    if (values is None or set(netlist.inputs) != set(golden.inputs)
+            or set(netlist.outputs) != set(golden.outputs)):
+        return False
+    reference = simulate(golden, counterexample)
+    return any(values[name] != reference[name] for name in netlist.outputs)
 
 
 def pool_eligible(request: VerificationRequest) -> bool:
@@ -198,9 +247,16 @@ class VerificationService:
                             certificate=request.certificate,
                             seed=request.seed)
         except BlowUpError as error:
-            return VerificationReport.from_blowup(
+            tripped = VerificationReport.from_blowup(
                 error, method=request.method, circuit=circuit, width=width,
                 elapsed_s=time.perf_counter() - start)
+            report = self._refute_by_simulation(request, netlist, tripped,
+                                                budgets, start)
+            if report is None:
+                return tripped
+            report.cross_check = self._cross_check_refutation(
+                request, netlist, report.counterexample, width, budgets)
+            return report
         report = VerificationReport.from_result(result, circuit=circuit,
                                                 width=width)
         if request.certificate and result.certificate_data is not None:
@@ -208,30 +264,96 @@ class VerificationService:
             report.certificate = build_certificate(result)
         if report.verdict == "refuted":
             report.cross_check = self._cross_check_refutation(
-                request, netlist, result, width, budgets)
+                request, netlist, result.counterexample, width, budgets)
         return report
 
+    def _refute_by_simulation(self, request: VerificationRequest, netlist,
+                              tripped: VerificationReport, budgets: Budgets,
+                              start: float) -> VerificationReport | None:
+        """Search for a counterexample by simulation after a budget trip.
+
+        A trip answers nothing, yet a buggy circuit is usually wrong on
+        many inputs.  When the request searches for a counterexample
+        (``find_counterexample``) against the word-level ``"multiplier"``
+        or ``"adder"`` specification and asks for no certificate (the
+        algebra's journal), the circuit is simulated bit-parallel over
+        ``counterexample_tries`` vectors drawn from the request seed, and
+        its ``s`` word is compared with a bit-sliced ``a * b`` (or
+        ``a + b``).  A mismatch refutes the circuit at its first failing
+        vector.  ``None`` when the stage does not apply, when every
+        vector agrees (which proves nothing), or when the time budget,
+        counted from ``start``, runs out first.  The model build that
+        preceded the trip has already checked the three words.
+        """
+        specification = request.resolve_specification()
+        samples = budgets.counterexample_tries
+        if (not request.find_counterexample or request.certificate
+                or specification not in ("multiplier", "adder")
+                or not isinstance(samples, int)):
+            return None
+        from repro.circuit.simulate import (
+            input_lanes,
+            lane_product,
+            lane_sum,
+            simulate_lanes,
+        )
+        a_names, b_names, s_names = _relation_words(netlist)
+        reference = lane_product if specification == "multiplier" else lane_sum
+        budget_s = budgets.time_budget_s
+        simulated = 0
+        for inputs, lanes in input_lanes(netlist, samples, request.seed):
+            if budget_s is not None and time.perf_counter() - start >= budget_s:
+                return None
+            values = simulate_lanes(netlist, inputs, lanes)
+            expected = reference([values[name] for name in a_names],
+                                 [values[name] for name in b_names])
+            wrong = 0
+            # Bits beyond either word are 0: a wider output must read 0
+            # there, and a narrower one cannot hold the result.
+            for got, want in itertools.zip_longest(
+                    [values[name] for name in s_names], expected, fillvalue=0):
+                wrong |= got ^ want
+            simulated += lanes
+            if wrong:
+                lane = (wrong & -wrong).bit_length() - 1
+                return VerificationReport.from_simulation(
+                    tripped, {name: (inputs[name] >> lane) & 1
+                              for name in netlist.inputs},
+                    simulated, elapsed_s=time.perf_counter() - start)
+        return None
+
     def _cross_check_refutation(self, request: VerificationRequest, netlist,
-                                result, width: int | None,
+                                counterexample: dict[str, int] | None,
+                                width: int | None,
                                 budgets: Budgets) -> dict:
-        """Cross-check an algebraic refutation outside the algebra.
+        """Cross-check a refutation outside the algebra.
 
         Two independent angles, recorded verbatim on the report: the
         counterexample (when one was found) is replayed through gate-level
         simulation against the word-level arithmetic relation, and — for
-        multiplier specifications with a known width — the SAT miter
-        baseline is run against the golden architecture, whose
-        ``different`` answer must agree with the refutation.
+        multiplier specifications with a known width — the circuit is
+        compared with the golden architecture through the SAT miter, whose
+        ``different`` answer must agree with the refutation.  A
+        counterexample on which the two circuits' outputs differ satisfies
+        the miter, so it settles the miter without a search (0
+        conflicts); only otherwise does the CDCL solver search it.
         """
         record: dict = {"backend": "sat-cec", "status": "not_applicable",
                         "agrees": None, "counterexample_confirmed": None}
-        confirmed = self._confirm_counterexample(request, netlist,
-                                                 result.counterexample)
-        record["counterexample_confirmed"] = confirmed
-        if request.resolve_specification() == "multiplier" and width:
+        specification = request.resolve_specification()
+        values = None
+        if counterexample is not None and specification in ("multiplier",
+                                                            "adder"):
+            values = _replay(netlist, counterexample)
+        record["counterexample_confirmed"] = _confirms_mismatch(
+            netlist, specification, values)
+        if specification == "multiplier" and width:
             from repro.baselines.sat.miter import sat_equivalence_check
             from repro.generators.multipliers import generate_multiplier
             golden = generate_multiplier(self.golden_architecture, width)
+            if _outputs_differ(netlist, golden, counterexample, values):
+                record.update(status="different", agrees=True, conflicts=0)
+                return record
             sat = sat_equivalence_check(
                 netlist, golden, conflict_limit=budgets.sat_conflict_budget,
                 time_budget_s=budgets.time_budget_s)
@@ -240,30 +362,6 @@ class VerificationService:
                                 if sat.status != "unknown" else None)
             record["conflicts"] = sat.conflicts
         return record
-
-    def _confirm_counterexample(self, request: VerificationRequest, netlist,
-                                counterexample) -> bool | None:
-        """Gate-level replay of a counterexample against the word relation."""
-        specification = request.resolve_specification()
-        if counterexample is None or specification not in ("multiplier",
-                                                           "adder"):
-            return None
-        from repro.circuit.simulate import simulate
-        from repro.errors import CircuitError
-        try:
-            values = simulate(netlist, counterexample)
-        except CircuitError:
-            return None
-        def word(names):
-            return sum(values[name] << i for i, name in enumerate(names))
-        a_bits = netlist.input_word("a")
-        b_bits = netlist.input_word("b")
-        s_bits = netlist.output_word("s")
-        if not a_bits or not b_bits or not s_bits:
-            return None
-        a, b, s = word(a_bits), word(b_bits), word(s_bits)
-        expected = a * b if specification == "multiplier" else a + b
-        return s != expected % (1 << len(s_bits))
 
     def _submit_sat(self, netlist, circuit: str, width: int | None,
                     budgets: Budgets, method: str = "sat-cec",

@@ -6,7 +6,8 @@ gates (:mod:`repro.circuit.gates`) with declared primary inputs/outputs
 and word-level accessors used by the generators and specifications.
 Supporting modules: :mod:`~repro.circuit.analysis` (fanout counts,
 topological orders, level maps — the inputs of substitution ordering),
-:mod:`~repro.circuit.simulate` (bit- and word-level evaluation,
+:mod:`~repro.circuit.simulate` (bit- and word-level evaluation, a
+bit-parallel lane kernel that evaluates many input vectors at once,
 exhaustive equivalence checks for the small widths the tests pin),
 :mod:`~repro.circuit.verilog` (structural gate-level Verilog reader and
 writer; the netlist content hash of the result cache is the written

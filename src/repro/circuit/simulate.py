@@ -1,21 +1,35 @@
 """Bit-true simulation of netlists.
 
-Simulation serves two purposes: validating the arithmetic generators against
-the integer functions they are supposed to implement, and providing the
+Simulation serves three purposes: validating the arithmetic generators
+against the integer functions they are supposed to implement, providing the
 ground truth used by property-based tests of the vanishing-monomial rule
-(every monomial removed by the rule must evaluate to zero on the circuit).
+(every monomial removed by the rule must evaluate to zero on the circuit),
+and searching for a counterexample when the algebra trips its budget.
+
+:func:`simulate` evaluates one input vector gate by gate through
+:func:`~repro.circuit.gates.evaluate_gate`.  :func:`simulate_lanes`
+evaluates many vectors at once: each signal is one Python integer whose bit
+``k`` is the signal's value in vector ``k`` (lane ``k``), so one big-integer
+operation per gate input covers every vector.  :func:`simulate` stays the
+reference the lane kernel is tested against, and the replay that confirms a
+counterexample the lanes found.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.circuit.analysis import topological_signals
-from repro.circuit.gates import evaluate_gate
+from repro.circuit.gates import GateType, evaluate_gate
 from repro.circuit.netlist import Netlist
 from repro.errors import CircuitError
+
+#: Most lanes :func:`input_lanes` hands out at once.  It bounds a lane
+#: simulation's memory at 2 KB a signal whatever the sample count, and lets
+#: a search that fails early stop after the first chunk.
+LANE_CHUNK = 16384
 
 
 def simulate(netlist: Netlist, inputs: Mapping[str, int]) -> dict[str, int]:
@@ -32,6 +46,107 @@ def simulate(netlist: Netlist, inputs: Mapping[str, int]) -> dict[str, int]:
         values[signal] = evaluate_gate(gate.gate_type,
                                        [values[s] for s in gate.inputs])
     return values
+
+
+def input_lanes(netlist: Netlist, samples: int,
+                seed: int = 0) -> Iterator[tuple[dict[str, int], int]]:
+    """``samples`` packed primary-input vectors for :func:`simulate_lanes`.
+
+    The vectors are drawn from ``random.Random(seed)``, so a seed always
+    gives the same ones.  Yields ``(packed inputs, lanes)`` for consecutive
+    chunks of at most :data:`LANE_CHUNK` vectors: bit ``k`` of an input's
+    integer is its value in the chunk's vector ``k``.
+    """
+    names = netlist.inputs
+    rng = random.Random(seed)
+    for start in range(0, samples, LANE_CHUNK):
+        lanes = min(LANE_CHUNK, samples - start)
+        yield {name: rng.getrandbits(lanes) for name in names}, lanes
+
+
+_LANE_AND = frozenset((GateType.AND, GateType.NAND))
+_LANE_OR = frozenset((GateType.OR, GateType.NOR))
+_LANE_XOR = frozenset((GateType.XOR, GateType.XNOR))
+_LANE_INVERTING = frozenset((GateType.NOT, GateType.NAND, GateType.NOR,
+                             GateType.XNOR))
+
+
+def simulate_lanes(netlist: Netlist, inputs: Mapping[str, int],
+                   lanes: int) -> dict[str, int]:
+    """Evaluate every signal over ``lanes`` input vectors at once.
+
+    ``inputs`` maps each primary input to its packed lanes (bit ``k`` is
+    its value in vector ``k``; :func:`input_lanes` builds them).  Returns
+    the packed lanes of every signal.
+    """
+    ones = (1 << lanes) - 1
+    values: dict[str, int] = {}
+    for name in netlist.inputs:
+        if name not in inputs:
+            raise CircuitError(f"missing value for primary input {name!r}")
+        values[name] = inputs[name] & ones
+    gate_of = netlist.gate_of
+    for signal in topological_signals(netlist):
+        if signal in values:
+            continue
+        gate = gate_of(signal)
+        kind = gate.gate_type
+        operands = gate.inputs
+        if kind in _LANE_AND:
+            value = values[operands[0]]
+            for operand in operands[1:]:
+                value &= values[operand]
+        elif kind in _LANE_XOR:
+            value = values[operands[0]]
+            for operand in operands[1:]:
+                value ^= values[operand]
+        elif kind in _LANE_OR:
+            value = values[operands[0]]
+            for operand in operands[1:]:
+                value |= values[operand]
+        elif kind is GateType.CONST0 or kind is GateType.CONST1:
+            value = ones if kind is GateType.CONST1 else 0
+        else:                                       # BUF, NOT
+            value = values[operands[0]]
+        if kind in _LANE_INVERTING:
+            value ^= ones
+        values[signal] = value
+    return values
+
+
+def lane_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Bit-sliced ``a * b`` over packed lanes, least significant bit first.
+
+    Shift-and-add: row ``j`` adds ``a AND b_j`` at offset ``j`` with one
+    full adder per bit.  The result has ``len(a) + len(b)`` bits.
+    """
+    total = [0] * (len(a) + len(b))
+    for j, b_j in enumerate(b):
+        carry = 0
+        for i, a_i in enumerate(a):
+            row = a_i & b_j
+            current = total[i + j]
+            total[i + j] = current ^ row ^ carry
+            carry = (current & row) | (carry & (current ^ row))
+        # Rows 0..j-1 reached bit j-1+len(a) at most, so this bit is free.
+        total[j + len(a)] = carry
+    return total
+
+
+def lane_sum(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Bit-sliced ``a + b`` over packed lanes (ripple carry), LSB first.
+
+    The result has ``max(len(a), len(b)) + 1`` bits.
+    """
+    total: list[int] = []
+    carry = 0
+    for i in range(max(len(a), len(b))):
+        x = a[i] if i < len(a) else 0
+        y = b[i] if i < len(b) else 0
+        total.append(x ^ y ^ carry)
+        carry = (x & y) | (carry & (x ^ y))
+    total.append(carry)
+    return total
 
 
 def word_to_bits(value: int, width: int) -> list[int]:

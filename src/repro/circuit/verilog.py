@@ -96,17 +96,33 @@ _DECL_RE = re.compile(
     r"^(input|output|wire)\s*(?:\[\s*(\d+)\s*:\s*(\d+)\s*\])?\s*(.+)$")
 _GATE_RE = re.compile(r"^(\w+)\s+(?:\w+\s+)?\(([^)]*)\)$")
 _ASSIGN_RE = re.compile(r"^assign\s+(\S+)\s*=\s*(.+)$")
+_BIT_SELECT_RE = re.compile(r"(\w+)\s*\[\s*(\d+)\s*\]")
 
 
-def _expand_decl(kind_match: re.Match) -> tuple[str, list[str]]:
+def _expand_decl(kind_match: re.Match, budget: int) -> tuple[str, list[str]]:
+    """The signals of one declaration, refusing more than ``budget`` bits.
+
+    The bound is checked before anything is expanded, so a short text
+    cannot declare a vector too wide to build.
+    """
     kind, msb, lsb, rest = kind_match.groups()
     names = [n.strip() for n in rest.split(",") if n.strip()]
+    try:
+        hi, lo = (0, 0) if msb is None else (int(msb), int(lsb))
+    except ValueError:          # more digits than int() converts
+        raise CircuitError(f"vector index out of range in "
+                           f"{kind_match.group(0)[:80]!r}") from None
+    bits = abs(hi - lo) + 1
+    if bits * len(names) > budget:
+        raise CircuitError(
+            f"declaration {kind_match.group(0)[:80]!r} declares "
+            f"{bits * len(names)} bits, more than the source could "
+            "reference")
     expanded: list[str] = []
     for name in names:
         if msb is None:
             expanded.append(name)
         else:
-            hi, lo = int(msb), int(lsb)
             step = 1 if hi >= lo else -1
             for i in range(lo, hi + step, step):
                 expanded.append(f"{name}{i}")
@@ -115,17 +131,27 @@ def _expand_decl(kind_match: re.Match) -> tuple[str, list[str]]:
 
 def _normalise_signal(token: str) -> str:
     token = token.strip()
-    match = re.fullmatch(r"(\w+)\s*\[\s*(\d+)\s*\]", token)
+    if "[" not in token:
+        return token
+    match = _BIT_SELECT_RE.fullmatch(token)
     if match:
         return f"{match.group(1)}{match.group(2)}"
     return token
 
 
 def parse_verilog(text: str, name: str | None = None) -> Netlist:
-    """Parse the supported structural-Verilog subset into a netlist."""
+    """Parse the supported structural-Verilog subset into a netlist.
+
+    Declarations may declare at most one bit per character of the text
+    that is neither a comment nor whitespace: a netlist that references
+    each declared signal at least once never reaches it, and the bound
+    stops a few bytes such as ``input [99999999:0] a;``, however padded,
+    from expanding into millions of names.
+    """
     # Strip comments and split into ';'-terminated statements.
     text = re.sub(r"//.*", "", text)
     text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
+    declared_budget = len("".join(text.split()))
     statements = [s.strip() for s in text.replace("\n", " ").split(";") if s.strip()]
 
     netlist: Netlist | None = None
@@ -144,7 +170,8 @@ def parse_verilog(text: str, name: str | None = None) -> Netlist:
 
         decl = _DECL_RE.match(statement)
         if decl:
-            kind, names = _expand_decl(decl)
+            kind, names = _expand_decl(decl, declared_budget)
+            declared_budget -= len(names)
             if kind == "input":
                 for signal in names:
                     netlist.add_input(signal)

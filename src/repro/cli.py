@@ -200,8 +200,14 @@ def _run_request(request: VerificationRequest, args: argparse.Namespace) -> int:
         # Algebraic backends: the rich engine output (+ --stats counters).
         _report(report.result, show_stats=args.stats)
         return report.exit_code
-    # SAT/BDD baselines: the uniform report summary.
+    # SAT/BDD baselines and simulation refutations: the uniform report
+    # summary (the engine tripped before a simulation refutation, so
+    # --stats has no counters to print).
     print(report.summary())
+    if "simulated_vectors" in report.counters:
+        print(f"refuted by simulation over "
+              f"{report.counters['simulated_vectors']} vectors after "
+              f"{report.reason}")
     if report.verdict == "refuted" and report.counterexample:
         _print_counterexample(report.counterexample)
     return report.exit_code

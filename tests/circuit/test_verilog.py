@@ -1,9 +1,12 @@
 """Tests for the structural-Verilog writer and reader."""
 
+import time
+
 import pytest
 
 from repro.circuit.simulate import exhaustive_check, simulate
 from repro.circuit.verilog import (
+    _normalise_signal,
     load_verilog,
     parse_verilog,
     save_verilog,
@@ -83,3 +86,40 @@ def test_parse_rejects_unknown_instantiation():
 def test_parse_requires_module_header():
     with pytest.raises(CircuitError):
         parse_verilog("assign y = a;")
+
+
+def test_oversized_vector_declaration_is_refused_before_expansion():
+    text = "module m(); input [99999999:0] a; endmodule"
+    assert len(text) == 43
+    start = time.perf_counter()
+    with pytest.raises(CircuitError, match="100000000 bits"):
+        parse_verilog(text)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("padding", ["// " + "x" * 200_000 + "\n",
+                                     "/* " + "x" * 200_000 + " */",
+                                     " " * 200_000, "\n" * 200_000])
+def test_padding_does_not_raise_the_declaration_bound(padding):
+    """Comments and whitespace reference nothing, so they buy no bits."""
+    text = "module m(); input [99999:0] a; " + padding + "endmodule"
+    start = time.perf_counter()
+    with pytest.raises(CircuitError, match="100000 bits"):
+        parse_verilog(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_declared_bits_are_bounded_by_the_source_length():
+    # Every declaration counts, so two halves fail like one whole.
+    with pytest.raises(CircuitError):
+        parse_verilog("module m(); input [40:0] a; wire [40:0] w; endmodule")
+    with pytest.raises(CircuitError, match="out of range"):
+        parse_verilog("module m(); input [" + "9" * 5000 + ":0] a; endmodule")
+
+
+@pytest.mark.parametrize("token,name", [("a[3]", "a3"), ("a [ 3 ]", "a3"),
+                                        (" a ", "a"), ("a", "a"),
+                                        ("pp_1_2", "pp_1_2"),
+                                        ("a[x]", "a[x]")])
+def test_signal_tokens_normalise_as_before(token, name):
+    assert _normalise_signal(token) == name

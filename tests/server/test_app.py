@@ -106,6 +106,16 @@ def test_unknown_architecture_and_method_are_400s(app):
     assert response.status == 400
 
 
+def test_oversized_vector_declaration_is_a_400(app):
+    """43 bytes that would declare 10^8 inputs are refused before expansion."""
+    response = _post(app, "/v1/verify", {
+        "verilog_text": "module m(); input [99999999:0] a; endmodule"})
+    assert response.status == 400
+    error = _body(response)["error"]
+    assert error["code"] == "verification_error"
+    assert error["message"].startswith("CircuitError")
+
+
 # -- routing -------------------------------------------------------------------
 
 def test_unknown_route_is_404(app):

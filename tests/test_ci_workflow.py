@@ -111,6 +111,31 @@ def test_certify_job_emits_checks_and_cross_checks(workflow):
     assert "tampered" in commands
 
 
+def test_certify_job_checks_the_simulation_refutation(workflow):
+    """A budget trip without a certificate is refuted by simulation.
+
+    Right after the certified refutation, the same buggy netlist without
+    ``--certificate``, under a monomial budget its reduction trips, must
+    exit 2 with a simulation report (4096 vectors, no remainder) whose
+    cross-check agrees, confirms the counterexample, and needs no SAT
+    conflict.
+    """
+    steps = workflow["jobs"]["certify"]["steps"]
+    names = [step.get("name") for step in steps]
+    index = names.index("Budget-trip refutation by simulation")
+    assert names[index - 1] == "Injected-bug refutation with SAT cross-check"
+    command = steps[index]["run"]
+    assert "repro-verify verify-verilog buggy.v --json --monomial-budget 20" \
+        in command
+    assert "--certificate" not in command
+    assert '[ "$?" -eq 2 ]' in command
+    assert 'report["counters"] == {"simulated_vectors": 4096}' in command
+    assert 'report["remainder"] is None' in command
+    assert 'cross["agrees"] is True' in command
+    assert 'cross["counterexample_confirmed"] is True' in command
+    assert 'cross["conflicts"] == 0' in command
+
+
 def test_certify_job_checks_both_model_modes(workflow):
     """6- and 8-bit certificates exercise the exhaustive and sampled model check."""
     commands = " ".join(step.get("run", "")

@@ -140,6 +140,41 @@ def test_verify_verilog_json_and_refuted_exit_2(tmp_path, capsys):
     assert report["remainder"]
 
 
+def _tripping_verilog(tmp_path):
+    """A buggy 4-bit multiplier whose reduction trips ``--monomial-budget 20``."""
+    netlist = generate_multiplier("SP-AR-RC", 4)
+    path = tmp_path / "buggy.v"
+    save_verilog(apply_mutation(netlist, list_mutations(netlist)[5]),
+                 str(path))
+    return path
+
+
+def test_budget_trip_refuted_by_simulation_json(tmp_path, capsys):
+    import json
+    path = _tripping_verilog(tmp_path)
+    assert main(["verify-verilog", str(path), "--json",
+                 "--monomial-budget", "20"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "refuted"
+    assert report["counters"] == {"simulated_vectors": 4096}
+    assert report["remainder"] is None
+    assert "monomial budget" in report["reason"]
+    assert report["cross_check"]["conflicts"] == 0
+
+
+def test_budget_trip_refuted_by_simulation_human_output(tmp_path, capsys):
+    path = _tripping_verilog(tmp_path)
+    assert main(["verify-verilog", str(path), "--stats",
+                 "--monomial-budget", "20"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "MISMATCH" in lines[0]
+    assert lines[1].startswith("refuted by simulation over 4096 vectors "
+                               "after GB reduction exceeded the monomial "
+                               "budget")
+    assert lines[2].startswith("counterexample: a0=")
+    assert len(lines) == 3, "no engine counters: the engine tripped"
+
+
 def test_verify_sat_and_bdd_methods_through_the_cli(capsys):
     assert main(["verify", "-a", "SP-AR-RC", "-w", "3",
                  "--method", "sat-cec"]) == 0

@@ -21,7 +21,11 @@ seconds.
   mutants from three architectures under a small monomial budget (one
   sampled mutant would otherwise reduce for tens of seconds).  Every
   decided verdict must match the oracle, and most of the sample must be
-  decided.
+  decided.  Through :class:`~repro.api.service.VerificationService`, whose
+  simulation stage looks for a counterexample after a budget trip, the
+  whole sample must be decided.
+- 9 bits, through the service: every refutation replays, whichever stage
+  found it, and a mutant the sampled vectors miss keeps its budget trip.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import random
 
 import pytest
 
-from repro.api.request import Budgets
+from repro.api.request import Budgets, VerificationRequest
+from repro.api.service import VerificationService
 from repro.baselines.bdd.equivalence import bdd_equivalence_check
 from repro.circuit.mutate import apply_mutation, list_mutations
 from repro.circuit.simulate import simulate
@@ -44,6 +49,13 @@ WIDE_ARCHITECTURES = ("SP-AR-RC", "SP-DT-HC", "BP-WT-CL")
 WIDE_SAMPLE = 10
 WIDE_BUDGETS = Budgets(monomial_budget=20_000)
 CATALOG_SAMPLE = 6
+SAMPLED_SAMPLE = 4
+
+#: The counters of a report the algebra produced.
+ALGEBRAIC_COUNTERS = {"cancelled_vanishing_monomials", "reduction_time_s",
+                      "rewrite_time_s", "num_polynomials", "num_monomials",
+                      "max_polynomial_terms", "max_monomial_variables",
+                      "peak_remainder"}
 
 #: Word-level reference per BDD ``operation``.
 _REFERENCE = {"multiply": lambda a, b: a * b, "add": lambda a, b: a + b}
@@ -138,21 +150,83 @@ def test_6_bit_golden_circuits_verify(architecture):
     assert _oracle(netlist)
 
 
+def _wide_sample(width: int, size: int,
+                 seed: str = "differential:{architecture}"):
+    """``(label, mutant)`` pairs: a seeded sample of each wide architecture."""
+    for architecture in WIDE_ARCHITECTURES:
+        netlist = generate_multiplier(architecture, width)
+        rng = random.Random(seed.format(architecture=architecture))
+        for mutation in rng.sample(list_mutations(netlist), size):
+            yield (f"{architecture}-{width} {mutation.key}",
+                   apply_mutation(netlist, mutation))
+
+
 def test_sampled_6_bit_mutants_match_the_bdd_oracle():
     decided = total = 0
-    for architecture in WIDE_ARCHITECTURES:
-        netlist = generate_multiplier(architecture, 6)
-        rng = random.Random(f"differential:{architecture}")
-        for mutation in rng.sample(list_mutations(netlist), WIDE_SAMPLE):
-            mutant = apply_mutation(netlist, mutation)
-            total += 1
-            try:
-                result = verify(mutant, "multiplier", "mt-lr",
-                                budgets=WIDE_BUDGETS,
-                                find_counterexample=False, seed=0)
-            except BlowUpError:
-                continue
-            decided += 1
-            assert result.verified == _oracle(mutant), \
-                f"{architecture}-6 {mutation.key}"
+    for label, mutant in _wide_sample(6, WIDE_SAMPLE):
+        total += 1
+        try:
+            result = verify(mutant, "multiplier", "mt-lr",
+                            budgets=WIDE_BUDGETS,
+                            find_counterexample=False, seed=0)
+        except BlowUpError:
+            continue
+        decided += 1
+        assert result.verified == _oracle(mutant), label
     assert 3 * decided >= 2 * total, f"only {decided}/{total} decided"
+
+
+def test_sampled_6_bit_mutants_are_all_decided_through_the_service():
+    """The engine-level sample above, through the service's simulation stage."""
+    service = VerificationService()
+    sample = list(_wide_sample(6, WIDE_SAMPLE))
+    assert len(sample) == 30
+    simulated = 0
+    for label, mutant in sample:
+        report = service.submit(VerificationRequest.from_netlist(
+            mutant, budgets=WIDE_BUDGETS))
+        assert report.verdict in ("verified", "refuted"), label
+        assert (report.verdict == "verified") == _oracle(mutant), label
+        if report.verdict == "refuted":
+            assert _wrong_product(mutant, report.counterexample), label
+            assert report.cross_check["agrees"] is True, label
+            assert report.cross_check["counterexample_confirmed"] is True
+            simulated += report.counters == {"simulated_vectors": 4096}
+    assert simulated > 0
+
+
+@pytest.mark.parametrize("tries", [4096, 1])
+def test_sampled_9_bit_mutants_replay_or_keep_their_trip(tries):
+    """The stage samples ``tries`` vectors after a trip, and may miss.
+
+    A refutation must replay whichever stage found it; a mutant the
+    vectors miss stays ``budget``.  With one vector the stage misses
+    often, so both outcomes show up.
+    """
+    service = VerificationService()
+    budgets = WIDE_BUDGETS.replace(counterexample_tries=tries)
+    stages = []
+    for label, mutant in _wide_sample(9, SAMPLED_SAMPLE,
+                                      seed="sampled:{architecture}-9"):
+        report = service.submit(VerificationRequest.from_netlist(
+            mutant, budgets=budgets))
+        if report.counters == {"simulated_vectors": tries}:
+            stages.append("simulation")
+            assert report.verdict == "refuted" and report.remainder is None
+            assert report.reason, label
+        elif report.verdict == "budget":
+            stages.append("budget")
+            assert report.counters == {} and report.reason, label
+            continue
+        else:
+            stages.append("algebra")
+            assert set(report.counters) == ALGEBRAIC_COUNTERS, label
+        if report.verdict == "refuted":
+            assert _wrong_product(mutant, report.counterexample), label
+            assert report.cross_check["agrees"] is True, label
+            # Every counterexample, whoever found it, is a real one, so it
+            # settles the SAT miter without a search.
+            assert report.cross_check["conflicts"] == 0, label
+    assert "simulation" in stages and "algebra" in stages
+    if tries == 1:
+        assert "budget" in stages
