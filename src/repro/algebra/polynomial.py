@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.algebra.monomial import Monomial, iter_bits, mask_of
 from repro.algebra.ordering import MonomialOrder, LEX
-from repro.algebra.substitution import SubstitutionEngine
 from repro.errors import AlgebraError
 
 
@@ -270,20 +269,29 @@ class Polynomial:
         polynomial ``-var + tail`` whose leading monomial is the single
         variable ``var``: every occurrence of ``var`` in a monomial is
         replaced by the tail polynomial, with Boolean idempotence applied.
-        The loop itself lives in the shared
-        :class:`~repro.algebra.substitution.SubstitutionEngine` kernel,
-        which the reduction and rewriting passes drive incrementally.
+
+        The loop is deliberately independent of the batch kernel of
+        :mod:`repro.algebra.substitution` that the reduction and rewriting
+        passes run: the certificate checker replays proofs with this one,
+        so its trusted base does not include the engine it checks.
         """
-        support = self.support_mask()
-        if support & (1 << var) == 0:
+        bit = 1 << var
+        if not self.support_mask() & bit:
             return self
-        # One step on a private copy: with no index candidates the engine
-        # stays in scan mode, so it never builds an occurrence index that
-        # would be thrown away after this single substitution.
-        engine = SubstitutionEngine()
-        engine.reset(self._terms, 0, support)
-        engine.substitute(var, list(replacement._terms.items()))
-        return Polynomial._raw(engine.terms)
+        terms = dict(self._terms)
+        pop = terms.pop
+        expanded = [(mask ^ bit, pop(mask)) for mask in self._terms
+                    if mask & bit]
+        tail = replacement._terms.items()
+        for rest, coeff in expanded:
+            for tail_mask, tail_coeff in tail:
+                prod = rest | tail_mask
+                new = terms.get(prod, 0) + coeff * tail_coeff
+                if new:
+                    terms[prod] = new
+                else:
+                    del terms[prod]
+        return Polynomial._raw(terms)
 
     def substitute_many(self, replacements: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Substitute several variables one after another (arbitrary order)."""

@@ -32,6 +32,15 @@ class Specification:
     modulus: int | None = None
     description: str = ""
 
+    def __post_init__(self) -> None:
+        # The reduction drops coefficient multiples with a bitwise AND, so
+        # only power-of-two moduli (the ``2^(2n)`` of every builder) exist.
+        modulus = self.modulus
+        if modulus is not None and (modulus <= 0 or modulus & (modulus - 1)):
+            raise ModelingError(
+                "specification modulus must be a positive power of two, "
+                f"got {modulus}")
+
     def apply_modulus(self, remainder: Polynomial) -> Polynomial:
         """Drop remainder terms whose coefficients are multiples of the modulus."""
         if self.modulus is None:

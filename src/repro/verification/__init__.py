@@ -10,7 +10,7 @@ for MT-LR), and divides the specification by the rewritten basis
 The circuit is correct iff the remainder is zero; a non-zero remainder
 yields a :class:`~repro.verification.result.VerificationResult` carrying
 the rendered remainder and, when requested, a simulation-validated
-counterexample.  All three steps execute on the shared occurrence-indexed
+counterexample.  Rewriting and reduction run on the one batch kernel of
 :class:`~repro.algebra.substitution.SubstitutionEngine`; budget trips
 raise :class:`~repro.errors.BlowUpError`, which the layers above report
 as ``TO`` rows / ``verdict="budget"`` reports.  Budgets arrive as a

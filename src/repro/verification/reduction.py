@@ -55,8 +55,8 @@ class ReductionTrace:
     affected_terms: int = 0
     #: Terms dropped because their coefficient became a modulus multiple.
     modulus_removed_terms: int = 0
-    #: ``substitute_batch`` calls issued (the whole schedule is one batch
-    #: unless the engine fell back mid-run) and steps executed inside them.
+    #: ``substitute_batch`` calls issued (the whole schedule is one batch)
+    #: and steps executed inside them.
     batches: int = 0
     batched_steps: int = 0
     history: list[tuple[str, int]] = field(default_factory=list)
@@ -176,33 +176,21 @@ def groebner_basis_reduction(spec: Polynomial, model: AlgebraicModel,
     else:
         initial = spec.term_masks()
 
-    # The remainder lives inside one occurrence-indexed substitution engine
-    # for the whole loop: each step enumerates only the terms that contain
-    # the substituted variable (index lookup) and merges their expansions
-    # back in place, so the (usually much larger) untouched part of the
-    # remainder is never scanned, copied, or re-hashed.  Only the variables
-    # still awaiting substitution are indexed; each one is retired from the
-    # index after its step (the consumer-first order guarantees it can never
-    # be re-introduced).
-    index_mask = 0
-    for var in tails:
-        index_mask |= 1 << var
-    engine = SubstitutionEngine(initial, index_mask,
-                                coefficient_modulus=modulus)
-
-    # The consumer-first schedule is fed to the engine as one batch: every
-    # variable is substituted exactly once and retired, so the fused kernel
-    # can defer all occurrence-index teardown (see ``substitute_batch``)
-    # while reproducing the per-step semantics — including the per-step
-    # budget/deadline checks — exactly.
+    # The remainder lives inside one substitution engine for the whole
+    # loop, and the consumer-first schedule is fed to it as one batch:
+    # every variable is substituted exactly once and can never be
+    # re-introduced, so a sparse remainder is listed under the scheduled
+    # variables once and each step touches only the terms that contain its
+    # variable.  The per-step budget and deadline checks run inside the
+    # batch.
     # ``substitution_order`` schedules tail leading variables only (gate
     # outputs — primary inputs never own a polynomial), so every scheduled
     # variable is substitutable.
+    engine = SubstitutionEngine(initial, coefficient_modulus=modulus)
     items = [(var, tails[var].term_view())
              for var in substitution_order(model, tails, options.order_scheme)]
     results, tripped = engine.substitute_batch(
-        items, retire=True, term_limit=options.monomial_budget,
-        deadline=deadline)
+        items, term_limit=options.monomial_budget, deadline=deadline)
     for (var, _), (affected, size) in zip(items, results):
         if not affected:
             continue

@@ -14,9 +14,9 @@ to the XOR skeleton of the circuit (enabling the vanishing rule):
   polynomial of the already-rewritten model.
 
 All three share the same generic :func:`gb_rewrite` procedure (Algorithm 2),
-which runs on the occurrence-indexed
-:class:`~repro.algebra.substitution.SubstitutionEngine` — the same
-incremental kernel that executes the Gröbner-basis reduction.
+which runs on the batch kernel of
+:class:`~repro.algebra.substitution.SubstitutionEngine` — the same kernel
+that executes the Gröbner-basis reduction.
 """
 
 from __future__ import annotations
@@ -158,10 +158,10 @@ def gb_rewrite(tails: dict[int, Polynomial], keep_variables: set[int],
     removed_before = vanishing.removed_count if vanishing else 0
     rewritten: dict[int, Polynomial] = dict(tails)
 
-    # One occurrence-indexed substitution engine is reused for every tail of
-    # the pass; only variables that are substitution candidates (leading
-    # variables not selected by the keep set) are indexed, and the keep mask
-    # grows in place as the growth guard rejects inlinings.
+    # One substitution engine is reused for every tail of the pass; the
+    # substitution candidates are the leading variables not selected by the
+    # keep set, and the candidate mask shrinks in place as the growth guard
+    # rejects inlinings.
     candidate_mask = 0
     for var in rewritten:
         candidate_mask |= 1 << var
@@ -174,26 +174,28 @@ def gb_rewrite(tails: dict[int, Polynomial], keep_variables: set[int],
                           if vanishing is not None else 0)
     for lead_var in sorted(rewritten):
         poly = rewritten[lead_var]
+        # The up-front vanishing sweep (skipped wholesale when no tail
+        # variable can contribute a contradiction); afterwards the engine
+        # keeps the tail vanishing-free by testing the terms each step
+        # creates.
+        if (remove_vanishing is not None
+                and poly.support_mask() & vanishing_relevant):
+            poly = remove_vanishing(poly)
         if not poly.support_mask() & candidate_mask:
-            # No substitution candidate occurs in this tail: only the
-            # up-front vanishing sweep applies (skipped wholesale when no
-            # tail variable can contribute a contradiction), with no
-            # term-map copy and no index build.  This is the common case —
-            # most gate tails only reference kept variables.
-            if (remove_vanishing is not None
-                    and poly.support_mask() & vanishing_relevant):
-                rewritten[lead_var] = remove_vanishing(poly)
+            # No substitution candidate occurs in this tail: no term-map
+            # copy.  This is the common case — most gate tails only
+            # reference kept variables.
+            rewritten[lead_var] = poly
             continue
         # The working tail lives inside the engine across all of its
         # substitution steps; it is wrapped back into a Polynomial only once,
         # when the rewriting of this leading variable is finished.
         engine.reset(poly.term_view(), candidate_mask,
                      support_mask=poly.support_mask())
-        engine.prune_vanishing()
         while True:
             # The candidate superset needs no term scan; a stale bit only
-            # adds a no-op batch item, and retirement drains the mask, so
-            # the loop always terminates.
+            # adds a no-op batch item, and every batch variable leaves the
+            # candidate mask, so the loop always terminates.
             outside = [var for var in bits_of(engine.candidate_superset())
                        if var not in keep_variables]
             if not outside:
@@ -210,7 +212,7 @@ def gb_rewrite(tails: dict[int, Polynomial], keep_variables: set[int],
             outside.sort(key=lambda var: (rewritten[var].num_terms, var))
             items = [(var, rewritten[var].term_view()) for var in outside]
             results, tripped = engine.substitute_batch(
-                items, growth_limit=growth_limit, retire=True,
+                items, growth_limit=growth_limit,
                 term_limit=monomial_budget, deadline=deadline)
             for (target, _), (affected, size) in zip(items, results):
                 if affected < 0:
@@ -218,7 +220,6 @@ def gb_rewrite(tails: dict[int, Polynomial], keep_variables: set[int],
                     # keep it as a model variable instead.
                     keep_variables.add(target)
                     candidate_mask &= ~(1 << target)
-                    engine.unindex(target)
                 elif affected and size > stats.peak_tail_terms:
                     stats.peak_tail_terms = size
             if tripped == "terms":

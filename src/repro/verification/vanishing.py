@@ -88,7 +88,7 @@ class VanishingRules:
     cache_limit: int | None = 1_000_000
     removed_count: int = 0
     #: Verdicts served from :attr:`cache` (including the inline probes of
-    #: :meth:`SubstitutionEngine.find_vanishing`).
+    #: :meth:`remove_vanishing`).
     cache_hits: int = 0
     #: Verdicts that had to be computed (witness shortcut included).
     cache_misses: int = 0
@@ -123,8 +123,8 @@ class VanishingRules:
     #: emitter can justify each cancellation independently.
     record_proven: bool = False
     proven_masks: list[int] = field(default_factory=list, repr=False)
-    #: Public mask→verdict memo; the substitution engine probes it
-    #: inline when sweeping freshly loaded term maps.
+    #: Public mask→verdict memo; :meth:`remove_vanishing` probes it
+    #: inline when sweeping a tail before it is rewritten.
     cache: dict[int, bool] = field(default_factory=dict, repr=False)
     #: Variables a vanishing monomial must touch: a monomial disjoint from
     #: every non-trivial ``must1`` table and every XOR/XNOR output has
@@ -528,10 +528,10 @@ class VanishingRules:
 
         The inline sweep resolves already-tested masks with one cache
         probe each; the removals accumulate in
-        :attr:`removed_count` (the ``#CVM`` statistic of Table III).  Inside
-        the rewriting loop the substitution engine additionally keeps its
-        working tails vanishing-free incrementally, testing only newly
-        created terms.
+        :attr:`removed_count` (the ``#CVM`` statistic of Table III).  The
+        rewriting pass sweeps every tail once before rewriting it; the
+        substitution engine then keeps its working tail vanishing-free
+        incrementally, testing only newly created terms.
         """
         relevant = self.relevant_mask
         if not polynomial.support_mask() & relevant:

@@ -5,12 +5,16 @@ multiplier architectures x the 4 membership-testing methods at 4 bit,
 plus the RC/KS/BK adders x the same methods — 212 rows.  Every row must
 emit a certificate the independent checker accepts, and emission must be
 byte-stable: verifying the same circuit twice yields the identical
-canonical body (and therefore the identical content hash).
+canonical body (and therefore the identical content hash).  The hashes
+themselves are pinned too, one digest per method and one for the adders,
+so a change anywhere in modelling, rewriting or reduction that alters a
+single certificate fails here.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 
 import pytest
 
@@ -30,6 +34,17 @@ MT_METHODS = ("mt-naive", "mt-fo", "mt-xor", "mt-lr")
 ADDER_KINDS = ("RC", "KS", "BK")
 WIDTH = 4
 
+#: sha256 over the concatenated certificate hashes (hex) of each method's
+#: 50 multiplier rows in ``architecture_names()`` order, and of the 12
+#: adder rows in (RC, KS, BK) x method order.
+GRID_DIGESTS = {
+    "mt-naive": "031f02c1b3f27c6c1cbe2639339dfe5d928da2fb740cc6f8bf5a70d1177131d9",
+    "mt-fo": "a75087900e5e7f14ba3538fc9217bba709cb4ce47cdb78f593e583cf75de444a",
+    "mt-xor": "313c3ed66cae9acb9276d70b4df1fd149449565f222141d39325049064c45572",
+    "mt-lr": "7afa9668081fdbf042c83f672b38bf834fc3ac0038a54b1d816adb7189a487f5",
+    "adders": "0923dde26c66e1a4c8d1559565a422153f90ba7aa6dd7b3fad96e02437f53516",
+}
+
 
 def _emit(netlist, method: str, specification: str) -> dict:
     result = verify(netlist, specification=specification, method=method,
@@ -38,8 +53,12 @@ def _emit(netlist, method: str, specification: str) -> dict:
     return build_certificate(result)
 
 
-def _check_rows(rows) -> None:
-    """Emit twice per row; require byte-stability and checker acceptance."""
+def _check_rows(rows) -> str:
+    """Emit twice per row; require byte-stability and checker acceptance.
+
+    Returns the sha256 over the rows' certificate hashes, in row order.
+    """
+    hashes = []
     for netlist_factory, method, specification in rows:
         first = _emit(netlist_factory(), method, specification)
         second = _emit(netlist_factory(), method, specification)
@@ -50,6 +69,8 @@ def _check_rows(rows) -> None:
         assert summary["verdict"] == "verified"
         assert summary["sha256"] == first["sha256"]
         assert summary["method"] == method
+        hashes.append(first["sha256"])
+    return hashlib.sha256("".join(hashes).encode("ascii")).hexdigest()
 
 
 def test_fingerprint_grid_is_212_rows():
@@ -60,16 +81,18 @@ def test_fingerprint_grid_is_212_rows():
 
 @pytest.mark.parametrize("method", MT_METHODS)
 def test_multiplier_catalog_certificates_roundtrip(method):
-    _check_rows(
+    digest = _check_rows(
         ((lambda arch=arch: generate_multiplier(arch, WIDTH)),
          method, "multiplier")
         for arch in architecture_names())
+    assert digest == GRID_DIGESTS[method]
 
 
 def test_adder_certificates_roundtrip():
-    _check_rows(
+    digest = _check_rows(
         ((lambda kind=kind: generate_adder(kind, WIDTH)), method, "adder")
         for kind in ADDER_KINDS for method in MT_METHODS)
+    assert digest == GRID_DIGESTS["adders"]
 
 
 @pytest.mark.parametrize("width, mode", [(6, "exhaustive"), (8, "sampled")])

@@ -63,6 +63,22 @@ def test_apply_modulus_drops_wrapped_terms():
     assert no_mod.apply_modulus(remainder) == remainder
 
 
+@pytest.mark.parametrize("modulus", [0, -8, 6, 12])
+def test_modulus_must_be_a_positive_power_of_two(modulus):
+    from repro.algebra.polynomial import Polynomial
+
+    with pytest.raises(ModelingError, match="power of two"):
+        custom_specification(Polynomial.zero(), modulus=modulus)
+
+
+@pytest.mark.parametrize("modulus", [8, None])
+def test_power_of_two_or_no_modulus_is_accepted(modulus):
+    from repro.algebra.polynomial import Polynomial
+
+    spec = custom_specification(Polynomial.zero(), modulus=modulus)
+    assert spec.modulus == modulus
+
+
 def test_narrow_output_word_rejected():
     netlist = generate_adder("RC", 4)   # outputs are only width+1 bits
     model = AlgebraicModel.from_netlist(netlist)

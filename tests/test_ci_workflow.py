@@ -147,6 +147,24 @@ def test_certify_job_checks_both_model_modes(workflow):
     assert 'grep -q "model-check=sampled"' in commands
 
 
+def test_certify_job_pins_32_bit_certificates(workflow):
+    """32-bit mt-lr certificates are emitted, checked, and hash-pinned."""
+    steps = workflow["jobs"]["certify"]["steps"]
+    names = [step.get("name") for step in steps]
+    index = names.index("Emit and check 32-bit certificates with pinned hashes")
+    command = steps[index]["run"]
+    assert "for arch in SP-AR-RC SP-WT-CL BP-WT-CL" in command
+    assert 'repro-verify verify -a "$arch" -w 32' in command
+    assert '--certificate "wide32/$arch.json"' in command
+    assert "repro-verify check-certificate wide32/*.json" in command
+    for digest in (
+            "09a392f12811bca1546ec11170c81a144b0449c1814042158ce5a994d30af83b",
+            "40a4fee984978a83412881a6e4c9e6d8305cac3fc60ea3740d4fd7e8734ca553",
+            "8deb3e6b638a9c06512e19eb5c5bd437fbe5084c7fd68b2490a58ea4bb64ee1d"):
+        assert digest in command
+    assert "assert written == digest" in command
+
+
 def test_chaos_job_runs_two_seeds_and_drain_smoke(workflow):
     """Seeded fault-injection suite (two seeds) + SIGTERM drain smoke.
 

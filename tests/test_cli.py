@@ -274,6 +274,19 @@ def test_check_certificate_missing_file_exit_1(tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().err
 
 
+def _imported_modules(module) -> set[str]:
+    """Every module named by an import statement of ``module``'s source."""
+    import ast
+    tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    return imported
+
+
 def test_check_certificate_is_engine_free():
     """The checker's trusted base is the algebra primitive plus stdlib.
 
@@ -282,17 +295,23 @@ def test_check_certificate_is_engine_free():
     init; the enforceable invariant is the checker module's own import
     statements.
     """
-    import ast
     import repro.certify.checker as checker
-    tree = ast.parse(open(checker.__file__, encoding="utf-8").read())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module)
-    assert imported == {"__future__", "hashlib", "json",
-                        "repro.algebra.polynomial", "repro.errors"}
+    assert _imported_modules(checker) == {
+        "__future__", "hashlib", "json", "repro.algebra.polynomial",
+        "repro.errors"}
+
+
+def test_checker_polynomial_is_engine_free():
+    """The checker's substitution loop is ``Polynomial.substitute``'s own.
+
+    The replay and vanishing stages substitute through
+    ``repro.algebra.polynomial``, so that module must not import the
+    substitution engine whose results the checker checks.
+    """
+    import repro.algebra.polynomial as polynomial
+    assert _imported_modules(polynomial) == {
+        "__future__", "typing", "repro.algebra.monomial",
+        "repro.algebra.ordering", "repro.errors"}
 
 
 def test_campaign_smoke(tmp_path, capsys):
