@@ -262,7 +262,8 @@ class Polynomial:
 
     # -- substitution (the hot path of GB reduction / rewriting) --------------
 
-    def substitute(self, var: int, replacement: "Polynomial") -> "Polynomial":
+    def substitute(self, var: int, replacement: "Polynomial",
+                   modulus: int | None = None) -> "Polynomial":
         """Substitute ``var := replacement`` and return the new polynomial.
 
         This realises one division (S-polynomial) step against a gate
@@ -270,11 +271,20 @@ class Polynomial:
         variable ``var``: every occurrence of ``var`` in a monomial is
         replaced by the tail polynomial, with Boolean idempotence applied.
 
+        With ``modulus``, a product this step merged whose coefficient is a
+        multiple of it is dropped as well (the ``r <- r mod 2^(2n)`` step
+        of :meth:`drop_coefficient_multiples`, any positive modulus).  Only
+        merged products are tested, so on a polynomial with no such term
+        the result equals ``substitute(var, replacement)
+        .drop_coefficient_multiples(modulus)`` without copying it twice.
+
         The loop is deliberately independent of the batch kernel of
         :mod:`repro.algebra.substitution` that the reduction and rewriting
         passes run: the certificate checker replays proofs with this one,
         so its trusted base does not include the engine it checks.
         """
+        if modulus is not None and modulus <= 0:
+            raise AlgebraError("modulus must be positive")
         bit = 1 << var
         if not self.support_mask() & bit:
             return self
@@ -291,6 +301,17 @@ class Polynomial:
                     terms[prod] = new
                 else:
                     del terms[prod]
+        if modulus is not None:
+            # A filter pass over the merged products, not a set of them
+            # kept by the loop above: the callers without a modulus (the
+            # checker's vanishing stage, the emitter's cone proofs) would
+            # pay for that set.
+            for rest, _ in expanded:
+                for tail_mask in replacement._terms:
+                    prod = rest | tail_mask
+                    coeff = terms.get(prod)
+                    if coeff is not None and not coeff % modulus:
+                        del terms[prod]
         return Polynomial._raw(terms)
 
     def substitute_many(self, replacements: Mapping[int, "Polynomial"]) -> "Polynomial":

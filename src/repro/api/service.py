@@ -6,7 +6,7 @@ reproduction.  :meth:`~VerificationService.submit` runs a single
 :class:`~repro.api.report.VerificationReport`; budget trips come back as
 ``verdict="budget"`` reports instead of exceptions.
 :meth:`~VerificationService.run_batch` fans many requests across the
-persistent worker pool of :class:`~repro.experiments.runner.ParallelRunner`
+worker processes of :class:`~repro.experiments.runner.ParallelRunner`
 — crash isolation, hard task timeouts, the on-disk result cache, and
 longest-expected-first scheduling included — without the caller touching
 runner internals.
@@ -162,6 +162,10 @@ class VerificationService:
         attempts on a fresh worker, with the history recorded in the
         report's ``attempts`` field.  ``None`` (the default) keeps the
         report-first-failure behaviour.
+    pool:
+        A :class:`~repro.experiments.runner.WorkerPool` that every batch
+        leases its worker processes from, so they outlive the batch (the
+        HTTP server's); ``None`` starts and stops a private pool per batch.
     fallback_policy:
         A :class:`repro.resilience.FallbackPolicy` applied to
         ``verdict="budget"`` reports: the tripped backend's degradation
@@ -177,7 +181,8 @@ class VerificationService:
                  task_timeout_s: float | None = None,
                  cache_dir: str | os.PathLike | None = None,
                  retry_policy=None,
-                 fallback_policy=None) -> None:
+                 fallback_policy=None,
+                 pool=None) -> None:
         self.budgets = budgets if budgets is not None else Budgets()
         self.golden_architecture = golden_architecture
         self.jobs = jobs
@@ -185,6 +190,7 @@ class VerificationService:
         self.cache_dir = cache_dir
         self.retry_policy = retry_policy
         self.fallback_policy = fallback_policy
+        self.pool = pool
         #: Cache hit / fresh-execution counts of the last :meth:`run_batch`.
         self.last_cache_hits = 0
         self.last_executed = 0
@@ -467,42 +473,24 @@ class VerificationService:
         """
         return experiment_config_for(budgets, self.golden_architecture)
 
-    def run_batch(self, requests: Sequence[VerificationRequest],
-                  jobs: int | None = None,
-                  on_report: Callable[[VerificationReport], None] | None = None,
-                  ) -> list[VerificationReport]:
-        """Run many requests and return their reports in request order.
+    def _pooled_jobs(self, requests: list[VerificationRequest],
+                     jobs: int | None):
+        """The runner of a batch, its pool-eligible request indices and jobs.
 
-        Architecture-sourced multiplier requests with the runner-default
-        knobs are fanned across the persistent worker pool (with the
-        on-disk cache and longest-expected-first scheduling); everything
-        else — netlist/Verilog/adder sources, ``xor_and_only``, a custom
-        seed, or ``find_counterexample=True`` (the pool never searches
-        counterexamples) — falls back to in-process :meth:`submit`, so a
-        request always means the same thing through either path.
-        Per-request budget groups are honoured: a pooled request whose
-        :class:`~repro.api.request.Budgets` differ from the service-level
-        :attr:`budgets` carries its own job-level
-        :class:`~repro.experiments.runner.ExperimentConfig` (and hard task
-        timeout) into the pool, and the result cache keys each job by the
-        budgets it actually ran under.  A per-request
-        ``budgets.task_timeout_s`` of ``None`` falls back to the
-        service-level hard limit rather than disabling it.
+        The shared front half of :meth:`run_batch` and :meth:`iter_batch`:
+        the ``i``-th job is the request at the ``i``-th index.
         """
         from repro.experiments.runner import ParallelRunner, VerificationJob
-        requests = list(requests)
-        pooled: list[int] = []
-        reports: dict[int, VerificationReport] = {}
-        for index, request in enumerate(requests):
-            if pool_eligible(request):
-                pooled.append(index)
         runner = ParallelRunner(
             self._experiment_config(self.budgets),
             workers=jobs if jobs is not None else self.jobs,
             task_timeout_s=self.budgets.task_timeout_s
             if self.budgets.task_timeout_s is not None else self.task_timeout_s,
             cache_dir=self.cache_dir,
-            retry_policy=self.retry_policy)
+            retry_policy=self.retry_policy,
+            pool=self.pool)
+        pooled = [index for index, request in enumerate(requests)
+                  if pool_eligible(request)]
         grid = []
         for index in pooled:
             request = requests[index]
@@ -515,11 +503,40 @@ class VerificationService:
                                         request.method, config=config,
                                         task_timeout_s=task_timeout_s,
                                         certificate=request.certificate))
+        return runner, pooled, grid
+
+    def run_batch(self, requests: Sequence[VerificationRequest],
+                  jobs: int | None = None,
+                  on_report: Callable[[VerificationReport], None] | None = None,
+                  ) -> list[VerificationReport]:
+        """Run many requests and return their reports in request order.
+
+        Architecture-sourced multiplier requests with the runner-default
+        knobs are fanned across worker processes (with the on-disk cache
+        and longest-expected-first scheduling) — leased from :attr:`pool`
+        when the service has one, else from a pool started for this batch
+        alone; everything else — netlist/Verilog/adder sources,
+        ``xor_and_only``, a custom seed, or ``find_counterexample=True``
+        (the pool never searches counterexamples) — falls back to
+        in-process :meth:`submit`, so a request always means the same
+        thing through either path.  Per-request budget groups are
+        honoured: a pooled request whose
+        :class:`~repro.api.request.Budgets` differ from the service-level
+        :attr:`budgets` carries its own job-level
+        :class:`~repro.experiments.runner.ExperimentConfig` (and hard task
+        timeout) into the pool, and the result cache keys each job by the
+        budgets it actually ran under.  A per-request
+        ``budgets.task_timeout_s`` of ``None`` falls back to the
+        service-level hard limit rather than disabling it.
+        """
+        requests = list(requests)
+        runner, pooled, grid = self._pooled_jobs(requests, jobs)
         rows = runner.run(grid)
         self.last_cache_hits = runner.last_cache_hits
         self.last_executed = runner.last_executed
         self.last_retries = runner.last_retries
         self.last_fallbacks = 0
+        reports: dict[int, VerificationReport] = {}
         for index, row in zip(pooled, rows):
             reports[index] = self.apply_fallback(
                 requests[index], VerificationReport.from_row(row))
@@ -539,42 +556,19 @@ class VerificationService:
 
         The streaming sibling of :meth:`run_batch` (same pooling rules,
         same budget-group handling, same cache): pooled jobs fan across
-        the worker pool on a background thread and their rows are handed
-        over index-by-index, so a huge grid's first report is yielded
-        while later jobs are still executing instead of after the whole
-        batch.  Non-pooled requests run inline at their position.  The
-        ``last_*`` counters are final once the generator is exhausted.
+        the worker processes on a background thread and their rows are
+        handed over index-by-index, so a huge grid's first report is
+        yielded while later jobs are still executing instead of after the
+        whole batch.  Non-pooled requests run inline at their position.
+        The ``last_*`` counters are final once the generator is exhausted.
         """
-        from repro.experiments.runner import ParallelRunner, VerificationJob
         requests = list(requests)
         self.last_fallbacks = 0
-        runner = ParallelRunner(
-            self._experiment_config(self.budgets),
-            workers=jobs if jobs is not None else self.jobs,
-            task_timeout_s=self.budgets.task_timeout_s
-            if self.budgets.task_timeout_s is not None else self.task_timeout_s,
-            cache_dir=self.cache_dir,
-            retry_policy=self.retry_policy)
-        grid: list[VerificationJob] = []
-        positions: dict[int, int] = {}      # id(job) -> request index
-        pooled: set[int] = set()
-        for index, request in enumerate(requests):
-            if not pool_eligible(request):
-                continue
-            if request.budgets == self.budgets:
-                config = task_timeout_s = None
-            else:
-                config = self._experiment_config(request.budgets)
-                task_timeout_s = request.budgets.task_timeout_s
-            job = VerificationJob(request.architecture, request.width,
-                                  request.method, config=config,
-                                  task_timeout_s=task_timeout_s,
-                                  certificate=request.certificate)
-            # Distinct grid entries are distinct objects even for equal
-            # jobs, so object identity maps each row to its request index.
-            positions[id(job)] = index
-            grid.append(job)
-            pooled.add(index)
+        runner, pooled, grid = self._pooled_jobs(requests, jobs)
+        # Distinct grid entries are distinct objects even for equal jobs,
+        # so object identity maps each row to its request index.
+        positions = {id(job): index for index, job in zip(pooled, grid)}
+        pooled = set(pooled)
 
         condition = threading.Condition()
         rows: dict[int, dict] = {}

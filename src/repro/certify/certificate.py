@@ -34,6 +34,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from repro.algebra.monomial import bits_of
 from repro.algebra.polynomial import Polynomial
 from repro.errors import CertificateError
 
@@ -75,7 +76,7 @@ def _justify_vanishing(mask: int, gate_tails: dict[int, Polynomial],
     order — tails only reference lower-indexed variables, so one
     descending pass expands the monomial fully within the cone.
     """
-    cone = {var for var in _mask_vars(mask) if not (1 << var) & input_mask}
+    cone = {var for var in bits_of(mask) if not (1 << var) & input_mask}
     while True:
         poly = Polynomial.from_term_masks({mask: 1})
         for var in sorted(cone, reverse=True):
@@ -93,15 +94,6 @@ def _justify_vanishing(mask: int, gate_tails: dict[int, Polynomial],
                 f"recorded vanishing mask {mask:#x} could not be justified "
                 "by gate-cone expansion", stage="vanishing")
         cone |= widened
-
-
-def _mask_vars(mask: int):
-    var = 0
-    while mask:
-        if mask & 1:
-            yield var
-        mask >>= 1
-        var += 1
 
 
 def build_certificate(result) -> dict:

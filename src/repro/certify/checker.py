@@ -369,9 +369,7 @@ def check_certificate(document: dict) -> dict:
     if modulus is not None:
         replayed = replayed.drop_coefficient_multiples(modulus)
     for step, var in enumerate(schedule):
-        replayed = replayed.substitute(var, model[var])
-        if modulus is not None:
-            replayed = replayed.drop_coefficient_multiples(modulus)
+        replayed = replayed.substitute(var, model[var], modulus)
         if replayed.num_terms > REPLAY_TERM_LIMIT:
             _fail(f"replay blew past {REPLAY_TERM_LIMIT} terms at step {step}",
                   "replay", step)

@@ -605,7 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="TCP port; 0 binds an ephemeral port "
                               "(default: 8585)")
     p_serve.add_argument("--jobs", "-j", type=int, default=1,
-                         help="worker processes per batch (default: 1)")
+                         help="worker processes per batch, kept running "
+                              "between batches (default: 1)")
     p_serve.add_argument("--cache", default=None, metavar="DIR",
                          help="on-disk result cache directory shared by "
                               "every batch (also REPRO_BENCH_CACHE)")

@@ -27,6 +27,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import signal
+import stat
 import threading
 import time
 from dataclasses import dataclass, field
@@ -485,42 +487,120 @@ class ResultCache:
 # Persistent worker pool
 # ---------------------------------------------------------------------------
 
-def _pool_worker_main(task_queue, result_queue, config: ExperimentConfig) -> None:
-    """Worker-process loop: run jobs until the ``None`` sentinel arrives.
+#: Seconds between a worker's checks that its parent is still alive.
+PARENT_CHECK_S = 1.0
 
-    Reusing one process for many jobs amortises the fork + import cost that
-    dominates small (4-bit) verification jobs; crash isolation is preserved
-    because a dying worker only takes its current job down and the parent
-    respawns a replacement.
+#: Held from creating a worker's pipes until the parent has closed their
+#: child ends, so no other worker is forked holding a copy: a worker's exit
+#: must close its pipe and its sentinel (a plain pipe, which
+#: :func:`_release_inherited_sockets` leaves alone), or its run would never
+#: notice.
+_START_LOCK = threading.Lock()
+
+
+def _release_inherited_sockets(keep: int) -> None:
+    """Point every socket descriptor this process inherited, but ``keep``, at /dev/null.
+
+    ``fork`` copies every descriptor of the parent: a serving process's
+    listening socket and open client connections, and the parent ends of
+    the workers started earlier.  A copy held by a long-lived worker keeps
+    the socket open after the parent closes it, so a retired connection
+    would never send its FIN, the port could not be bound again while the
+    worker lives, and an earlier worker would not read EOF when the parent
+    dies.  The descriptor numbers stay taken (``dup2`` over them), so a
+    socket object copied from the parent that is closed later closes
+    ``/dev/null``, never a file this worker opened since.  Standard
+    streams are kept.  Without ``/proc/self/fd`` or ``/dev/fd`` to list the
+    descriptors, nothing is released.
+    """
+    for listing in ("/proc/self/fd", "/dev/fd"):
+        try:
+            descriptors = [int(name) for name in os.listdir(listing)]
+            break
+        except OSError:
+            continue
+    else:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for descriptor in descriptors:
+            if descriptor <= 2 or descriptor in (keep, null):
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(descriptor).st_mode):
+                    os.dup2(null, descriptor, inheritable=False)
+            except OSError:
+                pass  # closed since the listing (the listing's own fd)
+    finally:
+        os.close(null)
+
+
+def _watch_parent(parent: int) -> None:
+    """End this worker process once ``parent`` is gone, busy or idle."""
+    while os.getppid() == parent:
+        time.sleep(PARENT_CHECK_S)
+    os._exit(1)
+
+
+def _pool_worker_main(connection, parent_end) -> None:
+    """Worker-process loop: run ``(job, config)`` tasks from ``connection``.
+
+    Each task's row goes back down the same pipe, so a row always belongs
+    to the job the parent handed this worker.  The loop ends on a ``None``
+    task or on EOF.  The worker holds no socket of its parent but its own
+    end of the pipe (see :func:`_release_inherited_sockets`), so the
+    parent's death reads as EOF while it waits for a task; a daemon thread
+    also checks every :data:`PARENT_CHECK_S` seconds that its parent is
+    unchanged and ends the process otherwise, so a worker busy with a long
+    job does not outlive its parent either.
+
+    The worker restores the default ``SIGTERM`` action (a parent serving
+    HTTP has asyncio's no-op handler installed, which ``fork`` copies) and
+    ignores ``SIGINT``: a terminal's Ctrl-C reaches the whole process
+    group, and the parent decides what happens to the jobs in flight.
 
     The chaos hooks (``repro.resilience.faults``) live here and only here:
     an injected ``worker-crash`` (``os._exit``) or ``worker-latency`` fires
     inside a disposable worker process, never in the importing parent, and
     both are inert without a ``REPRO_FAULT_PLAN`` in the environment.
     """
-    # ``token`` is opaque to the worker (the parent uses ``(index, epoch)``
-    # so a result from a superseded dispatch of a retried job is
-    # distinguishable from the live attempt's result).
-    for token, job in iter(task_queue.get, None):
+    parent_end.close()
+    _release_inherited_sockets(connection.fileno())
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=_watch_parent, args=(os.getppid(),),
+                     daemon=True).start()
+    while True:
+        try:
+            task = connection.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        job, config = task
         fault_key = f"{job.architecture}/{job.width}/{job.method}"
         maybe_delay(fault_key)
         maybe_crash(fault_key)
-        result_queue.put((token, _guarded_run_job(job, config)))
+        try:
+            connection.send(_guarded_run_job(job, config))
+        except BrokenPipeError:
+            return  # the parent died while the job ran
 
 
 class _PoolWorker:
-    """Parent-side handle of one persistent worker process."""
+    """Parent-side handle of one persistent worker process and its pipe."""
 
-    __slots__ = ("task_queue", "process", "index", "job", "deadline",
+    __slots__ = ("connection", "process", "index", "job", "deadline",
                  "started")
 
-    def __init__(self, context, config: ExperimentConfig,
-                 result_queue) -> None:
-        self.task_queue = context.Queue()
-        self.process = context.Process(
-            target=_pool_worker_main,
-            args=(self.task_queue, result_queue, config), daemon=True)
-        self.process.start()
+    def __init__(self, context) -> None:
+        with _START_LOCK:
+            self.connection, child_end = context.Pipe()
+            self.process = context.Process(
+                target=_pool_worker_main, args=(child_end, self.connection),
+                daemon=True)
+            self.process.start()
+            child_end.close()
         self.index: int | None = None
         self.job: VerificationJob | None = None
         self.deadline: float | None = None
@@ -530,16 +610,23 @@ class _PoolWorker:
     def busy(self) -> bool:
         return self.index is not None
 
-    def assign(self, token, job: VerificationJob,
+    def assign(self, index: int, job: VerificationJob,
                task_timeout_s: float | None) -> None:
-        # ``token`` is the parent's dispatch identity (``(index, epoch)``
-        # in the pool runner); the worker echoes it with the result.
-        self.index = token
+        """Record that this worker now runs ``job``, the run's ``index``-th."""
+        self.index = index
         self.job = job
         self.started = time.monotonic()
         self.deadline = (self.started + task_timeout_s
                          if task_timeout_s is not None else None)
-        self.task_queue.put((token, job))
+
+    def receive(self) -> dict | None:
+        """The row of the job this worker holds (``None``: it died first)."""
+        try:
+            if self.connection.poll():
+                return self.connection.recv()
+        except (EOFError, OSError):
+            pass
+        return None
 
     def release(self) -> None:
         self.index = None
@@ -547,33 +634,109 @@ class _PoolWorker:
         self.deadline = None
         self.started = None
 
-    def stop(self) -> None:
-        """Ask the worker to exit; escalate to terminate if it lingers."""
-        if self.process.is_alive():
-            try:
-                self.task_queue.put(None)
-            except (OSError, ValueError):
-                pass
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join()
-
     def kill(self) -> None:
-        self.process.terminate()
+        """End the process now and drop its pipe (and any row left in it)."""
+        if self.process.is_alive():
+            self.process.kill()
         self.process.join()
+        self.connection.close()
+
+
+def _stop_workers(workers: Sequence[_PoolWorker]) -> None:
+    """Ask idle workers to exit, then reap them, killing any that linger."""
+    for worker in workers:
+        try:
+            worker.connection.send(None)
+        except OSError:
+            pass  # already dead or closed: the kill below reaps it
+    deadline = time.monotonic() + 2.0
+    for worker in workers:
+        worker.process.join(max(0.0, deadline - time.monotonic()))
+        worker.kill()
+
+
+class WorkerPool:
+    """Idle persistent worker processes, leased out to one run at a time.
+
+    A pool outlives the runs that use it, so a server pays for forking its
+    workers once instead of once per batch.  :meth:`lease` hands out idle
+    workers, starting new ones when too few are idle; each lease is
+    exclusive, so concurrent runs never share a worker.  :meth:`give_back`
+    returns a run's workers and keeps at most ``max_idle`` of them.  A
+    worker that crashed or was killed (hard timeout, straggler) is never
+    given back; its run replaces it through :meth:`start`.  After
+    :meth:`close`, idle workers are stopped and workers handed back later
+    are stopped too.  No process starts before the first lease.
+    """
+
+    def __init__(self, max_idle: int = 1) -> None:
+        self.max_idle = max(0, int(max_idle))
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
+        self._idle: list[_PoolWorker] = []
+        self._lock = threading.Lock()
+        self._closed = False
+        #: Worker processes started so far, replacements included.
+        self.started_total = 0
+
+    @property
+    def idle(self) -> int:
+        """Idle workers waiting for the next lease."""
+        return len(self._idle)
+
+    def start(self) -> _PoolWorker:
+        """Start one new worker (also the replacement of a dead one)."""
+        worker = _PoolWorker(self._context)
+        with self._lock:
+            self.started_total += 1
+        return worker
+
+    def lease(self, count: int) -> list[_PoolWorker]:
+        """``count`` workers for the caller's exclusive use.
+
+        Idle workers come first.  One that died while idle (an OOM kill
+        between batches, say) is replaced by the run before it receives
+        work, exactly like one that dies between two jobs of a run.
+        """
+        with self._lock:
+            split = max(0, len(self._idle) - count)
+            leased, self._idle = self._idle[split:], self._idle[:split]
+        return leased + [self.start() for _ in range(count - len(leased))]
+
+    def give_back(self, workers: Iterable[_PoolWorker]) -> None:
+        """Return idle workers after a run; stop the ones not kept."""
+        surplus: list[_PoolWorker] = []
+        with self._lock:
+            for worker in workers:
+                if (self._closed or len(self._idle) >= self.max_idle
+                        or not worker.process.is_alive()):
+                    surplus.append(worker)
+                else:
+                    self._idle.append(worker)
+        _stop_workers(surplus)
+
+    def close(self) -> None:
+        """Stop every idle worker, and every worker given back from now on."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        _stop_workers(idle)
 
 
 class ParallelRunner:
-    """Fan verification jobs across a persistent worker pool with crash isolation.
+    """Fan verification jobs across persistent worker processes with crash isolation.
 
-    A pool of at most ``workers`` long-lived ``multiprocessing`` processes
-    executes the jobs, so the fork + import cost is paid once per worker
-    instead of once per job (which dominates small 4-bit runs).  Crash
-    isolation and the hard per-job wall-clock limit are preserved: a hard
-    crash (segfault, OOM kill) or a job exceeding ``task_timeout_s`` kills
-    only the worker it ran on — the parent reports the job as a table row
-    (``status="crash"`` / ``"TO"``) and respawns a replacement worker.
+    :meth:`run` leases at most ``workers`` long-lived ``multiprocessing``
+    processes from a :class:`WorkerPool`, so the fork + import cost is paid
+    once per worker instead of once per job (which dominates small 4-bit
+    runs).  With ``pool`` given (the HTTP server's, say) the workers also
+    outlive the run and serve later ones; without it :meth:`run` uses a
+    private pool and closes it before returning.  Crash isolation and the
+    hard per-job wall-clock limit are preserved: a hard crash (segfault,
+    OOM kill) or a job exceeding ``task_timeout_s`` takes down only the
+    worker it ran on — the parent reports the job as a table row
+    (``status="crash"`` / ``"TO"``) and starts a replacement worker.
     Results are streamed to the optional ``on_result`` callback as they
     complete and returned in job order, so the verdicts are byte-for-byte
     identical to the serial path regardless of worker count or completion
@@ -595,9 +758,9 @@ class ParallelRunner:
         ``workers <= 1`` runs serially in-process (still crash-isolated
         against Python exceptions, not against hard crashes).
     task_timeout_s:
-        Hard per-job wall-clock limit enforced by the parent via
-        ``Process.terminate``; ``None`` disables the hard limit and relies
-        on the in-process budgets.
+        Hard per-job wall-clock limit enforced by the parent by killing
+        the worker; ``None`` disables the hard limit and relies on the
+        in-process budgets.
     cache_dir:
         Directory of the on-disk result cache; overrides
         ``config.cache_dir``.  ``None`` with no configured directory
@@ -614,6 +777,9 @@ class ParallelRunner:
         retry attempt, classified ``hard_timeout``); ``None`` disables
         straggler re-dispatch.  Only jobs with retry budget left are ever
         killed, so a genuinely long job still finishes on its last attempt.
+    pool:
+        A :class:`WorkerPool` to lease workers from and give them back to;
+        ``None`` starts a private pool per run.
     """
 
     def __init__(self, config: ExperimentConfig | None = None,
@@ -621,7 +787,8 @@ class ParallelRunner:
                  task_timeout_s: float | None = None,
                  cache_dir: str | os.PathLike | None = None,
                  retry_policy=None,
-                 straggler_grace_s: float | None = None) -> None:
+                 straggler_grace_s: float | None = None,
+                 pool: WorkerPool | None = None) -> None:
         self.config = config or ExperimentConfig.from_environment()
         if workers is None:
             workers = self.config.jobs if self.config.jobs > 1 else (
@@ -632,6 +799,7 @@ class ParallelRunner:
         self.cache = ResultCache(directory) if directory else None
         self.retry_policy = retry_policy
         self.straggler_grace_s = straggler_grace_s
+        self.pool = pool
         #: Rows served from the cache / executed fresh by the last run.
         self.last_cache_hits = 0
         self.last_executed = 0
@@ -737,10 +905,6 @@ class ParallelRunner:
                                                   on_result)
             return [results[i] for i in range(len(jobs))]
 
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
-        result_queue = context.Queue()
         # Longest-expected-first assignment: without it a heavy job picked
         # up late (one 16-bit Booth run, say) serialises the tail of the
         # batch.  The sort is stable, so equal-cost jobs keep grid order,
@@ -750,21 +914,15 @@ class ParallelRunner:
                              expected_cost_key(jobs[index]), reverse=True)
         next_slot = 0
         outstanding = len(pending)
-        pool: list[_PoolWorker] = [
-            _PoolWorker(context, self.config, result_queue)
-            for _ in range(min(self.workers, len(pending)))]
-        busy: dict[int, _PoolWorker] = {}
+        pool = self.pool if self.pool is not None else WorkerPool(self.workers)
+        workers = pool.lease(min(self.workers, len(pending)))
         policy = self.retry_policy
+        grace = self.straggler_grace_s if policy is not None else None
         # Per-job retry state: 1-based attempt counts, accumulated attempt
-        # histories, re-dispatches waiting out their backoff delay, and a
-        # per-index dispatch epoch.  The epoch rides through the worker as
-        # an opaque token so a late result from a killed earlier attempt
-        # (the worker enqueued it just before the kill landed) can never
-        # be confused with the live attempt's result.
+        # histories, and re-dispatches waiting out their backoff delay.
         attempt_counts: dict[int, int] = {}
         histories: dict[int, list[dict]] = {}
         retry_queue: list[tuple[float, int]] = []
-        epochs: dict[int, int] = {}
 
         def pop_ready_index() -> int | None:
             nonlocal next_slot
@@ -779,8 +937,14 @@ class ParallelRunner:
                 return index
             return None
 
+        def replace(slot: int) -> None:
+            """Kill the worker in ``slot`` (its pipe goes with it) for a new one."""
+            fresh = pool.start()
+            workers[slot].kill()
+            workers[slot] = fresh
+
         def assign_idle() -> None:
-            for slot, worker in enumerate(pool):
+            for slot, worker in enumerate(workers):
                 if worker.busy:
                     continue
                 index = pop_ready_index()
@@ -790,27 +954,46 @@ class ParallelRunner:
                     # An idle worker that died between jobs (e.g. an OOM
                     # kill after delivering its result) must not receive
                     # work — the job would be misreported as a crash.
-                    worker.kill()
-                    pool[slot] = worker = _PoolWorker(context, self.config,
-                                                      result_queue)
-                epochs[index] = epochs.get(index, 0) + 1
-                worker.assign((index, epochs[index]), jobs[index],
-                              self._job_timeout(jobs[index]))
-                busy[index] = worker
+                    replace(slot)
+                    worker = workers[slot]
+                job = jobs[index]
+                worker.assign(index, job, self._job_timeout(job))
+                try:
+                    worker.connection.send((job, self.config))
+                except OSError:
+                    pass  # died just now: its sentinel reports the crash
 
-        def finish(token: tuple[int, int], row: dict) -> None:
+        def wait_timeout() -> float | None:
+            """Seconds to the nearest deadline, grace expiry or backoff."""
+            # A retry that came due since ``assign_idle`` ran goes to an
+            # idle worker at once; with every worker busy it waits for one
+            # to finish, whose handle wakes the wait (counting it would
+            # spin).
+            now = time.monotonic()
+            idle = not all(worker.busy for worker in workers)
+            moments = [ready_at for ready_at, _ in retry_queue
+                       if idle or ready_at > now]
+            for worker in workers:
+                if not worker.busy:
+                    continue
+                if worker.deadline is not None:
+                    moments.append(worker.deadline)
+                if (grace is not None and attempt_counts.get(worker.index, 1)
+                        < policy.max_attempts):
+                    moments.append(worker.started + grace)
+            if not moments:
+                return None
+            return max(0.0, min(moments) - now)
+
+        def failure_row(job: VerificationJob, status: str,
+                        time_s: float | None, reason: str) -> dict:
+            return {"architecture": job.architecture, "width": job.width,
+                    "method": job.method, "status": status,
+                    "time": "TO" if status == "TO" else "-",
+                    "time_s": time_s, "verified": None, "reason": reason}
+
+        def finish(index: int, row: dict) -> None:
             nonlocal outstanding
-            index, epoch = token
-            if epochs.get(index) != epoch:
-                # Result of a superseded dispatch (a retried attempt was
-                # already killed and re-dispatched) — drop it.
-                return
-            worker = busy.pop(index, None)
-            if worker is None:
-                # Already reported (e.g. terminated as a hard timeout just as
-                # its late result arrived) — drop the stale row.
-                return
-            worker.release()
             job = jobs[index]
             attempt = attempt_counts.get(index, 1)
             if policy is not None:
@@ -848,87 +1031,65 @@ class ParallelRunner:
                                               on_result)
             outstanding -= 1
 
+        # Imported here: importing it at module level would cost every CLI
+        # start and verify-only server its dozen modules.
+        from multiprocessing.connection import wait
+
         try:
             assign_idle()
             while outstanding:
-                try:
-                    token, row = result_queue.get(timeout=0.05)
-                except Exception:  # queue.Empty - poll worker health instead
-                    now = time.monotonic()
-                    for slot, worker in enumerate(pool):
-                        if not worker.busy:
-                            continue
-                        token, job = worker.index, worker.job
-                        if (worker.deadline is not None
-                                and now > worker.deadline):
-                            # Hard timeout: the worker is wedged inside the
-                            # job, so it is killed and replaced.
-                            worker.kill()
-                            pool[slot] = _PoolWorker(context, self.config,
-                                                     result_queue)
-                            finish(token, {
-                                "architecture": job.architecture,
-                                "width": job.width, "method": job.method,
-                                "status": "TO", "time": "TO",
-                                "time_s": self._job_timeout(job),
-                                "verified": None,
-                                "reason": "hard task timeout",
-                            })
-                        elif (self.straggler_grace_s is not None
-                              and policy is not None
-                              and worker.started is not None
-                              and now - worker.started > self.straggler_grace_s
-                              and attempt_counts.get(token[0], 1)
-                              < policy.max_attempts):
-                            # Straggler re-dispatch: the job has retry
-                            # budget, so killing the slow worker and
-                            # re-running beats waiting for the hard
-                            # deadline.  Guarded on remaining attempts —
-                            # the last attempt always runs to completion.
-                            worker.kill()
-                            pool[slot] = _PoolWorker(context, self.config,
-                                                     result_queue)
-                            finish(token, {
-                                "architecture": job.architecture,
-                                "width": job.width, "method": job.method,
-                                "status": "TO", "time": "TO",
-                                "time_s": self.straggler_grace_s,
-                                "verified": None,
-                                "reason": "straggler re-dispatch after "
-                                          f"{self.straggler_grace_s}s grace",
-                            })
-                        elif not worker.process.is_alive():
-                            # Dead without a result: give the queue one last
-                            # drain chance, then report the crash.  The
-                            # drained row may belong to another worker, in
-                            # which case this worker's job still crashed.
-                            try:
-                                late_token, late_row = result_queue.get(
-                                    timeout=0.2)
-                            except Exception:
-                                late_token, late_row = None, None
-                            if late_token is not None:
-                                finish(late_token, late_row)
-                            if late_token != token:
-                                exitcode = worker.process.exitcode
-                                finish(token, {
-                                    "architecture": job.architecture,
-                                    "width": job.width, "method": job.method,
-                                    "status": "crash", "time": "-",
-                                    "time_s": None, "verified": None,
-                                    "reason": f"worker exited with code "
-                                              f"{exitcode}",
-                                })
-                            worker.kill()
-                            pool[slot] = _PoolWorker(context, self.config,
-                                                     result_queue)
-                    assign_idle()
-                    continue
-                finish(token, row)
+                handles = [handle for worker in workers if worker.busy
+                           for handle in (worker.connection,
+                                          worker.process.sentinel)]
+                ready = set(wait(handles, timeout=wait_timeout()))
+                now = time.monotonic()
+                for slot, worker in enumerate(workers):
+                    if not worker.busy:
+                        continue
+                    index, job = worker.index, worker.job
+                    if (worker.connection in ready
+                            or worker.process.sentinel in ready):
+                        # A row the worker sent before dying is still in
+                        # its pipe, so only an empty pipe means a crash.
+                        row = worker.receive()
+                        if row is None:
+                            worker.process.join(5.0)
+                            row = failure_row(
+                                job, "crash", None, "worker exited with "
+                                f"code {worker.process.exitcode}")
+                            replace(slot)
+                        else:
+                            worker.release()
+                        finish(index, row)
+                    elif worker.deadline is not None and now > worker.deadline:
+                        # Hard timeout: the worker is wedged inside the
+                        # job, so it is killed and replaced.
+                        replace(slot)
+                        finish(index, failure_row(
+                            job, "TO", self._job_timeout(job),
+                            "hard task timeout"))
+                    elif (grace is not None and now - worker.started > grace
+                          and attempt_counts.get(index, 1)
+                          < policy.max_attempts):
+                        # Straggler re-dispatch: the job has retry budget,
+                        # so killing the slow worker and re-running beats
+                        # waiting for the hard deadline.  Guarded on
+                        # remaining attempts — the last attempt always
+                        # runs to completion.
+                        replace(slot)
+                        finish(index, failure_row(
+                            job, "TO", grace,
+                            f"straggler re-dispatch after {grace}s grace"))
                 assign_idle()
         finally:
-            for worker in pool:
-                worker.stop()
+            # A worker still busy here (the run raised) holds a job whose
+            # row must never reach a later run: it is killed, not kept.
+            for worker in workers:
+                if worker.busy:
+                    worker.kill()
+            pool.give_back(worker for worker in workers if not worker.busy)
+            if self.pool is None:
+                pool.close()
         return [results[i] for i in range(len(jobs))]
 
 

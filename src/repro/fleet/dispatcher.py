@@ -18,7 +18,8 @@ Scheduling mirrors :class:`~repro.experiments.runner.ParallelRunner`:
 * **Work-stealing** — once the queue drains, a job in flight longer
   than ``straggler_grace_s`` is re-dispatched to an idle worker.  Both
   attempts race and the first finisher wins; a dispatch-epoch guard
-  (the same pattern as ``ParallelRunner``) drops the loser's result.
+  drops the loser's result (``ParallelRunner`` needs none: it kills the
+  straggler's worker, whose pipe takes any late row with it).
   The report's ``attempts`` history records the steal only when the
   stolen attempt is the one that won — when the original outruns its
   re-dispatch, nothing was actually superseded.

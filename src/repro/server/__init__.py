@@ -4,11 +4,12 @@ The network face of the "heavy traffic" north star: a pure-stdlib asyncio
 HTTP/1.1 server exposing :class:`~repro.api.service.VerificationService`
 — and through it the worker pool, on-disk result cache, and
 longest-expected-first scheduling of
-:class:`~repro.experiments.runner.ParallelRunner`.  Worker processes are
-pooled per batch (the fork cost is amortised across that batch's jobs,
-as everywhere else in the repo); what persists *across* requests is the
-result cache, so repeated traffic executes only uncached work.  The
-endpoints:
+:class:`~repro.experiments.runner.ParallelRunner`.  Worker processes
+persist across requests: the app owns one
+:class:`~repro.experiments.runner.WorkerPool` that every batch leases
+its workers from, so a server forks each worker once, not per batch.
+The result cache persists too, so repeated traffic executes only
+uncached work.  The endpoints:
 ``POST /v1/verify`` (one request, the canonical
 :class:`~repro.api.report.VerificationReport` JSON), ``POST /v1/batch``
 (grids with per-request budget groups — synchronous, ``"async": true``

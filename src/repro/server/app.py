@@ -18,9 +18,10 @@ Endpoints
   batches answer with a ``{"reports": [...]}`` envelope; ``"async": true``
   answers 202 with a job id for ``GET /v1/jobs/{id}`` polling;
   ``"stream": true`` answers chunked NDJSON — one canonical report per
-  line as it resolves, then a counter trailer.  A server started with a
-  fleet topology scatters batches over its workers instead of the local
-  pool.
+  line as it resolves, then a counter trailer.  Every local batch leases
+  its worker processes from the app's one persistent pool, started by the
+  first batch that needs processes.  A server started with a fleet
+  topology scatters batches over its workers instead of the local pool.
 * ``GET /v1/jobs/{id}`` — poll an asynchronous batch (bounded store,
   evicted ids are 404).
 * ``GET /v1/certificates/{hash}`` — fetch a proof certificate emitted by
@@ -52,6 +53,7 @@ import json
 import re
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -200,10 +202,15 @@ def parse_request_document(document: object) -> VerificationRequest:
 class VerificationServerApp:
     """The HTTP application over :class:`VerificationService`.
 
-    One app owns the job store, the background batch executor, and the
-    metrics counters; a fresh :class:`VerificationService` is built per
-    request (construction is free) so no mutable service state is shared
-    between the transport's worker threads.
+    One app owns the job store, the background batch executor, the batch
+    worker pool, and the metrics counters; a fresh
+    :class:`VerificationService` is built per request (construction is
+    free) so no mutable service state is shared between the transport's
+    worker threads.  The worker pool
+    (:class:`~repro.experiments.runner.WorkerPool`) is the exception: the
+    first batch that needs worker processes creates it, every later batch
+    leases its workers from it, and :meth:`close` stops them.  It keeps at
+    most ``jobs`` workers idle between batches.
 
     Parameters mirror :class:`VerificationService`: ``budgets`` are the
     service-level defaults (per-request budget groups still apply),
@@ -255,6 +262,8 @@ class VerificationServerApp:
         self.fleet_topology = fleet_topology
         self._shared_cache_client_instance = None
         self._result_cache = None
+        self._pool = None
+        self._pool_lock = threading.Lock()
         self.job_store = JobStore(limit=job_store_limit)
         self._job_executor = ThreadPoolExecutor(
             max_workers=job_workers, thread_name_prefix="repro-batch")
@@ -285,7 +294,7 @@ class VerificationServerApp:
 
     # -- plumbing --------------------------------------------------------------
 
-    def service(self) -> VerificationService:
+    def service(self, pool=None) -> VerificationService:
         """A fresh service with the app-level defaults (thread-safe by construction)."""
         return VerificationService(
             budgets=self.budgets,
@@ -294,7 +303,22 @@ class VerificationServerApp:
             task_timeout_s=self.task_timeout_s,
             cache_dir=self.cache_dir,
             retry_policy=self.retry_policy,
-            fallback_policy=self.fallback_policy)
+            fallback_policy=self.fallback_policy,
+            pool=pool)
+
+    @property
+    def pool(self):
+        """The batch worker pool, created on first use (no process starts
+        before a batch leases one)."""
+        with self._pool_lock:
+            if self._pool is None:
+                from repro.experiments.runner import WorkerPool
+
+                self._pool = WorkerPool(max_idle=self.jobs)
+                # An app dropped without close() must not leave its idle
+                # workers running for the rest of the process.
+                weakref.finalize(self, self._pool.close)
+            return self._pool
 
     def _batch_runner(self):
         """The batch execution engine: fleet dispatcher or local service.
@@ -303,14 +327,15 @@ class VerificationServerApp:
         the ``last_*`` counters), so every batch path — synchronous,
         asynchronous, streaming — is fleet-transparent.
         """
+        service = self.service(pool=self.pool)
         if self.fleet_topology is not None:
             from repro.fleet import FleetDispatcher
 
             return FleetDispatcher(
                 self.fleet_topology,
                 golden_architecture=self.golden_architecture,
-                local_service=self.service())
-        return self.service()
+                local_service=service)
+        return service
 
     @property
     def result_cache(self):
@@ -322,8 +347,12 @@ class VerificationServerApp:
         return self._result_cache
 
     def close(self) -> None:
-        """Stop the background batch executor (pending jobs are abandoned)."""
+        """Stop the background batch executor (pending jobs are abandoned)
+        and the worker pool (workers of batches still running stop when
+        their batch hands them back)."""
         self._job_executor.shutdown(wait=False, cancel_futures=True)
+        if self._pool is not None:
+            self._pool.close()
 
     def _count_reports(self, reports, cache_hits: int = 0,
                        executed: int = 0, retries: int = 0,
@@ -563,6 +592,7 @@ class VerificationServerApp:
         })
 
     def handle_metrics(self, body: bytes = b"") -> HttpResponse:
+        pool = self._pool
         with self._metrics_lock:
             document = {
                 "uptime_s": round(
@@ -577,7 +607,11 @@ class VerificationServerApp:
                           "executed_total": self._executed_total},
                 "pool": {"jobs": self.jobs,
                          "cache_dir": str(self.cache_dir)
-                         if self.cache_dir is not None else None},
+                         if self.cache_dir is not None else None,
+                         "workers_started_total": pool.started_total
+                         if pool is not None else 0,
+                         "workers_idle": pool.idle
+                         if pool is not None else 0},
                 "resilience": {"inflight": self._inflight,
                                "max_inflight": self.max_inflight,
                                "rejected_total": self._rejected_total,

@@ -84,3 +84,16 @@ def test_drop_coefficient_multiples_is_congruent(p):
     reduced = p.drop_coefficient_multiples(modulus)
     assignment = {v: 1 for v in range(NUM_VARS)}
     assert (p.evaluate(assignment) - reduced.evaluate(assignment)) % modulus == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials, st.integers(min_value=0, max_value=NUM_VARS - 1),
+       polynomials, st.sampled_from([2, 3, 4, 6, 8]))
+def test_substitute_with_modulus_drops_multiples_in_one_pass(
+        p, var, replacement, modulus):
+    """On inputs free of multiples, the one-pass modulus step is the
+    two-pass ``substitute`` + ``drop_coefficient_multiples``."""
+    p = p.drop_coefficient_multiples(modulus)
+    expected = p.substitute(var, replacement).drop_coefficient_multiples(
+        modulus)
+    assert p.substitute(var, replacement, modulus) == expected

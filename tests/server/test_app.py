@@ -250,6 +250,35 @@ def test_metrics_count_requests_reports_and_errors(app):
     assert metrics["pool"]["jobs"] == 1
 
 
+def test_metrics_show_the_batch_pool_reusing_its_workers():
+    """Three multi-job batches fork the pool's two workers once."""
+    app = VerificationServerApp(jobs=2)
+    try:
+        pool = _body(app.handle("GET", "/metrics"))["pool"]
+        assert pool["workers_started_total"] == 0
+        assert pool["workers_idle"] == 0
+        for architectures in (("SP-AR-RC", "SP-WT-CL", "SP-DT-HC", "BP-WT-CL"),
+                              ("SP-CT-BK", "SP-AR-KS", "BP-AR-RC", "SP-WT-RC"),
+                              ("SP-RT-KS", "BP-CT-BK", "BP-DT-HC", "SP-AR-CL")):
+            response = _post(app, "/v1/batch", {"requests": [
+                {"architecture": architecture, "width": 4, "method": "mt-lr",
+                 "find_counterexample": False}
+                for architecture in architectures]})
+            assert response.status == 200
+            assert _body(response)["executed"] == 4
+        pool = _body(app.handle("GET", "/metrics"))["pool"]
+    finally:
+        app.close()
+    assert pool["workers_started_total"] == 2
+    assert pool["workers_idle"] == 2
+
+
+def test_verify_never_creates_the_batch_pool(app):
+    _post(app, "/v1/verify", {"architecture": "SP-AR-RC", "width": 3,
+                              "method": "mt-lr"})
+    assert app._pool is None
+
+
 def test_metrics_document_has_exactly_the_documented_blocks(app):
     """No per-path block survives: one execution path, one set of counters."""
     metrics = _body(app.handle("GET", "/metrics"))

@@ -186,6 +186,30 @@ def test_chaos_job_runs_two_seeds_and_drain_smoke(workflow):
     assert "verified" in commands
 
 
+def test_chaos_job_checks_pool_reuse_and_parent_death(workflow):
+    """The server's batch pool forks its workers once and dies with it.
+
+    Three batches of four fresh 4-bit cells must all verify on the two
+    workers a ``--jobs 2`` server started once; after a ``kill -9`` of
+    the server, no process matching its command line survives 5 s and the
+    port binds again (no worker kept the inherited listening socket).
+    """
+    steps = workflow["jobs"]["chaos"]["steps"]
+    names = [step.get("name") for step in steps]
+    index = names.index("Persistent batch pool: reuse and parent death")
+    command = steps[index]["run"]
+    assert ('repro-verify serve --port 8586 --jobs 2 --cache "$(mktemp -d)"'
+            in command)
+    assert command.count('"BP-') + command.count('"SP-') == 12
+    assert '"width": 4' in command
+    assert 'assert verdicts == ["verified"] * 4' in command
+    assert 'assert pool["workers_started_total"] == 2' in command
+    assert "kill -9 $SERVER_PID" in command
+    assert "sleep 5" in command
+    assert 'if pgrep -f "serve --port 8586"; then' in command
+    assert 'listener.bind(("127.0.0.1", 8586))' in command
+
+
 def test_fleet_job_checks_parity_steals_and_cache(workflow):
     """Two real workers, byte-parity with serial, steals, cache replay.
 
