@@ -18,10 +18,8 @@ import time
 
 import pytest
 
-from _harness import bench_config, record_row
-from repro.api.request import Budgets
+from _harness import bench_config, record_row, run_cell
 from repro.errors import BlowUpError
-from repro.experiments.runner import run_membership_testing
 from repro.generators.multipliers import generate_multiplier
 from repro.verification.engine import verify_multiplier
 
@@ -36,7 +34,7 @@ PEAKS: dict[tuple[str, str], int | None] = {}
 @pytest.mark.parametrize("method", METHODS)
 def test_rewriting_ablation(benchmark, method, architecture):
     row = benchmark.pedantic(
-        run_membership_testing, args=(architecture, WIDTH, method, CONFIG),
+        run_cell, args=(architecture, WIDTH, method, CONFIG),
         rounds=1, iterations=1)
     PEAKS[(architecture, method)] = row.get("peak_remainder")
     record_row("Rewriting ablation (Section IV-B)", {
@@ -63,7 +61,7 @@ def _verify_with_rule_mode(architecture: str, xor_and_only: bool) -> dict:
     start = time.perf_counter()
     try:
         result = verify_multiplier(netlist, method="mt-lr",
-                                   budgets=Budgets.from_config(CONFIG),
+                                   budgets=CONFIG.budgets,
                                    xor_and_only=xor_and_only,
                                    find_counterexample=False)
         return {"status": "ok" if result.verified else "mismatch",

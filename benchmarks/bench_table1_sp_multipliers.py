@@ -14,12 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from _harness import bench_config, record_row
-from repro.experiments.runner import (
-    run_bdd_cec,
-    run_membership_testing,
-    run_sat_cec,
-)
+from _harness import bench_config, record_row, run_cell
 from repro.generators.catalog import TABLE1_ARCHITECTURES
 
 CONFIG = bench_config()
@@ -34,7 +29,7 @@ def _ids(grid):
 def test_table1_mt_lr(benchmark, architecture, width):
     """MT-LR column of Table I (must verify every architecture)."""
     row = benchmark.pedantic(
-        run_membership_testing, args=(architecture, width, "mt-lr", CONFIG),
+        run_cell, args=(architecture, width, "mt-lr", CONFIG),
         rounds=1, iterations=1)
     record_row("Table I (MT-LR)", {
         "benchmark": architecture, "bits": f"{width}/{2 * width}",
@@ -46,7 +41,7 @@ def test_table1_mt_lr(benchmark, architecture, width):
 def test_table1_mt_fo(benchmark, architecture, width):
     """MT-FO column of Table I (expected to time out on parallel designs)."""
     row = benchmark.pedantic(
-        run_membership_testing, args=(architecture, width, "mt-fo", CONFIG),
+        run_cell, args=(architecture, width, "mt-fo", CONFIG),
         rounds=1, iterations=1)
     record_row("Table I (MT-FO)", {
         "benchmark": architecture, "bits": f"{width}/{2 * width}",
@@ -62,7 +57,8 @@ def test_table1_mt_fo(benchmark, architecture, width):
                                    if w <= min(CONFIG.widths)]))
 def test_table1_sat_cec(benchmark, architecture, width):
     """Conventional-CEC stand-in column (commercial / ABC cec)."""
-    row = benchmark.pedantic(run_sat_cec, args=(architecture, width, CONFIG),
+    row = benchmark.pedantic(run_cell,
+                             args=(architecture, width, "sat-cec", CONFIG),
                              rounds=1, iterations=1)
     record_row("Table I (SAT CEC)", {
         "benchmark": architecture, "bits": f"{width}/{2 * width}",
@@ -76,7 +72,8 @@ def test_table1_sat_cec(benchmark, architecture, width):
                                    if w <= min(CONFIG.widths)]))
 def test_table1_bdd_cec(benchmark, architecture, width):
     """Decision-diagram baseline (the blow-up cited in the introduction)."""
-    row = benchmark.pedantic(run_bdd_cec, args=(architecture, width, CONFIG),
+    row = benchmark.pedantic(run_cell,
+                             args=(architecture, width, "bdd-cec", CONFIG),
                              rounds=1, iterations=1)
     record_row("Table I (BDD CEC)", {
         "benchmark": architecture, "bits": f"{width}/{2 * width}",

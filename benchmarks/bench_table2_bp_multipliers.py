@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import pytest
 
-from _harness import bench_config, record_row
-from repro.experiments.runner import run_membership_testing, run_sat_cec
+import dataclasses
+
+from _harness import bench_config, record_row, run_cell
+from repro.experiments.tables import table2_rows
 from repro.generators.catalog import TABLE2_ARCHITECTURES
 
 CONFIG = bench_config()
@@ -25,7 +27,7 @@ def _ids(grid):
 def test_table2_mt_lr(benchmark, architecture, width):
     """MT-LR column of Table II (must verify every Booth architecture)."""
     row = benchmark.pedantic(
-        run_membership_testing, args=(architecture, width, "mt-lr", CONFIG),
+        run_cell, args=(architecture, width, "mt-lr", CONFIG),
         rounds=1, iterations=1)
     record_row("Table II (MT-LR)", {
         "benchmark": architecture, "bits": f"{width}/{2 * width}",
@@ -37,7 +39,7 @@ def test_table2_mt_lr(benchmark, architecture, width):
 def test_table2_mt_fo(benchmark, architecture, width):
     """MT-FO column of Table II (the paper reports TO on every Booth design)."""
     row = benchmark.pedantic(
-        run_membership_testing, args=(architecture, width, "mt-fo", CONFIG),
+        run_cell, args=(architecture, width, "mt-fo", CONFIG),
         rounds=1, iterations=1)
     record_row("Table II (MT-FO)", {
         "benchmark": architecture, "bits": f"{width}/{2 * width}",
@@ -51,13 +53,14 @@ def test_table2_mt_fo(benchmark, architecture, width):
                                    if w <= min(CONFIG.widths)]))
 def test_table2_cpp_standin_not_applicable(benchmark, architecture, width):
     """CPP column: not applicable to Booth partial products (reported '-')."""
-    row = benchmark.pedantic(
-        run_sat_cec, args=(architecture, width, CONFIG),
-        kwargs={"booth_supported": False}, rounds=1, iterations=1)
+    [row] = benchmark.pedantic(
+        table2_rows, args=(dataclasses.replace(CONFIG, widths=(width,)),
+                           (architecture,)),
+        rounds=1, iterations=1)
     record_row("Table II (CPP stand-in)", {
         "benchmark": architecture, "bits": f"{width}/{2 * width}",
-        "time": row["time"]})
-    assert row["status"] == "n/a"
+        "time": row["cpp"]})
+    assert row["cpp"] == "-"
 
 
 @pytest.mark.parametrize("architecture,width",
@@ -66,7 +69,8 @@ def test_table2_cpp_standin_not_applicable(benchmark, architecture, width):
                                    if w <= min(CONFIG.widths)]))
 def test_table2_sat_cec(benchmark, architecture, width):
     """Conventional-CEC stand-in column for the Booth designs."""
-    row = benchmark.pedantic(run_sat_cec, args=(architecture, width, CONFIG),
+    row = benchmark.pedantic(run_cell,
+                             args=(architecture, width, "sat-cec", CONFIG),
                              rounds=1, iterations=1)
     record_row("Table II (SAT CEC)", {
         "benchmark": architecture, "bits": f"{width}/{2 * width}",

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from _harness import bench_config, record_row
-from repro.experiments.runner import run_membership_testing
+from _harness import bench_config, record_row, run_cell
 from repro.generators.catalog import TABLE3_ARCHITECTURES
 
 CONFIG = bench_config()
@@ -29,7 +28,7 @@ ROWS: dict[str, dict] = {}
 @pytest.mark.parametrize("architecture", TABLE3_ARCHITECTURES)
 def test_table3_statistics(benchmark, architecture):
     row = benchmark.pedantic(
-        run_membership_testing, args=(architecture, WIDTH, "mt-lr", CONFIG),
+        run_cell, args=(architecture, WIDTH, "mt-lr", CONFIG),
         rounds=1, iterations=1)
     assert row["status"] == "ok"
     ROWS[architecture] = row

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """CI benchmark smoke run: trimmed 4-bit Table I rows with a regression gate.
 
-Runs the Table I architectures at 4 bits with MT-LR and MT-FO through the
-:class:`~repro.experiments.runner.ParallelRunner`, writes the rows (with
+Runs the Table I architectures at 4 bits with MT-LR and MT-FO as one
+:meth:`~repro.api.service.VerificationService.run_grid` batch, writes the rows (with
 timings and the deterministic model counters) to a ``BENCH_*.json`` file,
 and — when a committed baseline exists — fails on:
 
@@ -37,11 +37,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments.runner import (
-    ExperimentConfig,
-    ParallelRunner,
-    run_membership_testing,
-)
+from repro.api.request import VerificationRequest
+from repro.api.service import VerificationService
+from repro.experiments.runner import ExperimentConfig
 from repro.generators.catalog import TABLE1_ARCHITECTURES
 
 #: Deterministic per-row counters that must not change without review.
@@ -60,10 +58,14 @@ SMOKE_METHODS = ("mt-lr", "mt-fo")
 
 def _calibrate(config: ExperimentConfig, repeats: int = 5) -> float:
     """Time a fixed reference workload (seconds, best of ``repeats``)."""
+    service = VerificationService(budgets=config.budgets)
+    request = VerificationRequest.from_architecture(
+        "SP-AR-RC", SMOKE_WIDTH, "mt-lr", budgets=config.budgets,
+        find_counterexample=False)
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        run_membership_testing("SP-AR-RC", SMOKE_WIDTH, "mt-lr", config)
+        service.submit(request)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -114,18 +116,17 @@ def run_smoke(jobs: int, widths: tuple[int, ...] = (SMOKE_WIDTH,),
     """
     config = ExperimentConfig.from_environment()
     config.widths = tuple(widths)
-    # Never serve cached rows here: the whole point of the benchmark is to
-    # time fresh runs, and a REPRO_BENCH_CACHE exported for table work must
-    # not leak stale timings into the baseline or the regression gate.
-    config.cache_dir = None
     calibration_s = _calibrate(config)
     vanishing_bench = _vanishing_microbench()
-    runner = ParallelRunner(config, workers=jobs,
-                            task_timeout_s=task_timeout_s)
-    grid = ParallelRunner.catalog(TABLE1_ARCHITECTURES, config.widths,
-                                  SMOKE_METHODS)
+    # No cache directory: the whole point of the benchmark is to time
+    # fresh runs, and a REPRO_BENCH_CACHE exported for table work must not
+    # leak stale timings into the baseline or the regression gate.
+    service = VerificationService(
+        budgets=config.budgets, golden_architecture=config.golden_architecture,
+        jobs=jobs, task_timeout_s=task_timeout_s)
     start = time.perf_counter()
-    rows = runner.run(grid)
+    rows = [report.to_row() for report in service.run_grid(
+        TABLE1_ARCHITECTURES, config.widths, SMOKE_METHODS)]
     total_s = time.perf_counter() - start
     # Summed per-row time is independent of the worker count, so the gate
     # compares like with like even when baseline and CI use different --jobs.

@@ -10,10 +10,9 @@ expected cost for longest-expected-first scheduling.
 Everything that used to hardcode a method list derives from this module:
 
 * ``repro.verification.engine.METHODS`` is :func:`algebraic_backend_names`,
-* ``repro.experiments.runner.JOB_METHODS`` is :func:`backend_names` and its
-  scheduling rank table is :func:`scheduling_rank`,
-* the CLI ``--method`` / ``--methods`` choices come from
-  :func:`backend_names`,
+* the batch runner's scheduling rank table is :func:`scheduling_rank`,
+* the CLI ``--method`` / ``--methods`` choices and its unknown-method
+  error come from :func:`backend_names`,
 * the evaluation tables' column lists (:data:`TABLE1_BASELINES`,
   :data:`TABLE2_BASELINES`, :data:`COMPARISON_METHODS`) are declared and
   validated here.
@@ -21,7 +20,7 @@ Everything that used to hardcode a method list derives from this module:
 The module is deliberately *pure data* — it imports nothing but the
 standard library and ``repro.errors`` — so every layer (algebra,
 verification, experiments, CLI) can consume it without import cycles.
-New backends plug in through :func:`register`; the experiment runner
+New backends plug in through :func:`register`; the verification service
 dispatches on :attr:`BackendSpec.kind`.
 """
 
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import VerificationError
 
-#: Execution kinds understood by the runner's uniform dispatch.
+#: Execution kinds understood by the service's dispatch.
 KINDS = ("algebraic", "sat", "bdd")
 
 
@@ -134,7 +133,7 @@ def scheduling_rank(name: str) -> int:
 # Built-in backends
 #
 # Registration order is the canonical presentation order everywhere
-# (engine METHODS, runner JOB_METHODS, CLI choices), so it is kept
+# (engine METHODS, CLI choices), so it is kept
 # stable: the four membership tests first, then the two baselines.
 # ---------------------------------------------------------------------------
 

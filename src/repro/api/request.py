@@ -53,17 +53,6 @@ class Budgets:
         """A copy with the given fields changed."""
         return replace(self, **changes)
 
-    @classmethod
-    def from_config(cls, config, task_timeout_s: float | None = None) -> "Budgets":
-        """Budgets carried by an :class:`~repro.experiments.runner.ExperimentConfig`."""
-        return cls(monomial_budget=config.monomial_budget,
-                   time_budget_s=config.time_budget_s,
-                   sat_conflict_budget=config.sat_conflict_budget,
-                   bdd_node_budget=config.bdd_node_budget,
-                   vanishing_cache_limit=getattr(
-                       config, "vanishing_cache_limit", None),
-                   task_timeout_s=task_timeout_s)
-
 
 @dataclass(frozen=True)
 class VerificationRequest:

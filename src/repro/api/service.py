@@ -14,7 +14,10 @@ runner internals.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
+import json
 import os
 import threading
 import time
@@ -98,44 +101,47 @@ def pool_eligible(request: VerificationRequest) -> bool:
                  or get_backend(request.method).certifiable))
 
 
-def experiment_config_for(budgets: Budgets,
-                          golden_architecture: str = "SP-AR-RC"):
-    """Map a budget bundle onto a runner :class:`ExperimentConfig`, verbatim.
-
-    The budgets are authoritative — ``None`` means "guard disabled"
-    exactly as in :meth:`VerificationService.submit`, and
-    ``REPRO_BENCH_*`` environment overrides do not apply.
-    """
-    from repro.experiments.runner import ExperimentConfig
-    config = ExperimentConfig()
-    config.monomial_budget = budgets.monomial_budget
-    config.time_budget_s = budgets.time_budget_s
-    config.sat_conflict_budget = budgets.sat_conflict_budget
-    config.bdd_node_budget = budgets.bdd_node_budget
-    config.vanishing_cache_limit = budgets.vanishing_cache_limit
-    config.golden_architecture = golden_architecture
-    return config
-
-
 def request_cache_key(request: VerificationRequest,
                       golden_architecture: str = "SP-AR-RC") -> str | None:
     """Content-addressed result-cache key of a request (``None`` = uncacheable).
 
-    The request-level view of
-    :func:`repro.experiments.runner.result_cache_key`: only
-    :func:`pool_eligible` requests are keyable, and the key is exactly
-    the one a pooled :meth:`VerificationService.run_batch` job would use
-    under the request's own budgets — so the fleet's shared cache and a
-    local batch run address the same entries.
+    The one key function of the result cache, shared by
+    :class:`~repro.experiments.runner.ResultCache`, the server's shared
+    cache and the fleet, so a local batch and a fleet address the same
+    entries.  Only :func:`pool_eligible` requests whose netlist hashes
+    are keyable.  The key covers the netlist content hash, the method,
+    the width, the certificate flag, every outcome-relevant budget (the
+    hard task timeout included), the cache schema and the package
+    version, plus the golden netlist for ``sat-cec``.
     """
     if not pool_eligible(request):
         return None
-    from repro.experiments.runner import VerificationJob, result_cache_key
-    job = VerificationJob(request.architecture, request.width, request.method,
-                          certificate=request.certificate)
-    config = experiment_config_for(request.budgets, golden_architecture)
-    return result_cache_key(job, config,
-                            task_timeout_s=request.budgets.task_timeout_s)
+    from repro import __version__
+    from repro.experiments.runner import ResultCache, netlist_hash
+    netlist = netlist_hash(request.architecture, request.width)
+    if netlist is None:
+        return None
+    budgets = request.budgets
+    document = {
+        "schema": ResultCache.SCHEMA,
+        "version": __version__,
+        "netlist": netlist,
+        "method": request.method,
+        "width": request.width,
+        "certificate": request.certificate,
+        "budgets": {
+            "monomial_budget": budgets.monomial_budget,
+            "time_budget_s": budgets.time_budget_s,
+            "sat_conflict_budget": budgets.sat_conflict_budget,
+            "bdd_node_budget": budgets.bdd_node_budget,
+            "vanishing_cache_limit": budgets.vanishing_cache_limit,
+            "task_timeout_s": budgets.task_timeout_s,
+        },
+    }
+    if request.method == "sat-cec":
+        document["golden"] = netlist_hash(golden_architecture, request.width)
+    serial = json.dumps(document, sort_keys=True)
+    return hashlib.sha256(serial.encode("utf-8")).hexdigest()
 
 
 class VerificationService:
@@ -154,8 +160,8 @@ class VerificationService:
     task_timeout_s:
         Default hard per-job wall-clock limit of :meth:`run_batch`.
     cache_dir:
-        On-disk result cache directory for :meth:`run_batch` (also
-        honours ``REPRO_BENCH_CACHE`` when left unset, like the runner).
+        On-disk result cache directory for :meth:`run_batch` (``None``
+        disables the cache).
     retry_policy:
         A :class:`repro.resilience.RetryPolicy` handed to the worker pool
         of :meth:`run_batch`: crashed and hard-timed-out jobs get further
@@ -462,47 +468,34 @@ class VerificationService:
 
     # -- batches ---------------------------------------------------------------
 
-    def _experiment_config(self, budgets: Budgets):
-        """Map the budget bundle onto the runner's config, verbatim.
-
-        The budgets are authoritative — ``None`` means "guard disabled"
-        exactly as in :meth:`submit`, and ``REPRO_BENCH_*`` environment
-        overrides do not apply (callers who want them can build their
-        budgets with ``Budgets.from_config(ExperimentConfig
-        .from_environment())``).
-        """
-        return experiment_config_for(budgets, self.golden_architecture)
-
     def _pooled_jobs(self, requests: list[VerificationRequest],
                      jobs: int | None):
         """The runner of a batch, its pool-eligible request indices and jobs.
 
         The shared front half of :meth:`run_batch` and :meth:`iter_batch`:
-        the ``i``-th job is the request at the ``i``-th index.
+        the ``i``-th job is a fresh copy of the request at the ``i``-th
+        index, carrying its effective hard task timeout — its own, else
+        the service budgets', else :attr:`task_timeout_s`.  Fresh copies
+        are distinct objects even when a batch lists one request twice.
         """
-        from repro.experiments.runner import ParallelRunner, VerificationJob
+        from repro.experiments.runner import ParallelRunner
         runner = ParallelRunner(
-            self._experiment_config(self.budgets),
             workers=jobs if jobs is not None else self.jobs,
-            task_timeout_s=self.budgets.task_timeout_s
-            if self.budgets.task_timeout_s is not None else self.task_timeout_s,
             cache_dir=self.cache_dir,
             retry_policy=self.retry_policy,
-            pool=self.pool)
+            pool=self.pool,
+            golden_architecture=self.golden_architecture)
         pooled = [index for index, request in enumerate(requests)
                   if pool_eligible(request)]
         grid = []
         for index in pooled:
-            request = requests[index]
-            if request.budgets == self.budgets:
-                config = task_timeout_s = None
-            else:
-                config = self._experiment_config(request.budgets)
-                task_timeout_s = request.budgets.task_timeout_s
-            grid.append(VerificationJob(request.architecture, request.width,
-                                        request.method, config=config,
-                                        task_timeout_s=task_timeout_s,
-                                        certificate=request.certificate))
+            budgets = requests[index].budgets
+            timeout = next((limit for limit in (
+                budgets.task_timeout_s, self.budgets.task_timeout_s,
+                self.task_timeout_s) if limit is not None), None)
+            grid.append(dataclasses.replace(
+                requests[index],
+                budgets=budgets.replace(task_timeout_s=timeout)))
         return runner, pooled, grid
 
     def run_batch(self, requests: Sequence[VerificationRequest],
@@ -520,12 +513,9 @@ class VerificationService:
         (the pool never searches counterexamples) — falls back to
         in-process :meth:`submit`, so a request always means the same
         thing through either path.  Per-request budget groups are
-        honoured: a pooled request whose
-        :class:`~repro.api.request.Budgets` differ from the service-level
-        :attr:`budgets` carries its own job-level
-        :class:`~repro.experiments.runner.ExperimentConfig` (and hard task
-        timeout) into the pool, and the result cache keys each job by the
-        budgets it actually ran under.  A per-request
+        honoured: a pooled request runs under its own
+        :class:`~repro.api.request.Budgets`, and the result cache keys
+        each job by the budgets it actually ran under.  A per-request
         ``budgets.task_timeout_s`` of ``None`` falls back to the
         service-level hard limit rather than disabling it.
         """
@@ -565,8 +555,9 @@ class VerificationService:
         requests = list(requests)
         self.last_fallbacks = 0
         runner, pooled, grid = self._pooled_jobs(requests, jobs)
-        # Distinct grid entries are distinct objects even for equal jobs,
-        # so object identity maps each row to its request index.
+        # Grid entries are fresh copies, distinct objects even for one
+        # request listed twice, so object identity maps each row to its
+        # request index.
         positions = {id(job): index for index, job in zip(pooled, grid)}
         pooled = set(pooled)
 
@@ -617,19 +608,25 @@ class VerificationService:
                 self.last_executed = runner.last_executed
                 self.last_retries = runner.last_retries
 
-    def run_grid(self, architectures: Sequence[str], widths: Sequence[int],
-                 methods: Sequence[str], jobs: int | None = None,
-                 ) -> list[VerificationReport]:
-        """Convenience: the full (architecture, width, method) grid as a batch.
+    def grid(self, architectures: Sequence[str], widths: Sequence[int],
+             methods: Sequence[str]) -> list[VerificationRequest]:
+        """The (architecture, width, method) grid as requests, widths outermost.
 
-        Grid requests skip the counterexample search (the experiment-runner
-        contract: table rows report verdicts and counters, not witnesses),
-        which keeps every cell eligible for the worker pool.
+        Grid requests carry the service :attr:`budgets` and skip the
+        counterexample search (table rows report verdicts and counters,
+        not witnesses), which keeps every cell eligible for the worker
+        pool.
         """
-        requests = [
+        return [
             VerificationRequest.from_architecture(architecture, width, method,
                                                   budgets=self.budgets,
                                                   find_counterexample=False)
             for width in widths for architecture in architectures
             for method in methods]
-        return self.run_batch(requests, jobs=jobs)
+
+    def run_grid(self, architectures: Sequence[str], widths: Sequence[int],
+                 methods: Sequence[str], jobs: int | None = None,
+                 ) -> list[VerificationReport]:
+        """Convenience: run the :meth:`grid` as a batch."""
+        return self.run_batch(self.grid(architectures, widths, methods),
+                              jobs=jobs)

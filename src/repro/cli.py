@@ -69,11 +69,7 @@ from repro.api.request import Budgets, VerificationRequest
 from repro.api.service import VerificationService
 from repro.circuit.verilog import save_verilog
 from repro.errors import BlowUpError, ReproError
-from repro.experiments.runner import (
-    ExperimentConfig,
-    JOB_METHODS,
-    ParallelRunner,
-)
+from repro.experiments.runner import ExperimentConfig
 from repro.experiments.tables import main as tables_main
 from repro.generators.adders import generate_adder
 from repro.generators.catalog import (
@@ -355,143 +351,91 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 1 if summary["cross_check_disagreements"] else 0
 
 
-def _run_fleet_batch(args: argparse.Namespace, architectures, methods,
-                     config) -> int:
-    """``batch --fleet``: scatter the grid over remote serve workers.
-
-    The stdout verdict lines and summary are byte-identical to the
-    serial (fleet-less) run — fleet counters go to stderr — so a grid
-    can be moved onto a fleet without touching anything that parses the
-    output.  Reports stream in as workers answer; rows print in grid
-    order as soon as each resolves.
-    """
-    import dataclasses as _dataclasses
-
-    from repro.fleet import FleetDispatcher, FleetTopology
-
-    topology = FleetTopology.from_file(args.fleet)
-    if args.cache:
-        topology = _dataclasses.replace(topology, cache_dir=args.cache)
-    budgets = Budgets.from_config(config, task_timeout_s=args.task_timeout)
-    grid = ParallelRunner.catalog(architectures, config.widths, methods)
-    requests = [VerificationRequest.from_architecture(
-        job.architecture, job.width, job.method, budgets=budgets,
-        find_counterexample=False) for job in grid]
-    dispatcher = FleetDispatcher(
-        topology, golden_architecture=config.golden_architecture)
-    reports: list[VerificationReport] = []
-    rows = []
-    counts: dict[str, int] = {}
-    for report in dispatcher.iter_batch(requests):
-        reports.append(report)
-        row = report.to_row()
-        rows.append(row)
-        if args.json:
-            print(report.to_json(), flush=True)
-        else:
-            verdict = ("pass" if row["verified"] else
-                       "FAIL" if row["verified"] is False else
-                       row["status"])
-            counts[verdict] = counts.get(verdict, 0) + 1
-            print(f"{row['architecture']:<12} {row['width']:>3} "
-                  f"{row['method']:<8} {verdict}", flush=True)
-    if not args.json:
-        print("summary: " + " ".join(f"{verdict}={count}" for verdict, count
-                                     in sorted(counts.items())))
-    print(f"fleet: workers={len(topology.workers)} "
-          f"cache-hits={dispatcher.last_cache_hits} "
-          f"executed={dispatcher.last_executed} "
-          f"retries={dispatcher.last_retries} "
-          f"steals={dispatcher.last_steals}", file=sys.stderr, flush=True)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(rows, handle, indent=2, default=str)
-        print(f"wrote {len(rows)} rows to {args.output}", file=sys.stderr)
-    if any(report.verdict == "refuted" for report in reports):
-        return 2
-    if any(report.verdict in ("budget", "error") for report in reports):
-        return 3
-    return 0
-
-
 def _cmd_batch(args: argparse.Namespace) -> int:
     """Run a catalog of verification jobs, optionally across processes.
 
     The stdout verdict lines are deterministic (ordered by the job grid and
     free of timing data), so the output is byte-identical for any ``--jobs``
-    value; timings go to the optional ``--output`` JSON file.
+    value and with or without ``--fleet``; timings go to the optional
+    ``--output`` JSON file.  Rows print in grid order as soon as each
+    resolves.  ``--fleet`` scatters the grid over remote serve workers
+    (its counters go to stderr) and ignores ``--fallback`` and
+    ``--retries``.
     """
     architectures = _resolve_batch_architectures(args.architectures)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for method in methods:
         if not has_backend(method):
             print(f"error: unknown method {method!r}; expected one of "
-                  f"{', '.join(JOB_METHODS)}", file=sys.stderr)
+                  f"{', '.join(backend_names())}", file=sys.stderr)
             return 1
     config = ExperimentConfig.from_environment()
-    config.widths = tuple(args.width)
+    budgets = config.budgets.replace(task_timeout_s=args.task_timeout)
     if args.monomial_budget is not None:
-        config.monomial_budget = args.monomial_budget
+        budgets = budgets.replace(monomial_budget=args.monomial_budget)
     if args.time_budget is not None:
-        config.time_budget_s = args.time_budget
-    if args.fleet:
-        return _run_fleet_batch(args, architectures, methods, config)
+        budgets = budgets.replace(time_budget_s=args.time_budget)
+    cache_dir = args.cache if args.cache is not None else config.cache_dir
     retry_policy = (RetryPolicy(max_attempts=args.retries + 1)
                     if args.retries else None)
-    runner = ParallelRunner(config, workers=args.jobs,
-                            task_timeout_s=args.task_timeout,
-                            cache_dir=args.cache,
-                            retry_policy=retry_policy)
-    grid = ParallelRunner.catalog(architectures, config.widths, methods)
-    rows = runner.run(grid)
-    reports = [VerificationReport.from_row(row) for row in rows]
-
     fallback = FallbackPolicy.parse(args.fallback)
-    fallbacks = 0
-    if fallback is not None:
-        # Degrade budget rows in-process through the backend chains; the
-        # cache keeps the original backend's own row, the batch output
-        # carries the degraded verdict (and its attempts history).
-        service = VerificationService(budgets=Budgets.from_config(config),
-                                      fallback_policy=fallback)
-        for index, report in enumerate(reports):
-            if report.verdict != "budget":
-                continue
-            row = rows[index]
-            request = VerificationRequest.from_architecture(
-                row["architecture"], row["width"], method=row["method"],
-                budgets=Budgets.from_config(config),
-                find_counterexample=False)
-            reports[index] = service.apply_fallback(request, report)
-            rows[index] = reports[index].to_row()
-        fallbacks = service.last_fallbacks
+    # The cache keeps each backend's own row; a budget row is degraded
+    # through the fallback chain in this process, after the pool.
+    service = VerificationService(
+        budgets=budgets, golden_architecture=config.golden_architecture,
+        jobs=args.jobs, cache_dir=cache_dir, retry_policy=retry_policy,
+        fallback_policy=fallback)
+    requests = service.grid(architectures, args.width, methods)
+    batch = service
+    if args.fleet:
+        import dataclasses
 
-    if args.json:
-        # One report JSON line per row — the same schema as the Python API
-        # and `verify --json`; summary/cache footers are human output only.
-        for report in reports:
-            print(report.to_json())
-    else:
-        counts: dict[str, int] = {}
-        for row in rows:
-            verdict = ("pass" if row["verified"] else
-                       "FAIL" if row["verified"] is False else
-                       row["status"])
-            counts[verdict] = counts.get(verdict, 0) + 1
-            print(f"{row['architecture']:<12} {row['width']:>3} "
-                  f"{row['method']:<8} {verdict}")
+        from repro.fleet import FleetDispatcher, FleetTopology
+
+        topology = FleetTopology.from_file(args.fleet)
+        if args.cache:
+            topology = dataclasses.replace(topology, cache_dir=args.cache)
+        batch = FleetDispatcher(
+            topology, golden_architecture=config.golden_architecture)
+
+    reports: list[VerificationReport] = []
+    rows = []
+    counts: dict[str, int] = {}
+    for report in batch.iter_batch(requests):
+        reports.append(report)
+        row = report.to_row()
+        rows.append(row)
+        if args.json:
+            # One report JSON line per row — the same schema as the Python
+            # API and `verify --json`; footers are human output only.
+            print(report.to_json(), flush=True)
+            continue
+        verdict = ("pass" if row["verified"] else
+                   "FAIL" if row["verified"] is False else
+                   row["status"])
+        counts[verdict] = counts.get(verdict, 0) + 1
+        print(f"{row['architecture']:<12} {row['width']:>3} "
+              f"{row['method']:<8} {verdict}", flush=True)
+    if not args.json:
         print("summary: " + " ".join(f"{verdict}={count}" for verdict, count
                                      in sorted(counts.items())))
-        if runner.cache is not None:
+    if not args.json and not args.fleet:
+        if cache_dir:
             # Cache-aware footer: deterministic for a given cache directory,
             # so the output stays byte-identical across --jobs values.
-            print(f"cache: hits={runner.last_cache_hits} "
-                  f"executed={runner.last_executed}")
+            print(f"cache: hits={service.last_cache_hits} "
+                  f"executed={service.last_executed}")
         if retry_policy is not None or fallback is not None:
             # Only printed when resilience flags are on, so default batch
             # output stays byte-identical to earlier releases.
-            print(f"resilience: retries={runner.last_retries} "
-                  f"fallbacks={fallbacks}")
+            print(f"resilience: retries={service.last_retries} "
+                  f"fallbacks={service.last_fallbacks}")
+    if args.fleet:
+        print(f"fleet: workers={len(topology.workers)} "
+              f"cache-hits={batch.last_cache_hits} "
+              f"executed={batch.last_executed} "
+              f"retries={batch.last_retries} "
+              f"steals={batch.last_steals}", file=sys.stderr, flush=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(rows, handle, indent=2, default=str)
@@ -564,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="operand widths in bits (default: 4)")
     p_batch.add_argument("--methods", "-m", default="mt-lr",
                          help="comma-separated methods "
-                              f"({', '.join(JOB_METHODS)})")
+                              f"({', '.join(backend_names())})")
     p_batch.add_argument("--jobs", "-j", type=int, default=1,
                          help="worker processes (default: 1 = serial)")
     p_batch.add_argument("--task-timeout", type=float, default=None,
@@ -609,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "between batches (default: 1)")
     p_serve.add_argument("--cache", default=None, metavar="DIR",
                          help="on-disk result cache directory shared by "
-                              "every batch (also REPRO_BENCH_CACHE)")
+                              "every batch")
     p_serve.add_argument("--job-store-limit", type=int, default=256,
                          help="bound on the async job store; finished jobs "
                               "are evicted oldest-first (default: 256)")

@@ -1,24 +1,20 @@
 """Experiment harness regenerating the paper's evaluation tables.
 
-Single runs go through :func:`run_membership_testing` / :func:`run_sat_cec`
-/ :func:`run_bdd_cec` (or their uniform dispatch :func:`run_job`); whole
-table grids can be fanned across worker processes with
-:class:`ParallelRunner` / :func:`run_catalog`, which isolate crashes and
-hard timeouts per circuit and return rows in deterministic job order.  The
-CLI exposes the parallel path as ``repro-verify batch --jobs N`` and
-``repro-verify table <name> --jobs N``; the benchmark harness picks the
-worker count up from the ``REPRO_BENCH_JOBS`` environment variable.
+Every table cell is a :class:`~repro.api.request.VerificationRequest` run
+through :class:`~repro.api.service.VerificationService`; whole table grids
+are fanned across worker processes by :class:`ParallelRunner`, which
+isolates crashes and hard timeouts per circuit and returns rows in
+deterministic job order.  :class:`ExperimentConfig` reads the table
+widths, budgets and batch settings from the ``REPRO_BENCH_*`` environment
+variables.  The CLI exposes the parallel path as ``repro-verify batch
+--jobs N`` and ``repro-verify table <name> --jobs N``; the benchmark
+harness picks the worker count up from ``REPRO_BENCH_JOBS``.
 """
 
 from repro.experiments.runner import (
     ExperimentConfig,
     ParallelRunner,
-    VerificationJob,
-    run_bdd_cec,
-    run_catalog,
-    run_job,
-    run_membership_testing,
-    run_sat_cec,
+    run_request,
 )
 from repro.experiments.tables import (
     format_table,
@@ -32,15 +28,10 @@ from repro.experiments.tables import (
 __all__ = [
     "ExperimentConfig",
     "ParallelRunner",
-    "VerificationJob",
     "ablation_rows",
     "adder_blowup_rows",
     "format_table",
-    "run_bdd_cec",
-    "run_catalog",
-    "run_job",
-    "run_membership_testing",
-    "run_sat_cec",
+    "run_request",
     "table1_rows",
     "table2_rows",
     "table3_rows",

@@ -1,23 +1,19 @@
-"""Experiment runners shared by the benchmark harness and the CLI.
+"""Batch execution of verification requests across worker processes.
 
-Every runner returns a plain dictionary so the benchmark scripts can both
-assert on the outcome and print the paper-style table rows.  A run that
+:class:`ParallelRunner` fans a batch of
+:class:`~repro.api.request.VerificationRequest` entries across a
+persistent pool of worker processes (``multiprocessing``), streams result
+rows back as they complete, and isolates crashes and hard timeouts per
+circuit so one bad request can never take down a table reproduction.
+Every request runs through :meth:`VerificationService.submit
+<repro.api.service.VerificationService.submit>` (see :func:`run_request`),
+the one code path that calls a backend; its report comes back as a table
+row (:meth:`~repro.api.report.VerificationReport.to_row`).  A run that
 exceeds its monomial/conflict/node/time budget is reported with
 ``time = "TO"`` exactly like the 100-hour timeouts in the paper's tables.
-
-Two execution modes are provided:
-
-* the single-run functions (:func:`run_membership_testing`,
-  :func:`run_sat_cec`, :func:`run_bdd_cec`) and their uniform dispatch
-  :func:`run_job`, and
-* :class:`ParallelRunner`, which fans a catalog of
-  :class:`VerificationJob` entries across a persistent pool of worker
-  processes (``multiprocessing``), streams result rows back as they
-  complete, and isolates crashes and hard timeouts per circuit so one bad
-  job can never take down a table reproduction.  Completed rows can be
-  cached on disk (:class:`ResultCache`) keyed by netlist content hash,
-  method, width, and budgets, so re-running a table only executes changed
-  or uncached jobs.
+Completed rows can be cached on disk (:class:`ResultCache`) keyed by
+netlist content hash, method, width, and budgets, so re-running a table
+only executes changed or uncached requests.
 """
 
 from __future__ import annotations
@@ -35,11 +31,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from repro.api.registry import backend_names, get_backend, scheduling_rank
+from repro.api.registry import scheduling_rank
 from repro.api.report import VerificationReport
-from repro.baselines.bdd.equivalence import bdd_equivalence_check
-from repro.baselines.sat.miter import sat_equivalence_check
-from repro.errors import BlowUpError, ReproError
+from repro.api.request import Budgets, VerificationRequest
+from repro.api.service import VerificationService, request_cache_key
+from repro.errors import ReproError
 from repro.generators.multipliers import generate_multiplier
 from repro.resilience.faults import (
     maybe_corrupt_published_entry,
@@ -47,12 +43,11 @@ from repro.resilience.faults import (
     maybe_delay,
 )
 from repro.resilience.policy import attempt_entry, classify_row
-from repro.verification.engine import verify_multiplier
 
 
 @dataclass
 class ExperimentConfig:
-    """Budgets shared by all experiment runs (environment-overridable).
+    """Widths, budgets and batch settings of the table runs (environment-overridable).
 
     Environment variables:
 
@@ -66,12 +61,9 @@ class ExperimentConfig:
     """
 
     widths: tuple[int, ...] = (4, 8)
-    time_budget_s: float = 60.0
-    monomial_budget: int = 2_000_000
-    sat_conflict_budget: int = 200_000
-    bdd_node_budget: int = 1_000_000
-    #: Cap on the vanishing-rule verdict cache (``None`` = unlimited).
-    vanishing_cache_limit: int | None = None
+    #: Budgets of every run; the table runs default to a 60 s time budget.
+    budgets: Budgets = field(
+        default_factory=lambda: Budgets(time_budget_s=60.0))
     golden_architecture: str = "SP-AR-RC"
     #: Worker processes used by :class:`ParallelRunner` consumers (1 = serial).
     jobs: int = 1
@@ -85,155 +77,48 @@ class ExperimentConfig:
         bits = os.environ.get("REPRO_BENCH_BITS")
         if bits:
             config.widths = tuple(int(b) for b in bits.split(",") if b.strip())
-        config.time_budget_s = float(
-            os.environ.get("REPRO_BENCH_TIMEOUT", config.time_budget_s))
-        config.monomial_budget = int(
-            os.environ.get("REPRO_BENCH_MONOMIAL_BUDGET", config.monomial_budget))
-        config.sat_conflict_budget = int(
-            os.environ.get("REPRO_BENCH_SAT_CONFLICTS", config.sat_conflict_budget))
-        config.bdd_node_budget = int(
-            os.environ.get("REPRO_BENCH_BDD_NODES", config.bdd_node_budget))
+        defaults = config.budgets
+        config.budgets = defaults.replace(
+            time_budget_s=float(os.environ.get("REPRO_BENCH_TIMEOUT",
+                                               defaults.time_budget_s)),
+            monomial_budget=int(os.environ.get("REPRO_BENCH_MONOMIAL_BUDGET",
+                                               defaults.monomial_budget)),
+            sat_conflict_budget=int(os.environ.get(
+                "REPRO_BENCH_SAT_CONFLICTS", defaults.sat_conflict_budget)),
+            bdd_node_budget=int(os.environ.get("REPRO_BENCH_BDD_NODES",
+                                               defaults.bdd_node_budget)))
         config.jobs = int(os.environ.get("REPRO_BENCH_JOBS", config.jobs))
         config.cache_dir = os.environ.get("REPRO_BENCH_CACHE") or None
         return config
 
 
-def run_membership_testing(architecture: str, width: int, method: str,
-                           config: ExperimentConfig,
-                           certificate: bool = False) -> dict:
-    """Run one MT-LR / MT-FO / MT-Naive verification and report a table row.
-
-    With ``certificate=True`` the emitted proof certificate rides on the
-    row (and therefore through the result cache) under the
-    ``"certificate"`` key.
-    """
-    from repro.api.request import Budgets
-    netlist = generate_multiplier(architecture, width)
-    start = time.perf_counter()
-    try:
-        result = verify_multiplier(
-            netlist, method=method, budgets=Budgets.from_config(config),
-            find_counterexample=False, certificate=certificate)
-    except BlowUpError as error:
-        report = VerificationReport.from_blowup(
-            error, method=method, circuit=architecture, width=width,
-            elapsed_s=time.perf_counter() - start)
-        return report.to_row()
-    report = VerificationReport.from_result(result, circuit=architecture,
-                                            width=width)
-    if certificate and result.certificate_data is not None:
-        from repro.certify import build_certificate
-        report.certificate = build_certificate(result)
-    return report.to_row()
-
-
-def run_sat_cec(architecture: str, width: int, config: ExperimentConfig,
-                booth_supported: bool = True,
-                method: str = "sat-cec") -> dict:
-    """Run the SAT-miter equivalence check against the golden array multiplier.
-
-    With ``booth_supported=False`` the run is reported as not applicable for
-    Booth multipliers — mirroring the "-" entries of the CPP column in
-    Table II.
-    """
-    if not booth_supported and architecture.upper().startswith("BP"):
-        return VerificationReport.not_applicable(
-            method, circuit=architecture, width=width).to_row()
-    netlist = generate_multiplier(architecture, width)
-    golden = generate_multiplier(config.golden_architecture, width)
-    result = sat_equivalence_check(netlist, golden,
-                                   conflict_limit=config.sat_conflict_budget,
-                                   time_budget_s=config.time_budget_s)
-    return VerificationReport.from_sat_result(result, circuit=architecture,
-                                              width=width,
-                                              method=method).to_row()
-
-
-def run_bdd_cec(architecture: str, width: int, config: ExperimentConfig,
-                method: str = "bdd-cec") -> dict:
-    """Run the BDD equivalence check against the word-level product."""
-    netlist = generate_multiplier(architecture, width)
-    result = bdd_equivalence_check(netlist, "multiply",
-                                   node_budget=config.bdd_node_budget)
-    return VerificationReport.from_bdd_result(result, circuit=architecture,
-                                              width=width,
-                                              method=method).to_row()
-
-
 # ---------------------------------------------------------------------------
-# Batch execution: job catalog, serial runner, parallel runner
+# One task: a request through the service, behind the isolation boundary
 # ---------------------------------------------------------------------------
 
-#: Methods understood by :func:`run_job` — derived from the backend
-#: registry (:mod:`repro.api.registry`), the single source of truth.
-JOB_METHODS: tuple[str, ...] = backend_names()
+def run_request(request: VerificationRequest, golden_architecture: str) -> dict:
+    """Run one request through :class:`VerificationService` and return its row.
 
-
-@dataclass(frozen=True)
-class VerificationJob:
-    """One (architecture, width, method) cell of an evaluation table.
-
-    ``config`` optionally overrides the batch-level
-    :class:`ExperimentConfig` for this job only — the per-request budget
-    groups of :meth:`repro.api.service.VerificationService.run_batch` ride
-    on it.  It travels with the job through the worker-pool queues and is
-    part of the cache key (via the budgets it carries), but not of the job
-    identity.  ``task_timeout_s`` likewise overrides the runner-level hard
-    wall-clock limit for this job.
+    The worker's service has no fallback policy: the batch's caller
+    degrades budget rows afterwards, so the cache keeps the original
+    backend's own row.
     """
-
-    architecture: str
-    width: int
-    method: str
-    config: ExperimentConfig | None = field(default=None, compare=False)
-    task_timeout_s: float | None = field(default=None, compare=False)
-    #: Ask the algebraic engine for a proof certificate; the certificate
-    #: rides on the row and is part of the cache key (a plain row must
-    #: never satisfy a certificate request).
-    certificate: bool = False
-
-    @property
-    def key(self) -> tuple[str, int, str]:
-        """Deterministic identity used for ordering and result joining."""
-        return (self.architecture, self.width, self.method)
+    service = VerificationService(golden_architecture=golden_architecture)
+    return service.submit(request).to_row()
 
 
-def run_job(job: VerificationJob, config: ExperimentConfig) -> dict:
-    """Run one verification job and return its table row (uniform dispatch).
-
-    Dispatch is driven by the registered backend's ``kind`` — plugging a
-    new backend into :mod:`repro.api.registry` with an existing kind makes
-    it batchable with no change here.  A job-level ``config`` takes
-    precedence over the batch-level one.
-    """
-    if job.config is not None:
-        config = job.config
-    try:
-        backend = get_backend(job.method)
-    except ReproError:
-        raise ReproError(f"unknown job method {job.method!r}; "
-                         f"expected one of {JOB_METHODS}") from None
-    if backend.kind == "algebraic":
-        return run_membership_testing(job.architecture, job.width, job.method,
-                                      config, certificate=job.certificate)
-    if backend.kind == "sat":
-        return run_sat_cec(job.architecture, job.width, config,
-                           method=job.method)
-    return run_bdd_cec(job.architecture, job.width, config,
-                       method=job.method)
-
-
-def expected_cost_key(job: VerificationJob) -> tuple[int, int, int]:
-    """Heuristic relative cost of a job, for longest-expected-first order.
+def expected_cost_key(request: VerificationRequest) -> tuple[int, int, int]:
+    """Heuristic relative cost of a request, for longest-expected-first order.
 
     Width dominates (verification cost grows steeply with operand width),
     then the registry's per-backend cost rank, then the architecture
     family: Booth multipliers carry the heaviest rewriting load, tree
-    accumulators more than arrays.  The key orders *scheduling only* —
-    result rows keep the grid order — so one expensive job (a 16-bit Booth
-    run, say) starts first instead of serialising the tail of a batch.
+    accumulators more than arrays; a request with no architecture scores
+    0 there.  The key orders *scheduling only* — result rows keep the
+    grid order — so one expensive request (a 16-bit Booth run, say)
+    starts first instead of serialising the tail of a batch.
     """
-    architecture = job.architecture.upper()
+    architecture = (request.architecture or "").upper()
     cost = 0
     if architecture.startswith("BP"):
         cost += 4
@@ -242,25 +127,31 @@ def expected_cost_key(job: VerificationJob) -> tuple[int, int, int]:
         if marker in architecture:
             cost += weight
             break
-    return (job.width, scheduling_rank(job.method), cost)
+    return (request.width or 0, scheduling_rank(request.method), cost)
 
 
-def _guarded_run_job(job: VerificationJob, config: ExperimentConfig) -> dict:
-    """Run a job, converting any exception into an ``error`` row.
+def _failure_row(request: VerificationRequest, status: str,
+                 time_s: float | None, reason: str) -> dict:
+    """The row of a request that produced no report of its own."""
+    return {"architecture": request.architecture, "width": request.width,
+            "method": request.method, "status": status,
+            "time": "TO" if status == "TO" else "-",
+            "time_s": time_s, "verified": None, "reason": reason}
+
+
+def _guarded_run_job(request: VerificationRequest,
+                     golden_architecture: str) -> dict:
+    """Run a request, converting any exception into an ``error`` row.
 
     This is the per-circuit isolation layer shared by the serial and the
     parallel paths: a generator or verifier bug on one architecture must
     never abort the rest of the batch.
     """
     try:
-        return run_job(job, config)
+        return run_request(request, golden_architecture)
     except Exception as error:  # noqa: BLE001 - isolation boundary
-        return {
-            "architecture": job.architecture, "width": job.width,
-            "method": job.method, "status": "error", "time": "-",
-            "time_s": None, "verified": None,
-            "reason": f"{type(error).__name__}: {error}",
-        }
+        return _failure_row(request, "error", None,
+                            f"{type(error).__name__}: {error}")
 
 
 # ---------------------------------------------------------------------------
@@ -295,49 +186,6 @@ def netlist_hash(architecture: str, width: int) -> str | None:
         return _netlist_digest(architecture, width)
     except Exception:  # noqa: BLE001 - unknown arch etc: uncacheable
         return None
-
-
-def result_cache_key(job: VerificationJob, config: ExperimentConfig,
-                     task_timeout_s: float | None = None) -> str | None:
-    """Content-addressed cache key of a job (``None`` = uncacheable).
-
-    The single source of truth for result-cache keying, shared by
-    :class:`ResultCache`, the verification service, and the fleet layer:
-    netlist content hash + method + width + every outcome-relevant budget
-    + the package version.  Job-level overrides (``job.config``,
-    ``job.task_timeout_s``) take precedence over the batch-level
-    arguments, so two jobs of one batch running under different budget
-    groups never share an entry.
-    """
-    if job.config is not None:
-        config = job.config
-    if job.task_timeout_s is not None:
-        task_timeout_s = job.task_timeout_s
-    netlist = netlist_hash(job.architecture, job.width)
-    if netlist is None:
-        return None
-    from repro import __version__
-    document = {
-        "schema": ResultCache.SCHEMA,
-        "version": __version__,
-        "netlist": netlist,
-        "method": job.method,
-        "width": job.width,
-        "certificate": job.certificate,
-        "budgets": {
-            "monomial_budget": config.monomial_budget,
-            "time_budget_s": config.time_budget_s,
-            "sat_conflict_budget": config.sat_conflict_budget,
-            "bdd_node_budget": config.bdd_node_budget,
-            "vanishing_cache_limit": config.vanishing_cache_limit,
-            "task_timeout_s": task_timeout_s,
-        },
-    }
-    if job.method == "sat-cec":
-        document["golden"] = netlist_hash(config.golden_architecture,
-                                          job.width)
-    serial = json.dumps(document, sort_keys=True)
-    return hashlib.sha256(serial.encode("utf-8")).hexdigest()
 
 
 class ResultCache:
@@ -383,16 +231,16 @@ class ResultCache:
 
     # -- keying ----------------------------------------------------------------
 
-    def key(self, job: VerificationJob, config: ExperimentConfig,
-            task_timeout_s: float | None = None) -> str | None:
-        """Cache key of a job under the given budgets (``None`` = uncacheable).
+    def key(self, request: VerificationRequest,
+            golden_architecture: str = "SP-AR-RC") -> str | None:
+        """Cache key of a request (``None`` = uncacheable).
 
-        Delegates to :func:`result_cache_key` — job-level overrides
-        (``job.config``, ``job.task_timeout_s``) take precedence over the
-        batch-level arguments, so two jobs of one batch running under
-        different budget groups never share an entry.
+        Delegates to :func:`repro.api.service.request_cache_key`, the one
+        key function: the budgets a request carries (its hard task
+        timeout included) are part of the key, so two requests of one
+        batch running under different budget groups never share an entry.
         """
-        return result_cache_key(job, config, task_timeout_s=task_timeout_s)
+        return request_cache_key(request, golden_architecture)
 
     # -- storage ---------------------------------------------------------------
 
@@ -441,19 +289,21 @@ class ResultCache:
         except OSError:
             pass  # a concurrent reader already moved (or removed) it
 
-    def put(self, key: str | None, job: VerificationJob, row: dict) -> None:
+    def put(self, key: str | None, request: VerificationRequest,
+            row: dict) -> None:
         """Store a completed row unless it reports an infrastructure failure."""
         if key is None or row.get("status") not in self.CACHEABLE_STATUSES:
             return
-        self.put_report(key, VerificationReport.from_row(row), job=job)
+        self.put_report(key, VerificationReport.from_row(row), job=request)
 
     def put_report(self, key: str | None, report: "VerificationReport",
-                   job: VerificationJob | None = None) -> bool:
+                   job: VerificationRequest | None = None) -> bool:
         """Store a canonical report under an explicit key.
 
         The entry point of the shared-cache protocol (``PUT
         /v1/cache/{key}`` and the fleet dispatcher): the caller computed
-        the key (:func:`result_cache_key`), the cache only enforces the
+        the key (:func:`~repro.api.service.request_cache_key`), the cache
+        only enforces the
         cacheability contract.  Returns ``True`` iff the entry was
         published — infrastructure-failure reports and unwritable
         directories are a quiet ``False``, never an exception.
@@ -543,10 +393,11 @@ def _watch_parent(parent: int) -> None:
 
 
 def _pool_worker_main(connection, parent_end) -> None:
-    """Worker-process loop: run ``(job, config)`` tasks from ``connection``.
+    """Worker-process loop: run ``(request, golden_architecture)`` tasks.
 
-    Each task's row goes back down the same pipe, so a row always belongs
-    to the job the parent handed this worker.  The loop ends on a ``None``
+    Tasks arrive on ``connection`` and each task's row goes back down the
+    same pipe, so a row always belongs to the request the parent handed
+    this worker.  The loop ends on a ``None``
     task or on EOF.  The worker holds no socket of its parent but its own
     end of the pipe (see :func:`_release_inherited_sockets`), so the
     parent's death reads as EOF while it waits for a task; a daemon thread
@@ -577,12 +428,12 @@ def _pool_worker_main(connection, parent_end) -> None:
             return
         if task is None:
             return
-        job, config = task
-        fault_key = f"{job.architecture}/{job.width}/{job.method}"
+        request, golden_architecture = task
+        fault_key = f"{request.architecture}/{request.width}/{request.method}"
         maybe_delay(fault_key)
         maybe_crash(fault_key)
         try:
-            connection.send(_guarded_run_job(job, config))
+            connection.send(_guarded_run_job(request, golden_architecture))
         except BrokenPipeError:
             return  # the parent died while the job ran
 
@@ -602,7 +453,7 @@ class _PoolWorker:
             self.process.start()
             child_end.close()
         self.index: int | None = None
-        self.job: VerificationJob | None = None
+        self.job: VerificationRequest | None = None
         self.deadline: float | None = None
         self.started: float | None = None
 
@@ -610,7 +461,7 @@ class _PoolWorker:
     def busy(self) -> bool:
         return self.index is not None
 
-    def assign(self, index: int, job: VerificationJob,
+    def assign(self, index: int, job: VerificationRequest,
                task_timeout_s: float | None) -> None:
         """Record that this worker now runs ``job``, the run's ``index``-th."""
         self.index = index
@@ -725,46 +576,38 @@ class WorkerPool:
 
 
 class ParallelRunner:
-    """Fan verification jobs across persistent worker processes with crash isolation.
+    """Fan verification requests across persistent worker processes with crash isolation.
 
+    A job of the runner is a :class:`~repro.api.request.VerificationRequest`
+    and runs through :func:`run_request` under the budgets it carries.
     :meth:`run` leases at most ``workers`` long-lived ``multiprocessing``
     processes from a :class:`WorkerPool`, so the fork + import cost is paid
     once per worker instead of once per job (which dominates small 4-bit
     runs).  With ``pool`` given (the HTTP server's, say) the workers also
     outlive the run and serve later ones; without it :meth:`run` uses a
     private pool and closes it before returning.  Crash isolation and the
-    hard per-job wall-clock limit are preserved: a hard crash (segfault,
-    OOM kill) or a job exceeding ``task_timeout_s`` takes down only the
-    worker it ran on — the parent reports the job as a table row
-    (``status="crash"`` / ``"TO"``) and starts a replacement worker.
-    Results are streamed to the optional ``on_result`` callback as they
-    complete and returned in job order, so the verdicts are byte-for-byte
-    identical to the serial path regardless of worker count or completion
-    order.
+    hard per-job wall-clock limit (``budgets.task_timeout_s`` of each
+    request) are preserved: a hard crash (segfault, OOM kill) or a job
+    exceeding its limit takes down only the worker it ran on — the parent
+    reports the job as a table row (``status="crash"`` / ``"TO"``) and
+    starts a replacement worker.  Results are streamed to the optional
+    ``on_result`` callback as they complete and returned in job order, so
+    the verdicts are byte-for-byte identical to the serial path regardless
+    of worker count or completion order.
 
-    With a cache directory (``cache_dir``, ``config.cache_dir``, or the
-    ``REPRO_BENCH_CACHE`` environment variable) completed rows are stored
-    on disk keyed by (netlist content hash, method, width, budgets);
-    re-running a table then only executes changed or uncached jobs and
-    reproduces the cached rows verbatim.
+    With a ``cache_dir`` completed rows are stored on disk keyed by
+    (netlist content hash, method, width, budgets); re-running a table
+    then only executes changed or uncached jobs and reproduces the cached
+    rows verbatim.
 
     Parameters
     ----------
-    config:
-        Budgets applied to every job (the in-process time/monomial budgets
-        still produce the paper-style ``TO`` rows).
     workers:
         Number of worker processes; ``None`` uses ``os.cpu_count()``.
         ``workers <= 1`` runs serially in-process (still crash-isolated
         against Python exceptions, not against hard crashes).
-    task_timeout_s:
-        Hard per-job wall-clock limit enforced by the parent by killing
-        the worker; ``None`` disables the hard limit and relies on the
-        in-process budgets.
     cache_dir:
-        Directory of the on-disk result cache; overrides
-        ``config.cache_dir``.  ``None`` with no configured directory
-        disables caching.
+        Directory of the on-disk result cache; ``None`` disables caching.
     retry_policy:
         A :class:`repro.resilience.RetryPolicy` giving crashed and
         hard-timed-out jobs further attempts on a fresh worker (with
@@ -780,57 +623,40 @@ class ParallelRunner:
     pool:
         A :class:`WorkerPool` to lease workers from and give them back to;
         ``None`` starts a private pool per run.
+    golden_architecture:
+        Reference architecture the SAT baseline compares against.
     """
 
-    def __init__(self, config: ExperimentConfig | None = None,
-                 workers: int | None = None,
-                 task_timeout_s: float | None = None,
+    def __init__(self, workers: int | None = None,
                  cache_dir: str | os.PathLike | None = None,
                  retry_policy=None,
                  straggler_grace_s: float | None = None,
-                 pool: WorkerPool | None = None) -> None:
-        self.config = config or ExperimentConfig.from_environment()
+                 pool: WorkerPool | None = None,
+                 golden_architecture: str = "SP-AR-RC") -> None:
         if workers is None:
-            workers = self.config.jobs if self.config.jobs > 1 else (
-                os.cpu_count() or 1)
+            workers = os.cpu_count() or 1
         self.workers = max(1, int(workers))
-        self.task_timeout_s = task_timeout_s
-        directory = cache_dir if cache_dir is not None else self.config.cache_dir
-        self.cache = ResultCache(directory) if directory else None
+        self.cache = ResultCache(cache_dir) if cache_dir else None
         self.retry_policy = retry_policy
         self.straggler_grace_s = straggler_grace_s
         self.pool = pool
+        self.golden_architecture = golden_architecture
         #: Rows served from the cache / executed fresh by the last run.
         self.last_cache_hits = 0
         self.last_executed = 0
         #: Extra attempts (beyond each job's first) spent by the last run.
         self.last_retries = 0
 
-    # -- job catalog helpers ---------------------------------------------------
-
-    @staticmethod
-    def catalog(architectures: Iterable[str], widths: Iterable[int],
-                methods: Iterable[str]) -> list[VerificationJob]:
-        """The full (architecture, width, method) job grid, widths outermost."""
-        return [VerificationJob(arch, width, method)
-                for width in widths for arch in architectures
-                for method in methods]
-
     # -- cache plumbing --------------------------------------------------------
 
-    def _cache_key(self, job: VerificationJob) -> str | None:
+    def _cache_key(self, job: VerificationRequest) -> str | None:
         if self.cache is None:
             return None
-        return self.cache.key(job, self.config, self.task_timeout_s)
+        return self.cache.key(job, self.golden_architecture)
 
-    def _job_timeout(self, job: VerificationJob) -> float | None:
-        """Effective hard wall-clock limit of one job (job overrides runner)."""
-        return (job.task_timeout_s if job.task_timeout_s is not None
-                else self.task_timeout_s)
-
-    def _finish_row(self, job: VerificationJob, row: dict,
+    def _finish_row(self, job: VerificationRequest, row: dict,
                     cache_key: str | None,
-                    on_result: Callable[[VerificationJob, dict], None] | None,
+                    on_result: Callable[[VerificationRequest, dict], None] | None,
                     ) -> dict:
         if self.cache is not None and cache_key is not None:
             self.cache.put(cache_key, job, row)
@@ -840,8 +666,8 @@ class ParallelRunner:
 
     # -- execution -------------------------------------------------------------
 
-    def run_serial(self, jobs: Sequence[VerificationJob],
-                   on_result: Callable[[VerificationJob, dict], None] | None = None,
+    def run_serial(self, jobs: Sequence[VerificationRequest],
+                   on_result: Callable[[VerificationRequest, dict], None] | None = None,
                    ) -> list[dict]:
         """Reference serial execution (same rows, same order, one process)."""
         rows = []
@@ -853,7 +679,7 @@ class ParallelRunner:
             row = self.cache.get(key) if self.cache is not None else None
             if row is None:
                 self.last_executed += 1
-                row = _guarded_run_job(job, self.config)
+                row = _guarded_run_job(job, self.golden_architecture)
                 self._finish_row(job, row, key, on_result)
             else:
                 self.last_cache_hits += 1
@@ -862,8 +688,8 @@ class ParallelRunner:
             rows.append(row)
         return rows
 
-    def run(self, jobs: Sequence[VerificationJob],
-            on_result: Callable[[VerificationJob, dict], None] | None = None,
+    def run(self, jobs: Sequence[VerificationRequest],
+            on_result: Callable[[VerificationRequest, dict], None] | None = None,
             ) -> list[dict]:
         """Run all jobs and return their rows in job order."""
         jobs = list(jobs)
@@ -896,11 +722,12 @@ class ParallelRunner:
             return [results[i] for i in range(len(jobs))]
         # The hard wall-clock limit needs a killable worker process, so the
         # in-process shortcut only applies when no such limit was requested.
-        if (all(self._job_timeout(jobs[index]) is None for index in pending)
+        if (all(jobs[index].budgets.task_timeout_s is None
+                for index in pending)
                 and (self.workers <= 1 or len(pending) <= 1)):
             for index in pending:
                 job = jobs[index]
-                row = _guarded_run_job(job, self.config)
+                row = _guarded_run_job(job, self.golden_architecture)
                 results[index] = self._finish_row(job, row, keys[index],
                                                   on_result)
             return [results[i] for i in range(len(jobs))]
@@ -957,9 +784,9 @@ class ParallelRunner:
                     replace(slot)
                     worker = workers[slot]
                 job = jobs[index]
-                worker.assign(index, job, self._job_timeout(job))
+                worker.assign(index, job, job.budgets.task_timeout_s)
                 try:
-                    worker.connection.send((job, self.config))
+                    worker.connection.send((job, self.golden_architecture))
                 except OSError:
                     pass  # died just now: its sentinel reports the crash
 
@@ -985,13 +812,6 @@ class ParallelRunner:
                 return None
             return max(0.0, min(moments) - now)
 
-        def failure_row(job: VerificationJob, status: str,
-                        time_s: float | None, reason: str) -> dict:
-            return {"architecture": job.architecture, "width": job.width,
-                    "method": job.method, "status": status,
-                    "time": "TO" if status == "TO" else "-",
-                    "time_s": time_s, "verified": None, "reason": reason}
-
         def finish(index: int, row: dict) -> None:
             nonlocal outstanding
             job = jobs[index]
@@ -1004,7 +824,8 @@ class ParallelRunner:
                     # the attempt, wait out the (deterministic) backoff,
                     # and re-dispatch on whichever worker frees up — the
                     # crashed worker is already being replaced.
-                    delay = policy.delay_s(attempt, key=job.key)
+                    delay = policy.delay_s(attempt, key=(
+                        job.architecture, job.width, job.method))
                     histories.setdefault(index, []).append(attempt_entry(
                         attempt, job.method,
                         "initial" if attempt == 1 else "retry",
@@ -1054,7 +875,7 @@ class ParallelRunner:
                         row = worker.receive()
                         if row is None:
                             worker.process.join(5.0)
-                            row = failure_row(
+                            row = _failure_row(
                                 job, "crash", None, "worker exited with "
                                 f"code {worker.process.exitcode}")
                             replace(slot)
@@ -1065,8 +886,8 @@ class ParallelRunner:
                         # Hard timeout: the worker is wedged inside the
                         # job, so it is killed and replaced.
                         replace(slot)
-                        finish(index, failure_row(
-                            job, "TO", self._job_timeout(job),
+                        finish(index, _failure_row(
+                            job, "TO", job.budgets.task_timeout_s,
                             "hard task timeout"))
                     elif (grace is not None and now - worker.started > grace
                           and attempt_counts.get(index, 1)
@@ -1077,7 +898,7 @@ class ParallelRunner:
                         # remaining attempts — the last attempt always
                         # runs to completion.
                         replace(slot)
-                        finish(index, failure_row(
+                        finish(index, _failure_row(
                             job, "TO", grace,
                             f"straggler re-dispatch after {grace}s grace"))
                 assign_idle()
@@ -1092,15 +913,3 @@ class ParallelRunner:
                 pool.close()
         return [results[i] for i in range(len(jobs))]
 
-
-def run_catalog(architectures: Iterable[str], widths: Iterable[int],
-                methods: Iterable[str], config: ExperimentConfig | None = None,
-                jobs: int = 1,
-                task_timeout_s: float | None = None,
-                on_result: Callable[[VerificationJob, dict], None] | None = None,
-                ) -> list[dict]:
-    """Convenience wrapper: build the job grid and run it (serial or parallel)."""
-    runner = ParallelRunner(config=config, workers=jobs,
-                            task_timeout_s=task_timeout_s)
-    grid = ParallelRunner.catalog(architectures, widths, methods)
-    return runner.run(grid, on_result=on_result)

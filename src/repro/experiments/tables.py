@@ -29,14 +29,10 @@ from repro.api.registry import (
     TABLE1_BASELINES,
     TABLE2_BASELINES,
 )
-from repro.api.request import Budgets
+from repro.api.request import Budgets, VerificationRequest
+from repro.api.service import VerificationService
 from repro.errors import BlowUpError
-from repro.experiments.runner import (
-    ExperimentConfig,
-    run_catalog,
-    run_membership_testing,
-    run_sat_cec,
-)
+from repro.experiments.runner import ExperimentConfig
 from repro.generators.adders import generate_adder
 from repro.generators.catalog import TABLE1_ARCHITECTURES, TABLE2_ARCHITECTURES, \
     TABLE3_ARCHITECTURES
@@ -49,17 +45,23 @@ def _merge_method_columns(architecture: str, width: int, columns: dict) -> dict:
     return row
 
 
-def _method_grid(architectures: Sequence[str], methods: Sequence[str],
-                 config: ExperimentConfig) -> dict[tuple[str, int, str], dict]:
-    """All (architecture, width, method) cells, keyed for column assembly.
+def _service(config: ExperimentConfig) -> VerificationService:
+    return VerificationService(budgets=config.budgets,
+                               golden_architecture=config.golden_architecture,
+                               jobs=config.jobs, cache_dir=config.cache_dir)
 
-    Runs through :func:`repro.experiments.runner.run_catalog`, so with
+
+def _method_grid(architectures: Sequence[str], widths: Sequence[int],
+                 methods: Sequence[str], config: ExperimentConfig,
+                 ) -> dict[tuple[str, int, str], dict]:
+    """All (architecture, width, method) table rows, keyed for column assembly.
+
+    Runs through :meth:`VerificationService.run_grid`, so with
     ``config.jobs > 1`` the whole grid is fanned across worker processes.
     """
-    rows = run_catalog(architectures, config.widths, methods,
-                       config=config, jobs=config.jobs)
-    return {(row["architecture"], row["width"], row["method"]): row
-            for row in rows}
+    reports = _service(config).run_grid(architectures, widths, methods)
+    return {(report.circuit, report.width, report.method): report.to_row()
+            for report in reports}
 
 
 def table1_rows(config: ExperimentConfig | None = None,
@@ -69,7 +71,7 @@ def table1_rows(config: ExperimentConfig | None = None,
     config = config or ExperimentConfig.from_environment()
     methods = (list(TABLE1_BASELINES) if include_baselines else [])
     methods += list(COMPARISON_METHODS)
-    grid = _method_grid(architectures, methods, config)
+    grid = _method_grid(architectures, config.widths, methods, config)
     rows = []
     for width in config.widths:
         for architecture in architectures:
@@ -96,7 +98,7 @@ def table2_rows(config: ExperimentConfig | None = None,
     config = config or ExperimentConfig.from_environment()
     methods = (list(TABLE2_BASELINES) if include_baselines else [])
     methods += list(COMPARISON_METHODS)
-    grid = _method_grid(architectures, methods, config)
+    grid = _method_grid(architectures, config.widths, methods, config)
     rows = []
     for width in config.widths:
         for architecture in architectures:
@@ -104,9 +106,11 @@ def table2_rows(config: ExperimentConfig | None = None,
             if include_baselines:
                 for baseline in TABLE2_BASELINES:
                     columns[baseline] = grid[architecture, width, baseline]["time"]
-                # The CPP stand-in does not support Booth partial products.
-                columns["cpp"] = run_sat_cec(architecture, width, config,
-                                             booth_supported=False)["time"]
+                # The CPP stand-in (sat-cec) does not support Booth
+                # partial products.
+                columns["cpp"] = ("-" if architecture.upper().startswith("BP")
+                                  else grid[architecture, width,
+                                            "sat-cec"]["time"])
             for method in COMPARISON_METHODS:
                 columns[method] = grid[architecture, width, method]["time"]
             primary = grid[architecture, width, COMPARISON_METHODS[-1]]
@@ -123,12 +127,10 @@ def table3_rows(config: ExperimentConfig | None = None,
     width = max(config.widths)
     # Table III reports the paper's primary method (the last comparison
     # column, MT-LR).
-    runs = {row["architecture"]: row
-            for row in run_catalog(architectures, [width],
-                                   [COMPARISON_METHODS[-1]],
-                                   config=config, jobs=config.jobs)}
+    method = COMPARISON_METHODS[-1]
+    runs = _method_grid(architectures, [width], [method], config)
     for architecture in architectures:
-        run = runs[architecture]
+        run = runs[architecture, width, method]
         if run["status"] in ("TO", "error", "crash"):
             rows.append({"benchmark": architecture, "bits": f"{width}/{2 * width}",
                          "#CVM": "TO", "GB reduction": "TO", "#P": "-",
@@ -186,12 +188,17 @@ def ablation_rows(config: ExperimentConfig | None = None,
     pass (``mt-xor``) and against fanout rewriting (``mt-fo``).
     """
     config = config or ExperimentConfig.from_environment()
+    # Fresh in-process runs (submit never reads the cache): the ablation
+    # compares timings.
+    service = _service(config)
     rows = []
     width = max(config.widths)
     for architecture in architectures:
         row = {"benchmark": architecture, "bits": f"{width}/{2 * width}"}
         for method in ABLATION_METHODS:
-            run = run_membership_testing(architecture, width, method, config)
+            run = service.submit(VerificationRequest.from_architecture(
+                architecture, width, method, budgets=config.budgets,
+                find_counterexample=False)).to_row()
             row[method] = run["time"]
             row[f"{method}-peak"] = run.get("peak_remainder", "-")
         rows.append(row)

@@ -12,7 +12,7 @@ so a row verified anywhere is verified everywhere.  See ``docs/fleet.md``.
 """
 
 from .dispatcher import (FleetDispatcher, RETRYABLE_WORKER_STATUSES,
-                         dispatch_cost, wire_document)
+                         wire_document)
 from .topology import FleetTopology, TOPOLOGY_KEYS, WORKER_KEYS, WorkerSpec
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     "TOPOLOGY_KEYS",
     "WORKER_KEYS",
     "WorkerSpec",
-    "dispatch_cost",
     "wire_document",
 ]

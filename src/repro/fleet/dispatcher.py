@@ -54,7 +54,6 @@ from typing import Callable, Iterator, Sequence
 
 from repro.api.report import REPORT_SCHEMA, VerificationReport
 from repro.api.request import Budgets, VerificationRequest
-from repro.api.registry import scheduling_rank
 from repro.errors import VerificationError
 from repro.resilience.policy import RetryPolicy, attempt_entry
 from repro.server.client import ServerError, VerificationClient
@@ -105,21 +104,6 @@ def wire_document(request: VerificationRequest) -> "dict | None":
     if request.seed:
         document["seed"] = request.seed
     return document
-
-
-def dispatch_cost(request: VerificationRequest) -> tuple:
-    """Expected-cost sort key for placement (higher = dispatched first).
-
-    Reuses :func:`~repro.experiments.runner.expected_cost_key` for
-    architecture-named requests; everything else falls back to
-    (width, scheduling rank) so inline Verilog still sorts sensibly.
-    """
-    from repro.experiments.runner import VerificationJob, expected_cost_key
-
-    if request.architecture is not None:
-        return expected_cost_key(VerificationJob(
-            request.architecture, request.width, request.method))
-    return (request.width or 0, scheduling_rank(request.method), 0)
 
 
 class FleetDispatcher:
@@ -300,6 +284,8 @@ class _FleetRun:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
+        from repro.experiments.runner import expected_cost_key
+
         self.d.check_workers(down=self.down)
         order: list[int] = []
         for index, request in enumerate(self.requests):
@@ -308,7 +294,7 @@ class _FleetRun:
                     or not self.d.topology.workers_for(request.method):
                 self.local.add(index)
                 continue
-            self.costs[index] = dispatch_cost(request)
+            self.costs[index] = expected_cost_key(request)
             key = None
             if self.d.cache is not None:
                 from repro.api.service import request_cache_key

@@ -413,35 +413,38 @@ class VerificationServerApp:
         except Exception:  # noqa: BLE001 - cache is an optimization
             pass
 
-    def _run_batch(self, runner, requests, jobs):
-        """``run_batch`` plus the worker-side shared-cache protocol.
+    def _iter_batch(self, execute, requests, jobs):
+        """Reports of a batch in request order, through the shared cache.
 
-        With ``--shared-cache`` set, each request is first looked up in
-        the coordinator's cache (``GET /v1/cache/{key}``); only the
-        misses execute, and their reports are published back (``PUT``).
-        Cached reports are canonical, so the reassembled list is
-        byte-identical to a full local run.  Without a shared cache this
-        is exactly ``runner.run_batch``.
+        ``execute`` is the batch runner's ``run_batch`` or ``iter_batch``;
+        every synchronous, asynchronous and streaming batch comes through
+        here.  With ``--shared-cache`` set, each request is first looked
+        up in the coordinator's cache (``GET /v1/cache/{key}``); only the
+        misses execute, and their reports are published back (``PUT``)
+        as they arrive.  Cached reports are canonical, so the reassembled
+        sequence is byte-identical to a full local run.  Without a shared
+        cache every request executes.
         """
-        if self.shared_cache_url is None:
-            return runner.run_batch(requests, jobs=jobs)
         keys = [self._shared_cache_key(request) for request in requests]
-        reports: dict[int, object] = {}
+        hits: dict[int, object] = {}
         for index, key in enumerate(keys):
             if key is not None:
                 hit = self._shared_cache_get(key)
                 if hit is not None:
-                    reports[index] = hit
-        misses = [index for index in range(len(requests))
-                  if index not in reports]
-        if misses:
-            executed = runner.run_batch([requests[index] for index in misses],
-                                        jobs=jobs)
-            for index, report in zip(misses, executed):
-                reports[index] = report
-                if keys[index] is not None:
-                    self._shared_cache_put(keys[index], report)
-        return [reports[index] for index in range(len(requests))]
+                    hits[index] = hit
+        misses = [request for index, request in enumerate(requests)
+                  if index not in hits]
+        executed = iter(execute(misses, jobs=jobs) if misses else ())
+        for index, key in enumerate(keys):
+            if index in hits:
+                yield hits[index]
+                continue
+            report = next(executed)
+            if key is not None:
+                self._shared_cache_put(key, report)
+            yield report
+        # Run a streaming executor to its end, where it books its counters.
+        next(executed, None)
 
     def _store_certificates(self, reports) -> None:
         """Index emitted certificates by content hash (bounded, FIFO)."""
@@ -655,7 +658,7 @@ class VerificationServerApp:
         """``GET/PUT /v1/cache/{key}`` — the shared result-cache protocol.
 
         Keys are the content-addressed sha256 hex digests of
-        :func:`repro.experiments.runner.result_cache_key`; the caller
+        :func:`repro.api.service.request_cache_key`; the caller
         computes them, this endpoint only serves/stores entries.  PUT
         enforces the cacheability contract (infrastructure failures are
         refused with ``"stored": false``, never an error) so a confused
@@ -781,7 +784,9 @@ class VerificationServerApp:
                                 content_type="application/x-ndjson",
                                 stream=self._stream_batch(runner, requests,
                                                           jobs))
-        reports = self._run_batch(runner, requests, jobs)
+        # The synchronous path stays on run_batch, in the handler's own
+        # thread; iter_batch would run the batch on another thread.
+        reports = list(self._iter_batch(runner.run_batch, requests, jobs))
         with self._metrics_lock:
             self._batches_total += 1
         self._count_reports(reports, runner.last_cache_hits,
@@ -809,7 +814,8 @@ class VerificationServerApp:
         """
         reports = []
         try:
-            for report in runner.iter_batch(requests, jobs=jobs):
+            for report in self._iter_batch(runner.iter_batch, requests,
+                                           jobs):
                 reports.append(report)
                 yield report.to_json().encode("utf-8") + b"\n"
         except Exception as error:  # noqa: BLE001 - stream boundary
@@ -839,7 +845,8 @@ class VerificationServerApp:
         self.job_store.start(job_id)
         try:
             runner = self._batch_runner()
-            reports = self._run_batch(runner, requests, jobs)
+            reports = list(self._iter_batch(runner.run_batch, requests,
+                                            jobs))
         except Exception as error:  # noqa: BLE001 - job isolation boundary
             self.job_store.fail(job_id, f"{type(error).__name__}: {error}")
             return

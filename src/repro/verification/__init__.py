@@ -13,10 +13,9 @@ the rendered remainder and, when requested, a simulation-validated
 counterexample.  Rewriting and reduction run on the one batch kernel of
 :class:`~repro.algebra.substitution.SubstitutionEngine`; budget trips
 raise :class:`~repro.errors.BlowUpError`, which the layers above report
-as ``TO`` rows / ``verdict="budget"`` reports.  Budgets arrive as a
-:class:`~repro.api.request.Budgets` bundle via the service layer — the
-per-knob keyword arguments of :func:`~repro.verification.engine.verify`
-are a compatibility shim.
+as ``TO`` rows / ``verdict="budget"`` reports.  Budgets arrive as one
+:class:`~repro.api.request.Budgets` bundle, the ``budgets`` argument of
+:func:`~repro.verification.engine.verify`.
 """
 
 from repro.verification.engine import verify, verify_multiplier, verify_adder

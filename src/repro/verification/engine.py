@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-import warnings
 
 from repro.algebra.polynomial import Polynomial
 from repro.api.registry import algebraic_backend_names
@@ -56,25 +55,12 @@ from repro.verification.vanishing import VanishingRules
 #: the single source of truth in :mod:`repro.api.registry`).
 METHODS = algebraic_backend_names()
 
-#: Sentinel distinguishing "kwarg not passed" from any legal value, so the
-#: deprecated budget kwargs can warn only when actually used.
-_UNSET = object()
-
-#: The legacy budget kwargs and their historical defaults (identical to the
-#: corresponding :class:`~repro.api.request.Budgets` field defaults).
-_LEGACY_BUDGET_KWARGS = ("monomial_budget", "time_budget_s",
-                         "vanishing_cache_limit", "counterexample_tries")
-
 
 def verify(netlist: Netlist, specification: Specification | str = "multiplier",
            method: str = "mt-lr", *,
            budgets=None,
-           monomial_budget=_UNSET,
-           time_budget_s=_UNSET,
            xor_and_only: bool = False,
-           vanishing_cache_limit=_UNSET,
            find_counterexample: bool = True,
-           counterexample_tries=_UNSET,
            certificate: bool = False,
            seed: int = 0,
            model: AlgebraicModel | None = None) -> VerificationResult:
@@ -83,12 +69,7 @@ def verify(netlist: Netlist, specification: Specification | str = "multiplier",
     The canonical entry point is the service layer
     (:class:`repro.api.VerificationService` with a typed
     :class:`~repro.api.request.VerificationRequest`); this function is the
-    pipeline it drives.  The individual budget keyword arguments
-    (``monomial_budget``, ``time_budget_s``, ``vanishing_cache_limit``,
-    ``counterexample_tries``) are the historical pre-``Budgets`` surface;
-    passing any of them emits a :class:`DeprecationWarning` — they are
-    normalized into a :class:`~repro.api.request.Budgets` and ignored
-    whenever ``budgets`` is passed explicitly.
+    pipeline it drives.
 
     Parameters
     ----------
@@ -101,7 +82,8 @@ def verify(netlist: Netlist, specification: Specification | str = "multiplier",
     method:
         One of :data:`METHODS`.
     budgets:
-        A :class:`~repro.api.request.Budgets` bundle; the monomial/time
+        A :class:`~repro.api.request.Budgets` bundle (``None``: the
+        defaults of ``Budgets()``); the monomial/time
         budgets are blow-up guards whose violation raises
         :class:`~repro.errors.BlowUpError` (reported as a time-out in the
         benchmark tables), ``vanishing_cache_limit`` caps the
@@ -131,22 +113,9 @@ def verify(netlist: Netlist, specification: Specification | str = "multiplier",
         raise VerificationError(
             f"unknown method {method!r}; "
             f"expected {algebraic_backend_names()}")
-    legacy = {name: value for name, value in
-              zip(_LEGACY_BUDGET_KWARGS,
-                  (monomial_budget, time_budget_s, vanishing_cache_limit,
-                   counterexample_tries))
-              if value is not _UNSET}
-    if legacy:
-        warnings.warn(
-            f"passing budget keyword arguments ({', '.join(sorted(legacy))}) "
-            "to verify() is deprecated; pass budgets=Budgets(...) or drive "
-            "the pipeline through repro.api.VerificationRequest",
-            DeprecationWarning, stacklevel=2)
     if budgets is None:
         from repro.api.request import Budgets
-        # Budgets field defaults equal the historical kwarg defaults, so
-        # unset kwargs fall through to the same values as before.
-        budgets = Budgets(**legacy)
+        budgets = Budgets()
     monomial_budget = budgets.monomial_budget
     time_budget_s = budgets.time_budget_s
     vanishing_cache_limit = budgets.vanishing_cache_limit

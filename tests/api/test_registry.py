@@ -89,12 +89,13 @@ def test_table_column_lists_are_registry_validated():
         assert has_backend(name)
 
 
-def test_derived_consumers_use_the_registry():
-    from repro.experiments.runner import JOB_METHODS
+def test_derived_consumers_use_the_registry(capsys):
+    from repro.cli import main
     from repro.verification.engine import METHODS
 
     assert METHODS == algebraic_backend_names()
-    assert JOB_METHODS == backend_names()
+    assert main(["batch", "-a", "SP-AR-RC", "-m", "no-such-method"]) == 1
+    assert ", ".join(backend_names()) in capsys.readouterr().err
 
 
 def test_no_hardcoded_method_lists_outside_the_registry():

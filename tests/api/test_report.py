@@ -16,15 +16,17 @@ from repro.api.report import (
 from repro.api.request import Budgets, VerificationRequest
 from repro.api.service import VerificationService
 from repro.errors import VerificationError
-from repro.experiments.runner import (
-    ExperimentConfig,
-    run_bdd_cec,
-    run_membership_testing,
-    run_sat_cec,
-)
+from repro.experiments.runner import run_request
 
-CONFIG = ExperimentConfig(widths=(3,), time_budget_s=60.0,
-                          monomial_budget=200_000)
+BUDGETS = Budgets(time_budget_s=60.0, monomial_budget=200_000)
+
+
+def _row(architecture: str, width: int, method: str,
+         budgets: Budgets = BUDGETS) -> dict:
+    """The table row of one batch cell, as a pool worker produces it."""
+    return run_request(VerificationRequest.from_architecture(
+        architecture, width, method, budgets=budgets,
+        find_counterexample=False), "SP-AR-RC")
 
 
 def _assert_row_roundtrip(row: dict) -> None:
@@ -39,28 +41,29 @@ def _assert_row_roundtrip(row: dict) -> None:
 
 
 def test_membership_row_roundtrip():
-    _assert_row_roundtrip(run_membership_testing("SP-AR-RC", 3, "mt-lr", CONFIG))
+    _assert_row_roundtrip(_row("SP-AR-RC", 3, "mt-lr"))
 
 
 def test_membership_budget_trip_row_roundtrip():
-    tight = ExperimentConfig(widths=(4,), monomial_budget=10)
-    row = run_membership_testing("SP-RT-KS", 4, "mt-naive", tight)
+    row = _row("SP-RT-KS", 4, "mt-naive",
+               Budgets(time_budget_s=60.0, monomial_budget=10))
     assert row["status"] == "TO"
     _assert_row_roundtrip(row)
 
 
 def test_sat_row_roundtrip():
-    _assert_row_roundtrip(run_sat_cec("SP-WT-CL", 3, CONFIG))
+    _assert_row_roundtrip(_row("SP-WT-CL", 3, "sat-cec"))
 
 
 def test_sat_not_applicable_row_roundtrip():
-    row = run_sat_cec("BP-AR-RC", 3, CONFIG, booth_supported=False)
+    row = VerificationReport.not_applicable(
+        "sat-cec", circuit="BP-AR-RC", width=3).to_row()
     assert row["status"] == "n/a"
     _assert_row_roundtrip(row)
 
 
 def test_bdd_row_roundtrip():
-    _assert_row_roundtrip(run_bdd_cec("SP-CT-BK", 3, CONFIG))
+    _assert_row_roundtrip(_row("SP-CT-BK", 3, "bdd-cec"))
 
 
 def test_error_and_crash_row_roundtrip():
@@ -73,7 +76,7 @@ def test_error_and_crash_row_roundtrip():
 
 
 def test_json_roundtrip_is_byte_identical():
-    row = run_membership_testing("SP-AR-RC", 3, "mt-lr", CONFIG)
+    row = _row("SP-AR-RC", 3, "mt-lr")
     text = VerificationReport.from_row(row).to_json()
     assert VerificationReport.from_json(text).to_json() == text
     document = json.loads(text)

@@ -7,7 +7,6 @@ import pytest
 from repro.api.request import Budgets, VerificationRequest
 from repro.circuit.verilog import write_verilog
 from repro.errors import VerificationError
-from repro.experiments.runner import ExperimentConfig
 from repro.generators.multipliers import generate_multiplier
 
 
@@ -22,16 +21,11 @@ def test_budgets_defaults_match_historical_entrypoint_defaults():
     assert budgets.task_timeout_s is None
 
 
-def test_budgets_replace_and_from_config():
-    assert Budgets().replace(monomial_budget=7).monomial_budget == 7
-    config = ExperimentConfig(monomial_budget=123, time_budget_s=4.5,
-                              sat_conflict_budget=9, bdd_node_budget=10)
-    budgets = Budgets.from_config(config, task_timeout_s=2.0)
-    assert budgets.monomial_budget == 123
-    assert budgets.time_budget_s == 4.5
-    assert budgets.sat_conflict_budget == 9
-    assert budgets.bdd_node_budget == 10
+def test_budgets_replace():
+    budgets = Budgets().replace(monomial_budget=7, task_timeout_s=2.0)
+    assert budgets.monomial_budget == 7
     assert budgets.task_timeout_s == 2.0
+    assert budgets.sat_conflict_budget == Budgets().sat_conflict_budget
 
 
 def test_exactly_one_circuit_source_required():

@@ -2,8 +2,8 @@
 
 Covers the ISSUE 4 acceptance tests: every registered backend runs on the
 4-bit catalog with byte-identical report JSON round-trips, the SAT/BDD
-baselines agree with the algebraic methods verdict-for-verdict, the old
-``verify(**kwargs)`` shim pins to the new pipeline's results, and
+baselines agree with the algebraic methods verdict-for-verdict,
+``verify(budgets=...)`` pins to the service pipeline's results, and
 ``run_batch`` reproduces the parallel runner's rows.
 """
 
@@ -71,21 +71,18 @@ def test_verdict_parity_grid_on_injected_bug(service, architecture):
     assert set(verdicts.values()) == {"refuted"}, verdicts
 
 
-def test_deprecation_shim_pins_old_kwargs_to_new_pipeline(service):
-    """`verify(**kwargs)` must reproduce the service pipeline's results."""
+def test_verify_budgets_pin_the_service_pipeline(service):
+    """`verify(budgets=...)` must reproduce the service pipeline's results;
+    the individual budget keywords are gone."""
     netlist = generate_multiplier("SP-CT-BK", 4)
-    with pytest.warns(DeprecationWarning, match="budget keyword arguments"):
-        old = verify(netlist, method="mt-lr", monomial_budget=100_000,
-                     time_budget_s=60.0, vanishing_cache_limit=4096,
-                     counterexample_tries=16, seed=7)
+    budgets = Budgets(monomial_budget=100_000, time_budget_s=60.0,
+                      vanishing_cache_limit=4096, counterexample_tries=16)
+    direct = verify(netlist, method="mt-lr", budgets=budgets, seed=7)
     new = service.submit(VerificationRequest.from_netlist(
-        netlist, method="mt-lr",
-        budgets=Budgets(monomial_budget=100_000, time_budget_s=60.0,
-                        vanishing_cache_limit=4096, counterexample_tries=16),
-        seed=7))
+        netlist, method="mt-lr", budgets=budgets, seed=7))
     assert new.verdict == "verified"
-    assert old.verified is True
-    fresh = VerificationReport.from_result(old, circuit="SP-CT-BK", width=4)
+    assert direct.verified is True
+    fresh = VerificationReport.from_result(direct, circuit="SP-CT-BK", width=4)
 
     def deterministic(counters):
         return {k: v for k, v in counters.items()
@@ -93,12 +90,8 @@ def test_deprecation_shim_pins_old_kwargs_to_new_pipeline(service):
 
     assert deterministic(fresh.counters) == deterministic(new.counters)
     assert fresh.verdict == new.verdict
-    # The shim also accepts a ready Budgets object directly.
-    via_budgets = verify(netlist, method="mt-lr",
-                         budgets=Budgets(monomial_budget=100_000))
-    assert via_budgets.verified is True
-    assert (via_budgets.cancelled_vanishing_monomials
-            == old.cancelled_vanishing_monomials)
+    with pytest.raises(TypeError):
+        verify(netlist, method="mt-lr", monomial_budget=100_000)
 
 
 _TIMING_KEYS = ("time", "time_s", "reduction_time_s", "rewrite_time_s",
@@ -115,9 +108,8 @@ def test_run_batch_matches_parallel_runner_rows(service):
     architectures = ["SP-AR-RC", "SP-WT-CL"]
     methods = ["mt-lr", "sat-cec", "bdd-cec"]
     reports = service.run_grid(architectures, [3], methods)
-    config = service._experiment_config(service.budgets)
-    runner = ParallelRunner(config, workers=1)
-    rows = runner.run(ParallelRunner.catalog(architectures, [3], methods))
+    runner = ParallelRunner(workers=1)
+    rows = runner.run(service.grid(architectures, [3], methods))
     assert [_stable(report.to_row()) for report in reports] == [
         _stable(row) for row in rows]
     assert service.last_executed == len(rows)
@@ -133,6 +125,24 @@ def test_run_batch_parallel_matches_serial(service):
     parallel = service.run_batch(requests, jobs=2)
     assert [_stable(r.to_row()) for r in serial] == [
         _stable(r.to_row()) for r in parallel]
+
+
+def test_a_request_listed_twice_gets_both_reports():
+    """The runner joins rows by job identity, so each listing is a job."""
+    service = VerificationService(budgets=Budgets(time_budget_s=60.0))
+    twice = VerificationRequest.from_architecture(
+        "SP-WT-CL", 3, budgets=service.budgets, find_counterexample=False)
+    other = VerificationRequest.from_architecture(
+        "SP-AR-RC", 3, budgets=service.budgets, find_counterexample=False)
+    requests = [twice, other, twice]
+    batched = service.run_batch(requests, jobs=2)
+    assert service.last_executed == 3
+    streamed = list(service.iter_batch(requests, jobs=2))
+    assert service.last_executed == 3
+    for reports in (batched, streamed):
+        assert [(r.circuit, r.verdict) for r in reports] == [
+            ("SP-WT-CL", "verified"), ("SP-AR-RC", "verified"),
+            ("SP-WT-CL", "verified")]
 
 
 def test_run_batch_mixes_pooled_and_inprocess_requests(service):
@@ -207,20 +217,28 @@ def test_run_batch_uses_result_cache(tmp_path):
     assert [r.to_row() for r in first] == [r.to_row() for r in second]
 
 
-def test_experiment_config_maps_budgets_verbatim(monkeypatch):
+def test_pooled_requests_keep_their_budgets_verbatim(monkeypatch):
     """run_batch must obey the same budget semantics as submit: None means
-    disabled, and REPRO_BENCH_* environment overrides do not sneak in."""
+    disabled, and REPRO_BENCH_* environment overrides do not sneak in.
+    Only the hard task timeout falls back: to the service budgets', then
+    to the service's own."""
     monkeypatch.setenv("REPRO_BENCH_TIMEOUT", "7")
     monkeypatch.setenv("REPRO_BENCH_MONOMIAL_BUDGET", "123")
-    service = VerificationService()          # default Budgets: no time guard
-    config = service._experiment_config(service.budgets)
-    assert config.time_budget_s is None
-    assert config.monomial_budget == service.budgets.monomial_budget
-    assert config.sat_conflict_budget == service.budgets.sat_conflict_budget
-    assert config.bdd_node_budget == service.budgets.bdd_node_budget
-    capped = service._experiment_config(Budgets(vanishing_cache_limit=64))
-    assert capped.vanishing_cache_limit == 64
-    assert Budgets.from_config(capped).vanishing_cache_limit == 64
+    service = VerificationService(task_timeout_s=9.0)
+    capped = Budgets(vanishing_cache_limit=64)
+    requests = [VerificationRequest.from_architecture(
+        "SP-AR-RC", 3, budgets=budgets, find_counterexample=False)
+        for budgets in (service.budgets, capped, capped.replace(
+            task_timeout_s=2.0))]
+    _, pooled, grid = service._pooled_jobs(requests, None)
+    assert pooled == [0, 1, 2]
+    assert [job.budgets for job in grid] == [
+        service.budgets.replace(task_timeout_s=9.0),
+        capped.replace(task_timeout_s=9.0), capped.replace(task_timeout_s=2.0)]
+    assert grid[0].budgets.time_budget_s is None
+    service.budgets = Budgets(task_timeout_s=5.0)
+    _, _, grid = service._pooled_jobs(requests[1:2], None)
+    assert grid[0].budgets.task_timeout_s == 5.0
 
 
 def test_run_batch_honours_non_default_request_knobs(service):
@@ -264,9 +282,9 @@ def test_custom_backend_method_name_propagates():
         assert report.method == "sat-custom"
         assert report.verdict == "verified"
 
-        from repro.experiments.runner import VerificationJob, run_job
-        config = service._experiment_config(service.budgets)
-        row = run_job(VerificationJob("SP-AR-RC", 3, "sat-custom"), config)
+        from repro.experiments.runner import run_request
+        row = run_request(VerificationRequest.from_architecture(
+            "SP-AR-RC", 3, "sat-custom"), service.golden_architecture)
         assert row["method"] == "sat-custom"
     finally:
         unregister("sat-custom")

@@ -2,34 +2,53 @@
 
 import pytest
 
-from repro.experiments.runner import (
-    ExperimentConfig,
-    run_bdd_cec,
-    run_membership_testing,
-    run_sat_cec,
-)
+from repro.api.request import Budgets, VerificationRequest
+from repro.experiments.runner import ExperimentConfig, run_request
 
 
 @pytest.fixture
-def small_config():
-    return ExperimentConfig(widths=(3,), time_budget_s=30.0,
-                            monomial_budget=200_000,
-                            sat_conflict_budget=50_000,
-                            bdd_node_budget=200_000)
+def small_budgets():
+    return Budgets(time_budget_s=30.0, monomial_budget=200_000,
+                   sat_conflict_budget=50_000, bdd_node_budget=200_000)
+
+
+def _row(architecture, width, method, budgets):
+    return run_request(VerificationRequest.from_architecture(
+        architecture, width, method, budgets=budgets,
+        find_counterexample=False), "SP-AR-RC")
 
 
 def test_config_from_environment(monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_BITS", "4,8,16")
     monkeypatch.setenv("REPRO_BENCH_TIMEOUT", "12.5")
+    monkeypatch.setenv("REPRO_BENCH_MONOMIAL_BUDGET", "4321")
     monkeypatch.setenv("REPRO_BENCH_SAT_CONFLICTS", "777")
+    monkeypatch.setenv("REPRO_BENCH_BDD_NODES", "999")
     config = ExperimentConfig.from_environment()
     assert config.widths == (4, 8, 16)
-    assert config.time_budget_s == 12.5
-    assert config.sat_conflict_budget == 777
+    assert config.budgets == Budgets(time_budget_s=12.5, monomial_budget=4321,
+                                     sat_conflict_budget=777,
+                                     bdd_node_budget=999)
 
 
-def test_membership_testing_row_for_mt_lr(small_config):
-    row = run_membership_testing("SP-WT-CL", 3, "mt-lr", small_config)
+def test_config_defaults(monkeypatch):
+    for variable in ("BITS", "TIMEOUT", "MONOMIAL_BUDGET", "SAT_CONFLICTS",
+                     "BDD_NODES", "JOBS", "CACHE"):
+        monkeypatch.delenv(f"REPRO_BENCH_{variable}", raising=False)
+    config = ExperimentConfig.from_environment()
+    assert config == ExperimentConfig()
+    assert config.widths == (4, 8)
+    assert config.budgets == Budgets(time_budget_s=60.0,
+                                     monomial_budget=2_000_000,
+                                     sat_conflict_budget=200_000,
+                                     bdd_node_budget=1_000_000)
+    assert (config.golden_architecture, config.jobs, config.cache_dir) == (
+        "SP-AR-RC", 1, None)
+    assert len(ExperimentConfig.__dataclass_fields__) == 5
+
+
+def test_membership_testing_row_for_mt_lr(small_budgets):
+    row = _row("SP-WT-CL", 3, "mt-lr", small_budgets)
     assert row["status"] == "ok"
     assert row["verified"] is True
     assert row["time"] != "TO"
@@ -37,23 +56,21 @@ def test_membership_testing_row_for_mt_lr(small_config):
     assert row["cancelled_vanishing_monomials"] > 0
 
 
-def test_membership_testing_row_reports_timeout(small_config):
-    config = ExperimentConfig(widths=(6,), time_budget_s=2.0, monomial_budget=500)
-    row = run_membership_testing("BP-RT-KS", 6, "mt-fo", config)
+def test_membership_testing_row_reports_timeout():
+    row = _row("BP-RT-KS", 6, "mt-fo",
+               Budgets(time_budget_s=2.0, monomial_budget=500))
     assert row["status"] == "TO"
     assert row["time"] == "TO"
     assert row["verified"] is None
 
 
-def test_sat_cec_rows(small_config):
-    row = run_sat_cec("SP-WT-CL", 3, small_config)
+def test_sat_cec_rows(small_budgets):
+    row = _row("SP-WT-CL", 3, "sat-cec", small_budgets)
     assert row["status"] == "ok"
-    booth = run_sat_cec("BP-AR-RC", 3, small_config, booth_supported=False)
-    assert booth["status"] == "n/a"
-    assert booth["time"] == "-"
+    assert row["conflicts"] >= 0
 
 
-def test_bdd_cec_row(small_config):
-    row = run_bdd_cec("SP-AR-RC", 3, small_config)
+def test_bdd_cec_row(small_budgets):
+    row = _row("SP-AR-RC", 3, "bdd-cec", small_budgets)
     assert row["status"] == "ok"
     assert row["bdd_nodes"] > 0

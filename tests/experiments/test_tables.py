@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.request import Budgets
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.tables import (
     ablation_rows,
@@ -16,10 +17,9 @@ from repro.experiments.tables import (
 
 @pytest.fixture
 def tiny_config():
-    return ExperimentConfig(widths=(3,), time_budget_s=30.0,
-                            monomial_budget=500_000,
-                            sat_conflict_budget=50_000,
-                            bdd_node_budget=500_000)
+    return ExperimentConfig(widths=(3,), budgets=Budgets(
+        time_budget_s=30.0, monomial_budget=500_000,
+        sat_conflict_budget=50_000, bdd_node_budget=500_000))
 
 
 def test_table1_rows_have_expected_columns(tiny_config):
@@ -34,10 +34,12 @@ def test_table1_rows_have_expected_columns(tiny_config):
 
 
 def test_table2_rows_mark_cpp_not_applicable(tiny_config):
-    rows = table2_rows(tiny_config, architectures=("BP-AR-RC",),
+    rows = table2_rows(tiny_config, architectures=("BP-AR-RC", "SP-AR-RC"),
                        include_baselines=True)
     assert rows[0]["cpp"] == "-"
     assert rows[0]["verified"] is True
+    # A non-Booth architecture reads the sat-cec cell.
+    assert rows[1]["cpp"] not in ("-", "TO")
 
 
 def test_table3_rows_report_model_statistics(tiny_config):

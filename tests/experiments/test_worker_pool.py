@@ -24,15 +24,10 @@ from pathlib import Path
 import pytest
 
 from repro.api.report import VerificationReport
-from repro.api.request import VerificationRequest
+from repro.api.request import Budgets, VerificationRequest
 from repro.api.service import VerificationService
 from repro.experiments import runner as runner_module
-from repro.experiments.runner import (
-    ExperimentConfig,
-    ParallelRunner,
-    VerificationJob,
-    WorkerPool,
-)
+from repro.experiments.runner import ParallelRunner, WorkerPool
 from repro.resilience.policy import RetryPolicy
 from repro.server import ServerThread, VerificationClient, VerificationServerApp
 
@@ -56,9 +51,11 @@ def _timeless(report: VerificationReport) -> str:
     return json.dumps(document, sort_keys=True)
 
 
-def _requests(*architectures: str, width: int = 4) -> list[VerificationRequest]:
+def _requests(*architectures: str, width: int = 4,
+              budgets: Budgets = Budgets()) -> list[VerificationRequest]:
     return [VerificationRequest.from_architecture(
-        architecture, width, "mt-lr", find_counterexample=False)
+        architecture, width, "mt-lr", budgets=budgets,
+        find_counterexample=False)
         for architecture in architectures]
 
 
@@ -240,30 +237,29 @@ def test_a_worker_killed_between_batches_is_replaced_not_used():
 
 
 def test_a_hard_timeout_kill_never_leaks_a_row_into_the_next_run(monkeypatch):
-    real_run_job = runner_module.run_job
+    real_run_request = runner_module.run_request
 
-    def run_job(job, config):
-        if job.architecture == "SP-WT-CL":
+    def run_request(request, golden_architecture):
+        if request.architecture == "SP-WT-CL":
             time.sleep(1.0)
-            return {**real_run_job(job, config), "reason": "late row"}
-        if job.architecture == "SP-CT-BK":
+            return {**real_run_request(request, golden_architecture),
+                    "reason": "late row"}
+        if request.architecture == "SP-CT-BK":
             time.sleep(1.2)   # keeps the next run open past the late row
-        return real_run_job(job, config)
+        return real_run_request(request, golden_architecture)
 
-    monkeypatch.setattr(runner_module, "run_job", run_job)
-    config = ExperimentConfig(widths=(3,), time_budget_s=60.0)
+    monkeypatch.setattr(runner_module, "run_request", run_request)
+    budgets = Budgets(time_budget_s=60.0)
     pool = WorkerPool(max_idle=2)
     try:
-        first = ParallelRunner(config, workers=2, task_timeout_s=0.3,
-                               pool=pool)
-        rows = first.run([VerificationJob("SP-WT-CL", 3, "mt-lr"),
-                          VerificationJob("SP-AR-RC", 3, "mt-lr")])
+        first = ParallelRunner(workers=2, pool=pool)
+        rows = first.run(_requests("SP-WT-CL", "SP-AR-RC", width=3,
+                                   budgets=budgets.replace(task_timeout_s=0.3)))
         assert [row["status"] for row in rows] == ["TO", "ok"]
         assert pool.started_total == 3 and pool.idle == 2
-        jobs = [VerificationJob("SP-CT-BK", 3, "mt-lr"),
-                VerificationJob("SP-DT-HC", 3, "mt-lr"),
-                VerificationJob("SP-AR-RC", 3, "mt-lr")]
-        rows = ParallelRunner(config, workers=2, pool=pool).run(jobs)
+        jobs = _requests("SP-CT-BK", "SP-DT-HC", "SP-AR-RC", width=3,
+                         budgets=budgets)
+        rows = ParallelRunner(workers=2, pool=pool).run(jobs)
     finally:
         pool.close()
     assert [(row["architecture"], row["status"]) for row in rows] == [
@@ -274,16 +270,16 @@ def test_a_hard_timeout_kill_never_leaks_a_row_into_the_next_run(monkeypatch):
 
 def test_a_due_retry_waits_for_a_busy_worker_without_spinning(monkeypatch,
                                                             tmp_path):
-    real_run_job = runner_module.run_job
+    real_run_request = runner_module.run_request
     crashed = tmp_path / "crashed"
 
-    def run_job(job, config):
-        if job.width == 4 and not crashed.exists():
+    def run_request(request, golden_architecture):
+        if request.width == 4 and not crashed.exists():
             crashed.touch()
             os._exit(137)
-        if job.width == 3:
+        if request.width == 3:
             time.sleep(1.0)   # both workers stay busy past the backoff
-        return real_run_job(job, config)
+        return real_run_request(request, golden_architecture)
 
     timeouts = []
     real_wait = multiprocessing.connection.wait
@@ -292,16 +288,15 @@ def test_a_due_retry_waits_for_a_busy_worker_without_spinning(monkeypatch,
         timeouts.append(timeout)
         return real_wait(handles, timeout)
 
-    monkeypatch.setattr(runner_module, "run_job", run_job)
+    monkeypatch.setattr(runner_module, "run_request", run_request)
     monkeypatch.setattr(multiprocessing.connection, "wait", wait)
     runner = ParallelRunner(
-        ExperimentConfig(), workers=2, retry_policy=RetryPolicy(
+        workers=2, retry_policy=RetryPolicy(
             max_attempts=2, base_delay_s=0.01, max_delay_s=0.01))
     # Widest first: the 4-bit job crashes at once, its replacement takes a
     # 3-bit job, and the retry comes due while both workers sleep.
-    rows = runner.run([VerificationJob("SP-AR-RC", 4, "mt-lr"),
-                       VerificationJob("SP-WT-CL", 3, "mt-lr"),
-                       VerificationJob("SP-DT-HC", 3, "mt-lr")])
+    rows = runner.run(_requests("SP-AR-RC") + _requests("SP-WT-CL", "SP-DT-HC",
+                                                        width=3))
     assert [row["status"] for row in rows] == ["ok"] * 3
     assert runner.last_retries == 1
     assert len(timeouts) < 20, timeouts
@@ -310,12 +305,13 @@ def test_a_due_retry_waits_for_a_busy_worker_without_spinning(monkeypatch,
 def test_workers_exit_when_their_parent_dies():
     script = (
         "import os\n"
-        "from repro.experiments.runner import (ExperimentConfig,\n"
-        "    ParallelRunner, VerificationJob, WorkerPool)\n"
+        "from repro.api.request import VerificationRequest\n"
+        "from repro.experiments.runner import ParallelRunner, WorkerPool\n"
         "pool = WorkerPool(max_idle=2)\n"
-        "runner = ParallelRunner(ExperimentConfig(), workers=2, pool=pool)\n"
-        "rows = runner.run([VerificationJob('SP-AR-RC', 3, 'mt-lr'),\n"
-        "                   VerificationJob('SP-WT-CL', 3, 'mt-lr')])\n"
+        "runner = ParallelRunner(workers=2, pool=pool)\n"
+        "rows = runner.run([VerificationRequest.from_architecture(\n"
+        "    arch, 3, find_counterexample=False)\n"
+        "    for arch in ('SP-AR-RC', 'SP-WT-CL')])\n"
         "assert all(row['verified'] for row in rows), rows\n"
         "print(' '.join(str(w.process.pid) for w in pool._idle), flush=True)\n"
         "os._exit(0)\n")
@@ -338,14 +334,16 @@ def test_workers_exit_when_their_parent_dies():
 def test_busy_workers_exit_when_their_parent_dies():
     script = (
         "import os, time\n"
+        "from repro.api.request import VerificationRequest\n"
         "from repro.experiments import runner\n"
-        "def run_job(job, config):\n"
+        "def run_request(request, golden_architecture):\n"
         "    print(os.getpid(), flush=True)\n"
         "    time.sleep(60)\n"
-        "runner.run_job = run_job\n"
-        "runner.ParallelRunner(runner.ExperimentConfig(), workers=2).run(\n"
-        "    [runner.VerificationJob('SP-AR-RC', 3, 'mt-lr'),\n"
-        "     runner.VerificationJob('SP-WT-CL', 3, 'mt-lr')])\n")
+        "runner.run_request = run_request\n"
+        "runner.ParallelRunner(workers=2).run(\n"
+        "    [VerificationRequest.from_architecture(\n"
+        "        arch, 3, find_counterexample=False)\n"
+        "     for arch in ('SP-AR-RC', 'SP-WT-CL')])\n")
     environment = {**os.environ, "PYTHONPATH": str(SRC)}
     with subprocess.Popen([sys.executable, "-c", script], env=environment,
                           stdout=subprocess.PIPE) as child:
@@ -436,13 +434,13 @@ def test_close_leaves_no_live_worker(assigned):
 
 def test_close_stops_the_workers_of_a_batch_still_running(assigned,
                                                           monkeypatch):
-    real_run_job = runner_module.run_job
+    real_run_request = runner_module.run_request
 
-    def slow_run_job(job, config):
+    def slow_run_request(request, golden_architecture):
         time.sleep(0.5)
-        return real_run_job(job, config)
+        return real_run_request(request, golden_architecture)
 
-    monkeypatch.setattr(runner_module, "run_job", slow_run_job)
+    monkeypatch.setattr(runner_module, "run_request", slow_run_request)
     app = VerificationServerApp(jobs=2)
     requests = _requests("SP-AR-RC", "SP-WT-CL", "SP-DT-HC")
     reports = []

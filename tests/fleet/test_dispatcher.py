@@ -85,14 +85,15 @@ def test_fleet_batch_matches_local_run_batch(workers):
 
 
 def test_placement_is_longest_expected_first(workers):
-    from repro.fleet import dispatch_cost
+    from repro.experiments.runner import expected_cost_key
 
     requests = requests_for(GRID)
     dispatcher = FleetDispatcher(topology_for(workers))
     dispatcher.run_batch(requests)
     dispatched = [index for _, index, _ in dispatcher.dispatch_log]
     expected = sorted(range(len(requests)),
-                      key=lambda i: dispatch_cost(requests[i]), reverse=True)
+                      key=lambda i: expected_cost_key(requests[i]),
+                      reverse=True)
     assert dispatched == expected
 
 

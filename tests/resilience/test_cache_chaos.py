@@ -7,22 +7,18 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.experiments.runner import (
-    ExperimentConfig,
-    ParallelRunner,
-    ResultCache,
-    VerificationJob,
-    run_job,
-)
+from repro.api.request import Budgets, VerificationRequest
+from repro.experiments.runner import ParallelRunner, ResultCache, run_request
 from repro.resilience.faults import Fault
 
 from .conftest import stable
 
 
 @pytest.fixture
-def config():
-    return ExperimentConfig(widths=(4,), time_budget_s=60.0,
-                            monomial_budget=200_000)
+def job():
+    return VerificationRequest.from_architecture(
+        "SP-AR-RC", 4, "mt-lr", find_counterexample=False,
+        budgets=Budgets(time_budget_s=60.0, monomial_budget=200_000))
 
 
 def _entries(directory):
@@ -35,20 +31,19 @@ def _quarantined(directory):
                   if p.name.endswith(".quarantined"))
 
 
-def test_corrupted_publish_is_quarantined_and_reexecuted(config, chaos,
+def test_corrupted_publish_is_quarantined_and_reexecuted(job, chaos,
                                                          tmp_path):
     """A cache entry garbled at publish time costs one re-execution only."""
     cache_dir = tmp_path / "cache"
-    grid = ParallelRunner.catalog(["SP-AR-RC"], config.widths, ["mt-lr"])
+    grid = [job]
 
     chaos(Fault("cache-corrupt", match="*", times=1))
-    first = ParallelRunner(config, workers=1,
-                           cache_dir=cache_dir).run(grid)
+    first = ParallelRunner(workers=1, cache_dir=cache_dir).run(grid)
     assert first[0]["verified"]
 
     # Second run: the poisoned entry must read as a miss (quarantined),
     # re-execute, and republish — not crash, not return garbage.
-    runner = ParallelRunner(config, workers=1, cache_dir=cache_dir)
+    runner = ParallelRunner(workers=1, cache_dir=cache_dir)
     second = runner.run(grid)
     assert stable(second) == stable(first)
     assert runner.last_cache_hits == 0
@@ -56,18 +51,17 @@ def test_corrupted_publish_is_quarantined_and_reexecuted(config, chaos,
     assert len(_quarantined(cache_dir)) == 1
 
     # Third run hits the republished (clean) entry.
-    runner = ParallelRunner(config, workers=1, cache_dir=cache_dir)
+    runner = ParallelRunner(workers=1, cache_dir=cache_dir)
     third = runner.run(grid)
     assert stable(third) == stable(first)
     assert runner.last_cache_hits == 1
 
 
-def test_tampered_verdict_fails_the_checksum(config, tmp_path):
+def test_tampered_verdict_fails_the_checksum(job, tmp_path):
     """Flipping a stored verdict breaks the entry checksum -> miss."""
     cache = ResultCache(tmp_path / "cache")
-    job = VerificationJob("SP-AR-RC", 4, "mt-lr")
-    row = run_job(job, config)
-    key = cache.key(job, config)
+    row = run_request(job, "SP-AR-RC")
+    key = cache.key(job)
     cache.put(key, job, row)
     assert cache.get_report(key) is not None
 
@@ -81,29 +75,26 @@ def test_tampered_verdict_fails_the_checksum(config, tmp_path):
     assert not _entries(cache.directory)
 
 
-def test_unreadable_garbage_entry_is_a_miss(config, tmp_path):
+def test_unreadable_garbage_entry_is_a_miss(job, tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    job = VerificationJob("SP-AR-RC", 4, "mt-lr")
-    key = cache.key(job, config)
+    key = cache.key(job)
     (cache.directory / f"{key}.json").write_bytes(b"\x00\xffnot json at all")
     assert cache.get_report(key) is None
     assert len(_quarantined(cache.directory)) == 1
 
 
-def test_missing_entry_is_a_plain_miss(config, tmp_path):
+def test_missing_entry_is_a_plain_miss(job, tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    job = VerificationJob("SP-AR-RC", 4, "mt-lr")
-    assert cache.get_report(cache.key(job, config)) is None
+    assert cache.get_report(cache.key(job)) is None
     assert not _quarantined(cache.directory)
 
 
-def test_concurrent_writers_never_publish_a_torn_entry(config, tmp_path):
+def test_concurrent_writers_never_publish_a_torn_entry(job, tmp_path):
     """Many threads hammering put() on one key: readers always see a
     complete entry (atomic tmp+rename publish), and no tmp litter stays."""
     cache = ResultCache(tmp_path / "cache")
-    job = VerificationJob("SP-AR-RC", 4, "mt-lr")
-    row = run_job(job, config)
-    key = cache.key(job, config)
+    row = run_request(job, "SP-AR-RC")
+    key = cache.key(job)
 
     def writer(_):
         cache.put(key, job, dict(row))

@@ -12,7 +12,9 @@ import multiprocessing
 
 import pytest
 
-from repro.experiments.runner import ExperimentConfig, ParallelRunner
+from repro.api.request import Budgets
+from repro.api.service import VerificationService
+from repro.experiments.runner import ParallelRunner
 from repro.resilience.faults import Fault
 from repro.resilience.policy import RetryPolicy
 
@@ -26,14 +28,10 @@ ARCHITECTURES = ["SP-AR-RC", "BP-WT-CL"]
 CRASH_KEY = "BP-WT-CL/4/mt-lr"
 
 
-@pytest.fixture
-def config():
-    return ExperimentConfig(widths=(4,), time_budget_s=60.0,
-                            monomial_budget=200_000)
-
-
-def _grid(config):
-    return ParallelRunner.catalog(ARCHITECTURES, config.widths, ["mt-lr"])
+def _grid():
+    service = VerificationService(budgets=Budgets(time_budget_s=60.0,
+                                                  monomial_budget=200_000))
+    return service.grid(ARCHITECTURES, [4], ["mt-lr"])
 
 
 def _policy(**overrides):
@@ -43,11 +41,11 @@ def _policy(**overrides):
 
 
 @needs_fork
-def test_crashed_worker_is_retried_to_verdict_parity(config, chaos):
-    baseline = ParallelRunner(config, workers=2).run(_grid(config))
+def test_crashed_worker_is_retried_to_verdict_parity(chaos):
+    baseline = ParallelRunner(workers=2).run(_grid())
     chaos(Fault("worker-crash", match=CRASH_KEY, times=1))
-    runner = ParallelRunner(config, workers=2, retry_policy=_policy())
-    rows = runner.run(_grid(config))
+    runner = ParallelRunner(workers=2, retry_policy=_policy())
+    rows = runner.run(_grid())
 
     assert stable(rows) == stable(baseline)
     assert all(row["verified"] for row in rows)
@@ -62,11 +60,11 @@ def test_crashed_worker_is_retried_to_verdict_parity(config, chaos):
 
 
 @needs_fork
-def test_attempts_are_bounded_when_the_crash_is_persistent(config, chaos):
+def test_attempts_are_bounded_when_the_crash_is_persistent(chaos):
     chaos(Fault("worker-crash", match=CRASH_KEY, times=99))
     policy = _policy(max_attempts=2)
-    runner = ParallelRunner(config, workers=2, retry_policy=policy)
-    rows = runner.run(_grid(config))
+    runner = ParallelRunner(workers=2, retry_policy=policy)
+    rows = runner.run(_grid())
 
     [crashed] = [row for row in rows if row["status"] == "crash"]
     assert crashed["architecture"] == "BP-WT-CL"
@@ -79,32 +77,32 @@ def test_attempts_are_bounded_when_the_crash_is_persistent(config, chaos):
 
 
 @needs_fork
-def test_without_a_policy_the_crash_row_surfaces_unretried(config, chaos):
+def test_without_a_policy_the_crash_row_surfaces_unretried(chaos):
     chaos(Fault("worker-crash", match=CRASH_KEY, times=1))
-    runner = ParallelRunner(config, workers=2)
-    rows = runner.run(_grid(config))
+    runner = ParallelRunner(workers=2)
+    rows = runner.run(_grid())
     [crashed] = [row for row in rows if row["status"] == "crash"]
     assert "attempts" not in crashed
     assert runner.last_retries == 0
 
 
 @needs_fork
-def test_latency_fault_is_benign_without_straggler_grace(config, chaos):
-    baseline = ParallelRunner(config, workers=2).run(_grid(config))
+def test_latency_fault_is_benign_without_straggler_grace(chaos):
+    baseline = ParallelRunner(workers=2).run(_grid())
     chaos(Fault("worker-latency", match=CRASH_KEY, delay_s=0.3, times=1))
-    rows = ParallelRunner(config, workers=2,
-                          retry_policy=_policy()).run(_grid(config))
+    rows = ParallelRunner(workers=2,
+                          retry_policy=_policy()).run(_grid())
     assert stable(rows) == stable(baseline)
     assert all("attempts" not in row for row in rows)
 
 
 @needs_fork
-def test_straggler_is_redispatched_and_recovers(config, chaos):
+def test_straggler_is_redispatched_and_recovers(chaos):
     """A 5s stall against a 0.75s grace: killed, re-run, verified."""
     chaos(Fault("worker-latency", match=CRASH_KEY, delay_s=5.0, times=1))
-    runner = ParallelRunner(config, workers=2, retry_policy=_policy(),
+    runner = ParallelRunner(workers=2, retry_policy=_policy(),
                             straggler_grace_s=0.75)
-    rows = runner.run(_grid(config))
+    rows = runner.run(_grid())
 
     assert all(row["verified"] for row in rows)
     [retried] = [row for row in rows if row.get("attempts")]

@@ -19,8 +19,8 @@ from repro.api.report import REPORT_SCHEMA, VerificationReport
 from repro.api.request import VerificationRequest
 from repro.api.service import request_cache_key
 from repro.certify.certificate import CERTIFICATE_VERSION
-from repro.experiments.runner import ResultCache
-from repro.fleet import FleetTopology, dispatch_cost
+from repro.experiments.runner import ResultCache, expected_cost_key
+from repro.fleet import FleetTopology
 from repro.server import (ServerError, ServerThread, VerificationClient,
                           VerificationServerApp)
 
@@ -146,6 +146,37 @@ def test_batch_stream_surfaces_failures_as_an_error_line(client):
     assert [report.verdict for report in received] == ["verified"]
 
 
+def test_streamed_batch_reads_and_publishes_the_shared_cache(cached_server,
+                                                             client):
+    """A ``--shared-cache`` worker's streamed batch takes the synchronous
+    batch's path: it serves a cell another worker published without
+    executing it, and publishes the cell it executes."""
+    published = dict(DOCUMENT, architecture="SP-CT-BK", width=2)
+    fresh = dict(published, method="mt-fo")
+    keys = [request_cache_key(VerificationRequest.from_architecture(
+        "SP-CT-BK", 2, method, find_counterexample=False))
+        for method in ("mt-lr", "mt-fo")]
+    report = client.verify(published)
+    assert client.cache_put(keys[0], report) is True
+    assert client.cache_get(keys[1]) is None
+    worker_app = VerificationServerApp(
+        shared_cache_url=f"http://127.0.0.1:{cached_server.port}")
+    with ServerThread(worker_app) as worker:
+        worker_client = VerificationClient(port=worker.port, timeout_s=30.0)
+        try:
+            [hit] = list(worker_client.batch_stream([published]))
+            assert worker_client.last_trailer["executed"] == 0
+            [executed] = list(worker_client.batch_stream([fresh]))
+            assert worker_client.last_trailer["executed"] == 1
+            shared = worker_client.metrics()["shared_cache"]
+        finally:
+            worker_client.close()
+    assert hit.to_json() == report.to_json()
+    assert shared["remote_hits_total"] == 1
+    assert shared["remote_puts_total"] == 1
+    assert client.cache_get(keys[1]).to_json() == executed.to_json()
+
+
 def test_stream_and_async_are_mutually_exclusive(client):
     status, _ = client.request_raw(
         "POST", "/v1/batch",
@@ -181,8 +212,8 @@ def test_fleet_stream_yields_first_row_before_last_dispatch():
     requests = [VerificationRequest.from_architecture(
         architecture, width, method, find_counterexample=False)
         for architecture, width, method in grid]
-    assert [dispatch_cost(request) for request in requests] == \
-        sorted((dispatch_cost(request) for request in requests),
+    assert [expected_cost_key(request) for request in requests] == \
+        sorted((expected_cost_key(request) for request in requests),
                reverse=True), "grid must be ordered longest-first"
 
     with ServerThread(VerificationServerApp()) as worker:

@@ -70,6 +70,23 @@ def test_bench_smoke_job_gates_and_uploads(workflow):
     assert "BENCH" in uploads[0]["with"]["path"]
 
 
+def test_bench_smoke_job_runs_a_traced_batch_replay(workflow):
+    """A traced run fails the build when a name perfbench wraps breaks."""
+    steps = workflow["jobs"]["bench-smoke"]["steps"]
+    [step] = [step for step in steps if "--trace 1" in step.get("run", "")]
+    command = step["run"]
+    assert ("python perfbench/run.py --workload batch-replay --seed 1 \\\n"
+            "  --seconds 1 --trace 1") in command
+    assert 'summary["correct"] is True' in command
+    assert 'summary["failed"] == 0' in command
+    assert "perfbench/results/batch-replay-seed1-trace1.json" in command
+    for layer in ("experiments.runner.cache_key_ms",
+                  "experiments.runner.dispatch_ms",
+                  "verification.rewriting.self_ms"):
+        assert f'"{layer}"' in command
+    assert '["value"] > 0' in command
+
+
 def test_bench_smoke_job_runs_perfbench_tests(workflow):
     """perfbench/tests lies outside `testpaths`; this job is what runs it."""
     commands = " ".join(step.get("run", "")
