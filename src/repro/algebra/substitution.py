@@ -207,7 +207,8 @@ class SubstitutionEngine:
         and a trip marker: ``"terms"`` when the map exceeded ``term_limit``
         right after a step that affected terms, ``"deadline"`` when
         ``deadline`` (a :func:`time.perf_counter` instant) had passed after
-        one, ``None`` when every item was processed.
+        one (rejected steps included), ``None`` when every item was
+        processed.
         """
         self.batches += 1
         terms = self.terms
@@ -355,13 +356,17 @@ class SubstitutionEngine:
                     del terms[prod]
                     removed_modulus += 1
 
-            # Step 4: the growth guard discards the whole step.
+            # Step 4: the growth guard discards the whole step; the restored
+            # map cannot trip ``term_limit``, but the deadline can pass.
             size = len(terms)
             if growth_limit is not None and size > max(growth_limit,
                                                        4 * size_before):
                 terms = self.terms = snapshot
                 self.rejected_substitutions += 1
                 results.append((-1, size_before))
+                if deadline is not None and time.perf_counter() > deadline:
+                    tripped = "deadline"
+                    break
                 continue
             if removed_vanishing:
                 vanishing.removed_count += removed_vanishing

@@ -9,9 +9,9 @@ Quickstart::
 
     from repro.api import Budgets, VerificationRequest, VerificationService
 
-    service = VerificationService(budgets=Budgets(time_budget_s=60.0))
-    report = service.submit(
-        VerificationRequest.from_architecture("BP-WT-CL", 8, method="mt-lr"))
+    service = VerificationService()
+    report = service.submit(VerificationRequest.from_architecture(
+        "BP-WT-CL", 8, method="mt-lr", budgets=Budgets(time_budget_s=60.0)))
     assert report.verdict == "verified"
     print(report.to_json(indent=2))
 

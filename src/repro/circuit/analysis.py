@@ -60,6 +60,10 @@ def topological_levels(netlist: Netlist) -> tuple[list[str], dict[str, int]]:
     becomes ready, so both results fall out of the same Kahn pass.  Model
     extraction calls this once per verification, which makes the saved
     second traversal measurable.
+
+    A gate reading an undriven signal never becomes ready, so only an
+    incomplete pass scans the drivers (:meth:`Netlist.check_drivers`
+    raises first, the loop error after); a complete one checks the outputs.
     """
     indegree: dict[str, int] = {}
     consumers: dict[str, list[str]] = {}
@@ -102,7 +106,9 @@ def topological_levels(netlist: Netlist) -> tuple[list[str], dict[str, int]]:
                     levels[consumer] = 1 + max(levels[s] for s in inputs)
     expected = len(netlist.inputs) + netlist.num_gates
     if len(order) != expected:
+        netlist.check_drivers()
         raise CircuitError("netlist contains a combinational loop")
+    netlist.check_drivers(gate_inputs=False)
     return order, levels
 
 

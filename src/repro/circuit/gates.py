@@ -33,25 +33,30 @@ class GateType(str, Enum):
     @property
     def min_arity(self) -> int:
         """Smallest number of inputs allowed for this gate type."""
-        if self in (GateType.CONST0, GateType.CONST1):
-            return 0
-        if self in (GateType.BUF, GateType.NOT):
-            return 1
-        return 2
+        return _ARITY[self][0]
 
     @property
     def max_arity(self) -> int | None:
         """Largest number of inputs allowed (``None`` = unbounded)."""
-        if self in (GateType.CONST0, GateType.CONST1):
-            return 0
-        if self in (GateType.BUF, GateType.NOT):
-            return 1
-        return None
+        return _ARITY[self][1]
 
     @property
     def is_inverting(self) -> bool:
         """Return ``True`` for NOT/NAND/NOR/XNOR."""
         return self in (GateType.NOT, GateType.NAND, GateType.NOR, GateType.XNOR)
+
+
+#: ``(min, max)`` input count per gate type (``max`` ``None`` = unbounded);
+#: :class:`Gate` checks every gate with one probe of this table.
+_ARITY: dict[GateType, tuple[int, int | None]] = {
+    GateType.CONST0: (0, 0), GateType.CONST1: (0, 0),
+    GateType.BUF: (1, 1), GateType.NOT: (1, 1),
+    GateType.AND: (2, None), GateType.OR: (2, None), GateType.XOR: (2, None),
+    GateType.NAND: (2, None), GateType.NOR: (2, None), GateType.XNOR: (2, None),
+}
+
+#: Gate types whose inputs must be pairwise distinct.
+_DISTINCT_INPUTS = frozenset((GateType.XOR, GateType.XNOR))
 
 
 @dataclass(frozen=True)
@@ -64,18 +69,18 @@ class Gate:
     name: str = ""
 
     def __post_init__(self) -> None:
+        gate_type = self.gate_type
         arity = len(self.inputs)
-        if arity < self.gate_type.min_arity:
+        low, high = _ARITY[gate_type]
+        if arity < low:
             raise CircuitError(
-                f"gate {self.gate_type.value!r} driving {self.output!r} needs at "
-                f"least {self.gate_type.min_arity} inputs, got {arity}")
-        max_arity = self.gate_type.max_arity
-        if max_arity is not None and arity > max_arity:
+                f"gate {gate_type.value!r} driving {self.output!r} needs at "
+                f"least {low} inputs, got {arity}")
+        if high is not None and arity > high:
             raise CircuitError(
-                f"gate {self.gate_type.value!r} driving {self.output!r} accepts at "
-                f"most {max_arity} inputs, got {arity}")
-        if len(set(self.inputs)) != arity and self.gate_type in (
-                GateType.XOR, GateType.XNOR):
+                f"gate {gate_type.value!r} driving {self.output!r} accepts at "
+                f"most {high} inputs, got {arity}")
+        if gate_type in _DISTINCT_INPUTS and len(set(self.inputs)) != arity:
             # x ^ x is legal logic but defeats structural reasoning; normalise
             # at construction time by rejecting it so generators stay clean.
             raise CircuitError(

@@ -54,21 +54,25 @@ class Netlist:
     def add_gate(self, gate_type: GateType, inputs: Sequence[str],
                  output: str | None = None, name: str = "") -> str:
         """Add a gate; auto-generate the output signal name if not given."""
+        gates = self._gates
         if output is None:
-            output = self.fresh_signal(gate_type.value)
-        if output in self._gates or output in self._input_set:
+            # ``_value_`` is the gate keyword; ``.value`` costs a descriptor call.
+            output = self.fresh_signal(gate_type._value_)
+        elif output in gates or output in self._input_set:
             raise CircuitError(f"signal {output!r} is already driven")
-        gate = Gate(output=output, gate_type=gate_type, inputs=tuple(inputs),
-                    name=name or output)
-        self._gates[output] = gate
+        gates[output] = Gate(output, gate_type, tuple(inputs), name or output)
         return output
 
     def fresh_signal(self, hint: str = "w") -> str:
         """Return a signal name that is not used yet."""
+        gates = self._gates
+        inputs = self._input_set
+        counter = self._fresh_counter
         while True:
-            candidate = f"{hint}_{self._fresh_counter}"
-            self._fresh_counter += 1
-            if candidate not in self._gates and candidate not in self._input_set:
+            candidate = f"{hint}_{counter}"
+            counter += 1
+            if candidate not in gates and candidate not in inputs:
+                self._fresh_counter = counter
                 return candidate
 
     # Convenience wrappers used heavily by the generators -----------------------
@@ -202,23 +206,23 @@ class Netlist:
 
     # -- validation ------------------------------------------------------------
 
-    def validate(self, check_cycles: bool = True) -> None:
+    def validate(self) -> None:
         """Check structural sanity: drivers exist, outputs exist, no cycles.
 
-        ``check_cycles=False`` skips the DFS cycle check; callers that run a
-        topological traversal right afterwards (which detects loops anyway)
-        use it to avoid walking the gate graph twice.
+        A netlist whose every gate reads only primary inputs and earlier
+        gates (the order the generators and the Verilog writer produce)
+        has all its drivers and no loop, which one pass over the gates
+        confirms; any other netlist gets the full driver scan and a DFS.
         """
-        for gate in self._gates.values():
-            for signal in gate.inputs:
-                if not self.has_signal(signal):
-                    raise CircuitError(
-                        f"gate {gate.name!r} reads undriven signal {signal!r}")
-        for output in self._outputs:
-            if not self.has_signal(output):
-                raise CircuitError(f"primary output {output!r} is undriven")
-        if not check_cycles:
+        defined = set(self._input_set)
+        for output, gate in self._gates.items():
+            if not defined.issuperset(gate.inputs):
+                break
+            defined.add(output)
+        else:
+            self.check_drivers(gate_inputs=False)
             return
+        self.check_drivers()
         # Cycle check via iterative DFS over gate outputs.
         WHITE, GREY, BLACK = 0, 1, 2
         colour: dict[str, int] = {}
@@ -246,6 +250,25 @@ class Netlist:
                 if not advanced:
                     colour[node] = BLACK
                     stack.pop()
+
+    def check_drivers(self, gate_inputs: bool = True) -> None:
+        """Raise :class:`CircuitError` for the first undriven signal read.
+
+        Gate inputs are checked first, in gate and input order, then the
+        primary outputs.  ``gate_inputs=False`` checks the outputs only, for
+        a caller that has already seen every gate input driven.
+        """
+        driven = self._gates
+        inputs = self._input_set
+        if gate_inputs:
+            for gate in driven.values():
+                for signal in gate.inputs:
+                    if signal not in driven and signal not in inputs:
+                        raise CircuitError(
+                            f"gate {gate.name!r} reads undriven signal {signal!r}")
+        for output in self._outputs:
+            if output not in driven and output not in inputs:
+                raise CircuitError(f"primary output {output!r} is undriven")
 
     # -- transformation --------------------------------------------------------
 

@@ -68,6 +68,12 @@ def _complement(terms: dict[int, int]) -> dict[int, int]:
     return acc
 
 
+# Enum members bound once: ``GateType.AND`` is a class-attribute lookup
+# that costs more than the ``is`` test it feeds.
+_AND, _OR, _XOR = GateType.AND, GateType.OR, GateType.XOR
+_NAND, _NOR, _XNOR = GateType.NAND, GateType.NOR, GateType.XNOR
+
+
 def gate_tail(gate_type: GateType, input_vars: Sequence[int]) -> Polynomial:
     """Polynomial in the gate inputs that equals the gate function.
 
@@ -81,17 +87,17 @@ def gate_tail(gate_type: GateType, input_vars: Sequence[int]) -> Polynomial:
         # Direct term maps for the two-input gates — the overwhelmingly
         # common case of synthesized netlists — skip the fold machinery.
         a, b = 1 << input_vars[0], 1 << input_vars[1]
-        if gate_type is GateType.AND:
+        if gate_type is _AND:
             return Polynomial._raw({a | b: 1})
-        if gate_type is GateType.XOR:
+        if gate_type is _XOR:
             return Polynomial._raw({a: 1, b: 1, a | b: -2})
-        if gate_type is GateType.OR:
+        if gate_type is _OR:
             return Polynomial._raw({a: 1, b: 1, a | b: -1})
-        if gate_type is GateType.NAND:
+        if gate_type is _NAND:
             return Polynomial._raw({0: 1, a | b: -1})
-        if gate_type is GateType.XNOR:
+        if gate_type is _XNOR:
             return Polynomial._raw({0: 1, a: -1, b: -1, a | b: 2})
-        if gate_type is GateType.NOR:
+        if gate_type is _NOR:
             return Polynomial._raw({0: 1, a: -1, b: -1, a | b: 1})
     if gate_type is GateType.CONST0:
         return Polynomial.zero()

@@ -13,8 +13,7 @@ variables it was defined by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.algebra.monomial import Monomial
 from repro.algebra.ordering import LEX
@@ -27,9 +26,13 @@ from repro.errors import ModelingError
 from repro.modeling.gate_polys import gate_tail
 
 
-@dataclass(frozen=True)
-class GateRecord:
-    """Structural information attached to a model variable."""
+class GateRecord(NamedTuple):
+    """Structural information attached to a model variable.
+
+    A named tuple rather than a frozen dataclass: model extraction builds
+    one per signal, and a tuple is built without a per-field
+    ``object.__setattr__``.
+    """
 
     variable: int
     gate_type: GateType | None          # ``None`` for primary inputs
@@ -67,9 +70,8 @@ class AlgebraicModel:
         outputs) signal; the induced lex order realises the paper's reverse
         topological substitution order.
         """
-        # The topological traversal below raises on combinational loops, so
-        # the (redundant) DFS cycle check of ``validate`` is skipped here.
-        netlist.validate(check_cycles=False)
+        # The one topological pass also checks every driver, so the
+        # netlist is not validated separately.
         order, levels = topological_levels(netlist)
         # Stable sort by level keeps same-level signals in construction order,
         # which groups sum/carry cells that share inputs next to each other —
@@ -81,22 +83,21 @@ class AlgebraicModel:
         # Direct index-map access skips the per-lookup error wrapping of
         # ``ring.index`` — this loop resolves every gate input of the model.
         index_of = ring._index.__getitem__
-        is_input = netlist.is_input
         gate_of = netlist.gate_of
+        # The primary inputs open the topological order at level 0 and the
+        # stable sort keeps them there: they are variables 0 .. n-1.
+        input_vars = list(range(len(netlist.inputs)))
+        records: dict[int, GateRecord] = {
+            var: GateRecord(var, None, (), 0) for var in input_vars}
         tails: dict[int, Polynomial] = {}
-        records: dict[int, GateRecord] = {}
-        for signal in ordered:
-            var = index_of(signal)
-            if is_input(signal):
-                records[var] = GateRecord(var, None, (), 0)
-                continue
+        for var in range(len(input_vars), len(ordered)):
+            signal = ordered[var]
             gate = gate_of(signal)
-            input_vars = tuple(map(index_of, gate.inputs))
-            records[var] = GateRecord(var, gate.gate_type, input_vars,
-                                      levels[signal])
-            tails[var] = gate_tail(gate.gate_type, input_vars)
+            gate_type = gate.gate_type
+            inputs = tuple(map(index_of, gate.inputs))
+            records[var] = GateRecord(var, gate_type, inputs, levels[signal])
+            tails[var] = gate_tail(gate_type, inputs)
 
-        input_vars = [index_of(s) for s in netlist.inputs]
         output_vars = [index_of(s) for s in netlist.outputs]
         return cls(ring, tails, records, input_vars, output_vars, netlist)
 

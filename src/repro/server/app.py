@@ -414,16 +414,17 @@ class VerificationServerApp:
             pass
 
     def _iter_batch(self, execute, requests, jobs):
-        """Reports of a batch in request order, through the shared cache.
+        """``(report, shared)`` per request of a batch, in request order.
 
         ``execute`` is the batch runner's ``run_batch`` or ``iter_batch``;
         every synchronous, asynchronous and streaming batch comes through
         here.  With ``--shared-cache`` set, each request is first looked
         up in the coordinator's cache (``GET /v1/cache/{key}``); only the
         misses execute, and their reports are published back (``PUT``)
-        as they arrive.  Cached reports are canonical, so the reassembled
-        sequence is byte-identical to a full local run.  Without a shared
-        cache every request executes.
+        as they arrive.  ``shared`` is ``True`` for a report the
+        coordinator served.  Cached reports are canonical, so the
+        reassembled sequence is byte-identical to a full local run.
+        Without a shared cache every request executes.
         """
         keys = [self._shared_cache_key(request) for request in requests]
         hits: dict[int, object] = {}
@@ -437,14 +438,28 @@ class VerificationServerApp:
         executed = iter(execute(misses, jobs=jobs) if misses else ())
         for index, key in enumerate(keys):
             if index in hits:
-                yield hits[index]
+                yield hits[index], True
                 continue
             report = next(executed)
             if key is not None:
                 self._shared_cache_put(key, report)
-            yield report
+            yield report, False
         # Run a streaming executor to its end, where it books its counters.
         next(executed, None)
+
+    def _book_batch(self, served, runner) -> tuple[list, int]:
+        """Book a finished batch's ``(report, shared)`` pairs; return its
+        reports and cache hits.
+
+        A cell the coordinator's shared cache served is a hit, as it is
+        on ``/v1/verify``; the runner counts only its local cache.
+        """
+        reports = [report for report, _ in served]
+        cache_hits = runner.last_cache_hits + sum(shared for _, shared in served)
+        self._count_reports(reports, cache_hits, runner.last_executed,
+                            runner.last_retries, runner.last_fallbacks,
+                            getattr(runner, "last_steals", 0))
+        return reports, cache_hits
 
     def _store_certificates(self, reports) -> None:
         """Index emitted certificates by content hash (bounded, FIFO)."""
@@ -786,16 +801,13 @@ class VerificationServerApp:
                                                           jobs))
         # The synchronous path stays on run_batch, in the handler's own
         # thread; iter_batch would run the batch on another thread.
-        reports = list(self._iter_batch(runner.run_batch, requests, jobs))
+        served = list(self._iter_batch(runner.run_batch, requests, jobs))
         with self._metrics_lock:
             self._batches_total += 1
-        self._count_reports(reports, runner.last_cache_hits,
-                            runner.last_executed, runner.last_retries,
-                            runner.last_fallbacks,
-                            getattr(runner, "last_steals", 0))
+        reports, cache_hits = self._book_batch(served, runner)
         return _json_response({
             "reports": [report.to_dict() for report in reports],
-            "cache_hits": runner.last_cache_hits,
+            "cache_hits": cache_hits,
             "executed": runner.last_executed,
         })
 
@@ -812,11 +824,11 @@ class VerificationServerApp:
         already consumed every report produced before it.  Counters are
         only booked once the batch ran to completion.
         """
-        reports = []
+        served = []
         try:
-            for report in self._iter_batch(runner.iter_batch, requests,
-                                           jobs):
-                reports.append(report)
+            for report, shared in self._iter_batch(runner.iter_batch,
+                                                   requests, jobs):
+                served.append((report, shared))
                 yield report.to_json().encode("utf-8") + b"\n"
         except Exception as error:  # noqa: BLE001 - stream boundary
             document = {"error": {"code": "batch_failed",
@@ -825,13 +837,10 @@ class VerificationServerApp:
             yield json.dumps(document, ensure_ascii=False,
                              separators=(",", ":")).encode("utf-8") + b"\n"
             return
-        self._count_reports(reports, runner.last_cache_hits,
-                            runner.last_executed, runner.last_retries,
-                            runner.last_fallbacks,
-                            getattr(runner, "last_steals", 0))
+        reports, cache_hits = self._book_batch(served, runner)
         trailer = {"trailer": {
             "reports": len(reports),
-            "cache_hits": runner.last_cache_hits,
+            "cache_hits": cache_hits,
             "executed": runner.last_executed,
             "retries": runner.last_retries,
             "fallbacks": runner.last_fallbacks,
@@ -845,16 +854,12 @@ class VerificationServerApp:
         self.job_store.start(job_id)
         try:
             runner = self._batch_runner()
-            reports = list(self._iter_batch(runner.run_batch, requests,
-                                            jobs))
+            served = list(self._iter_batch(runner.run_batch, requests, jobs))
         except Exception as error:  # noqa: BLE001 - job isolation boundary
             self.job_store.fail(job_id, f"{type(error).__name__}: {error}")
             return
-        self._count_reports(reports, runner.last_cache_hits,
-                            runner.last_executed, runner.last_retries,
-                            runner.last_fallbacks,
-                            getattr(runner, "last_steals", 0))
-        self.job_store.finish(job_id, reports, runner.last_cache_hits,
+        reports, cache_hits = self._book_batch(served, runner)
+        self.job_store.finish(job_id, reports, cache_hits,
                               runner.last_executed)
 
     def handle_job(self, job_id: str) -> HttpResponse:

@@ -50,13 +50,6 @@ MustMasks = tuple[int, int]
 #: Cap on the minimal-witness set behind the cache's monotonicity shortcut.
 WITNESS_LIMIT = 128
 
-#: Gate types whose ``must1`` table can exceed the self-literal.  A 1 on an
-#: AND/BUF output forces its inputs high, on a NOT/NOR output it forces them
-#: low, and a CONST0 output is self-contradictory; every other gate type
-#: (XOR/XNOR/OR/NAND outputs, primary inputs) implies nothing when high.
-_NONTRIVIAL_MUST1 = (GateType.AND, GateType.BUF, GateType.NOT, GateType.NOR,
-                     GateType.CONST0)
-
 
 @dataclass(slots=True)
 class VanishingRules:
@@ -106,8 +99,9 @@ class VanishingRules:
     #: All XOR (resp. XNOR) gate outputs, packed into one mask each.
     _xor_out_mask: int = field(default=0, repr=False)
     _xnor_out_mask: int = field(default=0, repr=False)
-    #: Variables whose ``must1`` table may exceed the self-literal; all other
-    #: variables are folded into the accumulated ``pos`` mask in one AND.
+    #: Variables with a stored ``must1`` entry; all other variables imply
+    #: only themselves and are folded into the accumulated ``pos`` mask in
+    #: one AND.
     _nontrivial_mask: int = field(default=0, repr=False)
     #: Minimal recorded vanishing masks, bucketed by their lowest variable;
     #: any multiple of one vanishes too (the rule is monotone under adding
@@ -141,27 +135,34 @@ class VanishingRules:
     def _build_structural_tables(self) -> None:
         """One ascending pass over the gate records builds every table.
 
-        Besides the XOR/XNOR support structures and the non-trivial
-        ``must1`` selector, the pass resolves the *relevance* closure
-        flags: the implied-literal rule can only answer ``True`` when some
-        variable of the monomial either
+        Variables are numbered topologically (children first), so the pass
+        meets every gate after its inputs and fills, besides the XOR/XNOR
+        support structures:
 
-        * carries a *negative* implied literal in its ``must1`` closure
-          (only NOT/NOR/CONST0 gates, or AND/BUF chains reaching one,
-          produce those — they feed the ``pos & neg`` contradiction and the
-          ``neg``-gated XOR/XNOR checks), or
-        * has a closure whose positive part touches an XOR output (the only
-          check left when no negative literal exists: an XOR forced high
-          with both inputs forced high).
+        * the implied-literal tables ``must1``/``must0``, with exactly the
+          entries that can exceed the self-literal — ``must1`` of AND, BUF,
+          NOT, NOR and CONST0 outputs (a 1 there forces the inputs high,
+          forces them low, or cannot happen), ``must0`` of OR, BUF, NOT,
+          NAND and CONST1 outputs.  A missing entry is the self-literal,
+          and so is an entry past :attr:`max_implied_literals`, which is
+          not stored.  The variables with a ``must1`` entry make up
+          :attr:`_nontrivial_mask`;
+        * the *relevance* closure flags.  The implied-literal rule can only
+          answer ``True`` when some variable of the monomial either carries
+          a *negative* implied literal in its ``must1`` closure (only
+          NOT/NOR/CONST0 gates, or AND/BUF chains reaching one, produce
+          those — they feed the ``pos & neg`` contradiction and the
+          ``neg``-gated XOR/XNOR checks), or has a closure whose positive
+          part touches an XOR output (the only check left when no negative
+          literal exists: an XOR forced high with both inputs forced high).
 
         A monomial over pure-positive AND/BUF cones (e.g. the partial
         products of a multiplier and their accumulation trees) is always
         satisfiable — force every involved input high — so the union of the
         two flags is an exact necessary condition; it becomes
         :attr:`relevant_mask`, the one-AND prefilter of every vanishing
-        test.  Variables are numbered topologically (children first), so
-        one ascending pass resolves the transitive closures with flat flag
-        arrays (big-int shifts would make this pass quadratic).
+        test.  The flags live in flat arrays (big-int shifts would make this
+        pass quadratic).
         """
         records = self.model.records
         gate_xor = GateType.XOR
@@ -170,8 +171,11 @@ class VanishingRules:
         gate_or = GateType.OR
         gate_not = GateType.NOT
         gate_buf = GateType.BUF
-        nontrivial_gates = _NONTRIVIAL_MUST1
-        neg_roots = (gate_not, GateType.NOR, GateType.CONST0)
+        gate_nand = GateType.NAND
+        gate_nor = GateType.NOR
+        gate_const0 = GateType.CONST0
+        gate_const1 = GateType.CONST1
+        neg_roots = (gate_not, gate_nor, gate_const0)
         and_like = (gate_and, gate_buf)
         size = (max(records) + 1) if records else 0
         neg1 = bytearray(size)   # must1 closure contains a negative literal
@@ -182,6 +186,10 @@ class VanishingRules:
         pair_mask = self._pair_mask
         xor_out_mask = 0
         xnor_out_mask = 0
+        tables = not self.xor_and_only
+        must1 = self._must1
+        must0 = self._must0
+        cap = self.max_implied_literals
         for var, record in records.items():
             gate = record.gate_type
             if gate is None:
@@ -202,8 +210,6 @@ class VanishingRules:
                     a, b = inputs
                     pair_mask[var] = (1 << a) | (1 << b)
                 continue
-            if gate in nontrivial_gates:
-                nontrivial |= 1 << var
             if gate in and_like:
                 for child in inputs:
                     if neg1[child]:
@@ -213,13 +219,44 @@ class VanishingRules:
                     if xr1[child]:
                         xr1[var] = 1
                         break
-                continue
-            if gate in neg_roots:
+            elif gate in neg_roots:
                 # NOT/NOR closures can also reach an XOR output through the
                 # inverted side, but these gates make the variable relevant
                 # through ``neg1`` already, so tracking that reach would
                 # never change ``neg1 | xr1``.
                 neg1[var] = 1
+            if not tables:
+                continue
+            # ``high``/``low``: the must1/must0 entry, seeded with the
+            # output's own literal and ORed with the inputs' entries.
+            bit = 1 << var
+            high = low = None
+            if gate is gate_and:
+                high = _union(must1, inputs, True, bit, 0)
+            elif gate is gate_or:
+                low = _union(must0, inputs, False, 0, bit)
+            elif gate is gate_buf:
+                high = _union(must1, inputs, True, bit, 0)
+                low = _union(must0, inputs, False, 0, bit)
+            elif gate is gate_not:
+                high = _union(must0, inputs, False, bit, 0)
+                low = _union(must1, inputs, True, 0, bit)
+            elif gate is gate_nor:
+                high = _union(must0, inputs, False, bit, 0)
+            elif gate is gate_nand:
+                low = _union(must1, inputs, True, 0, bit)
+            elif gate is gate_const0:
+                # A constant-0 output can never be 1: mark as self-contradictory.
+                high = (bit, bit)
+            elif gate is gate_const1:
+                low = (bit, bit)
+            if high is not None and (high[0].bit_count()
+                                     + high[1].bit_count()) <= cap:
+                must1[var] = high
+                nontrivial |= bit
+            if low is not None and (low[0].bit_count()
+                                    + low[1].bit_count()) <= cap:
+                must0[var] = low
         self._xor_out_mask = xor_out_mask
         self._xnor_out_mask = xnor_out_mask
         if self.xor_and_only:
@@ -237,116 +274,6 @@ class VanishingRules:
                 if neg1[var] or xr1[var]:
                     relevant |= 1 << var
             self.relevant_mask = relevant
-        # The implied-literal tables (``must1``/``must0``) are resolved lazily
-        # by :meth:`_must` — only variables that actually appear in tested
-        # monomials pay for their (transitive) table construction.
-
-    def _must_dependencies(self, var: int, value: bool) -> list[tuple[int, bool]]:
-        """Child tables :meth:`_compute_must` reads for ``(var, value)``."""
-        record = self.model.records.get(var)
-        if record is None or record.gate_type is None or self.xor_and_only:
-            return []
-        gate = record.gate_type
-        if value:
-            if gate in (GateType.AND, GateType.BUF):
-                return [(child, True) for child in record.inputs]
-            if gate is GateType.NOT:
-                return [(record.inputs[0], False)]
-            if gate is GateType.NOR:
-                return [(child, False) for child in record.inputs]
-        else:
-            if gate in (GateType.OR, GateType.BUF):
-                return [(child, False) for child in record.inputs]
-            if gate is GateType.NOT:
-                return [(record.inputs[0], True)]
-            if gate is GateType.NAND:
-                return [(child, True) for child in record.inputs]
-        return []
-
-    def _must(self, var: int, value: bool) -> MustMasks:
-        """Implied literals of ``var = value``, resolving dependencies lazily.
-
-        An explicit work stack (instead of recursion) keeps deep AND/OR
-        chains of wide adders within any recursion limit.
-        """
-        table = self._must1 if value else self._must0
-        cached = table.get(var)
-        if cached is not None:
-            return cached
-        records = self.model.records
-        if var not in records:
-            return (1 << var, 0) if value else (0, 1 << var)
-        must1 = self._must1
-        must0 = self._must0
-        dependencies = self._must_dependencies
-        compute = self._compute_must
-        stack: list[tuple[int, bool]] = [(var, value)]
-        while stack:
-            current, current_value = stack[-1]
-            current_table = must1 if current_value else must0
-            if current in current_table:
-                stack.pop()
-                continue
-            ready = True
-            for child, child_value in dependencies(current, current_value):
-                if (child != current and child in records
-                        and child not in (must1 if child_value else must0)):
-                    stack.append((child, child_value))
-                    ready = False
-            if ready:
-                current_table[current] = compute(current, current_value)
-                stack.pop()
-        return table[var]
-
-    def _compute_must(self, var: int, value: bool) -> MustMasks:
-        record = self.model.records[var]
-        gate = record.gate_type
-        pos, neg = ((1 << var), 0) if value else (0, (1 << var))
-        if gate is None or self.xor_and_only:
-            return (pos, neg)
-        must1 = self._must1
-        must0 = self._must0
-
-        if value:
-            if gate in (GateType.AND, GateType.BUF):
-                for child in record.inputs:
-                    child_pos, child_neg = must1.get(child, (1 << child, 0))
-                    pos |= child_pos
-                    neg |= child_neg
-            elif gate is GateType.NOT:
-                child = record.inputs[0]
-                child_pos, child_neg = must0.get(child, (0, 1 << child))
-                pos |= child_pos
-                neg |= child_neg
-            elif gate is GateType.NOR:
-                for child in record.inputs:
-                    child_pos, child_neg = must0.get(child, (0, 1 << child))
-                    pos |= child_pos
-                    neg |= child_neg
-            elif gate is GateType.CONST0:
-                # A constant-0 output can never be 1: mark as self-contradictory.
-                neg |= 1 << var
-        else:
-            if gate in (GateType.OR, GateType.BUF):
-                for child in record.inputs:
-                    child_pos, child_neg = must0.get(child, (0, 1 << child))
-                    pos |= child_pos
-                    neg |= child_neg
-            elif gate is GateType.NOT:
-                child = record.inputs[0]
-                child_pos, child_neg = must1.get(child, (1 << child, 0))
-                pos |= child_pos
-                neg |= child_neg
-            elif gate is GateType.NAND:
-                for child in record.inputs:
-                    child_pos, child_neg = must1.get(child, (1 << child, 0))
-                    pos |= child_pos
-                    neg |= child_neg
-            elif gate is GateType.CONST1:
-                pos |= 1 << var
-        if pos.bit_count() + neg.bit_count() > self.max_implied_literals:
-            return ((1 << var), 0) if value else (0, (1 << var))
-        return (pos, neg)
 
     # -- literal views (reference/compatibility) --------------------------------
 
@@ -356,7 +283,9 @@ class VanishingRules:
         The packed ``(pos, neg)`` masks are the storage format; this view
         exists for tests and debugging, not for the hot path.
         """
-        pos, neg = self._must(var, value)
+        table, default = ((self._must1, (1 << var, 0)) if value
+                          else (self._must0, (0, 1 << var)))
+        pos, neg = table.get(var, default)
         return frozenset([(v, True) for v in bits_of(pos)]
                          + [(v, False) for v in bits_of(neg)])
 
@@ -466,7 +395,7 @@ class VanishingRules:
 
         Every variable implies its own positive literal, so the accumulated
         ``pos`` mask starts as the monomial mask itself and the loop only
-        visits variables whose table can hold more (one AND with
+        visits variables whose table holds more (one AND with
         :attr:`_nontrivial_mask` selects them — XOR outputs and primary
         inputs, the bulk of rewriting monomials, are skipped wholesale).
         A contradiction is one AND; the XOR/XNOR follow-up only visits gate
@@ -481,9 +410,7 @@ class VanishingRules:
             low = remaining & -remaining
             remaining ^= low
             var = low.bit_length() - 1
-            entry = must1.get(var)
-            if entry is None:
-                entry = self._must(var, True)
+            entry = must1[var]
             pos |= entry[0]
             neg |= entry[1]
         if pos & neg:
@@ -566,3 +493,22 @@ class VanishingRules:
             del terms[mask]
         self.removed_count += len(doomed)
         return Polynomial._raw(terms)
+
+
+def _union(table: dict[int, MustMasks], inputs: tuple[int, ...],
+           value: bool, pos: int, neg: int) -> MustMasks:
+    """``(pos, neg)`` ORed with the entries of ``inputs`` in ``table``.
+
+    ``table`` is ``must1`` (``value`` ``True``) or ``must0``; a missing
+    entry is the input's own literal of that polarity.
+    """
+    for child in inputs:
+        entry = table.get(child)
+        if entry is not None:
+            pos |= entry[0]
+            neg |= entry[1]
+        elif value:
+            pos |= 1 << child
+        else:
+            neg |= 1 << child
+    return pos, neg

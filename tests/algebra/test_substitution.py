@@ -114,6 +114,9 @@ class _Reference:
                     growth_limit, 4 * len(terms)):
                 self.rejected_substitutions += 1
                 results.append((-1, len(terms)))
+                if deadline is not None and time.perf_counter() > deadline:
+                    tripped = "deadline"
+                    break
                 continue
             self.terms = after
             self.substitutions += 1
@@ -423,6 +426,21 @@ def test_deadline_trips_after_the_first_affecting_step():
                                            deadline=time.perf_counter() - 1)
     assert tripped == "deadline"
     assert results == [(0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("extra_items", [0, PARTITION_MIN_ITEMS])
+def test_deadline_trips_after_a_rejected_step(extra_items):
+    """A run of steps the growth guard rejects still reads the clock."""
+    terms = {1 << var | 1 << i: 1 for var in (20, 19, 18) for i in range(3)}
+    wide = [(1 << (30 + j), 1) for j in range(20)]
+    items = [(20, wide), (19, wide), (18, wide)] + [
+        (10 - i, [(0, 1)]) for i in range(extra_items)]
+    engine, (results, tripped) = _run_both(terms, items, growth_limit=4,
+                                           deadline=time.perf_counter() - 1)
+    assert tripped == "deadline"
+    assert results == [(-1, 9)]
+    assert engine.rejected_substitutions == 1
+    assert engine.terms == terms
 
 
 def test_counters_accumulate_across_resets():

@@ -166,8 +166,10 @@ def test_streamed_batch_reads_and_publishes_the_shared_cache(cached_server,
         try:
             [hit] = list(worker_client.batch_stream([published]))
             assert worker_client.last_trailer["executed"] == 0
+            assert worker_client.last_trailer["cache_hits"] == 1
             [executed] = list(worker_client.batch_stream([fresh]))
             assert worker_client.last_trailer["executed"] == 1
+            assert worker_client.last_trailer["cache_hits"] == 0
             shared = worker_client.metrics()["shared_cache"]
         finally:
             worker_client.close()
@@ -175,6 +177,32 @@ def test_streamed_batch_reads_and_publishes_the_shared_cache(cached_server,
     assert shared["remote_hits_total"] == 1
     assert shared["remote_puts_total"] == 1
     assert client.cache_get(keys[1]).to_json() == executed.to_json()
+
+
+def test_synchronous_batch_counts_shared_cache_hits(cached_server, client):
+    """The synchronous envelope and ``/metrics`` count a cell the
+    coordinator served as a cache hit, as ``/v1/verify`` does."""
+    published = dict(DOCUMENT, architecture="SP-DT-HC", width=2)
+    fresh = dict(published, method="mt-fo")
+    key = request_cache_key(VerificationRequest.from_architecture(
+        "SP-DT-HC", 2, "mt-lr", find_counterexample=False))
+    report = client.verify(published)
+    assert client.cache_put(key, report) is True
+    worker_app = VerificationServerApp(
+        shared_cache_url=f"http://127.0.0.1:{cached_server.port}")
+    with ServerThread(worker_app) as worker:
+        worker_client = VerificationClient(port=worker.port, timeout_s=30.0)
+        try:
+            envelope = worker_client.batch_envelope([published, fresh])
+            metrics = worker_client.metrics()
+        finally:
+            worker_client.close()
+    assert envelope["cache_hits"] == 1
+    assert envelope["executed"] == 1
+    assert (VerificationReport.from_dict(envelope["reports"][0]).to_json()
+            == report.to_json())
+    assert metrics["cache"] == {"hits_total": 1, "executed_total": 1}
+    assert metrics["shared_cache"]["remote_hits_total"] == 1
 
 
 def test_stream_and_async_are_mutually_exclusive(client):

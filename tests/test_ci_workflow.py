@@ -73,7 +73,8 @@ def test_bench_smoke_job_gates_and_uploads(workflow):
 def test_bench_smoke_job_runs_a_traced_batch_replay(workflow):
     """A traced run fails the build when a name perfbench wraps breaks."""
     steps = workflow["jobs"]["bench-smoke"]["steps"]
-    [step] = [step for step in steps if "--trace 1" in step.get("run", "")]
+    [step] = [step for step in steps
+              if "--workload batch-replay" in step.get("run", "")]
     command = step["run"]
     assert ("python perfbench/run.py --workload batch-replay --seed 1 \\\n"
             "  --seconds 1 --trace 1") in command
@@ -83,6 +84,25 @@ def test_bench_smoke_job_runs_a_traced_batch_replay(workflow):
     for layer in ("experiments.runner.cache_key_ms",
                   "experiments.runner.dispatch_ms",
                   "verification.rewriting.self_ms"):
+        assert f'"{layer}"' in command
+    assert '["value"] > 0' in command
+
+
+def test_bench_smoke_job_runs_a_traced_certify(workflow):
+    """A traced certify run fails the build when the generate, model-build,
+    rewriting or reduction span reads zero."""
+    steps = workflow["jobs"]["bench-smoke"]["steps"]
+    [step] = [step for step in steps
+              if "--workload certify" in step.get("run", "")]
+    command = step["run"]
+    assert ("python perfbench/run.py --workload certify --seed 1 \\\n"
+            "  --seconds 1 --trace 1") in command
+    assert 'summary["correct"] is True' in command
+    assert 'summary["failed"] == 0' in command
+    assert "perfbench/results/certify-seed1-trace1.json" in command
+    for layer in ("generators.self_ms", "modeling.self_ms",
+                  "verification.rewriting.self_ms",
+                  "verification.reduction.self_ms"):
         assert f'"{layer}"' in command
     assert '["value"] > 0' in command
 

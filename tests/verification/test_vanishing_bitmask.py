@@ -282,3 +282,22 @@ def test_xor_and_only_mode_unchanged_by_bitmask_core():
     assert strict.is_vanishing(Monomial([ring.index("X"), ring.index("D")]))
     assert not strict.is_vanishing(
         Monomial([ring.index("X"), ring.index("a"), ring.index("b")]))
+
+
+@pytest.mark.parametrize("cap", [1, 3, 6])
+def test_capped_tables_match_the_reference(cap):
+    """An entry past ``max_implied_literals`` is the self-literal, in the
+    tables and in every entry and verdict built on top of it."""
+    for seed in range(4):
+        rng = random.Random(seed)
+        model = AlgebraicModel.from_netlist(random_netlist(rng))
+        rules = VanishingRules(model, max_implied_literals=cap)
+        reference = FrozensetReference(model, max_implied_literals=cap)
+        variables = list(model.records)
+        for var in variables:
+            for value in (True, False):
+                assert rules.implied_literals(var, value) == reference.must(
+                    var, value), f"must table differs for var {var}, {value}"
+        for _ in range(200):
+            mask = mask_of(rng.sample(variables, rng.randint(2, 5)))
+            assert rules.is_vanishing_mask(mask) == reference.is_vanishing_mask(mask)
