@@ -29,7 +29,7 @@ def run_cell(architecture: str, width: int, method: str,
              config: ExperimentConfig) -> dict:
     """One fresh in-process table cell through the service, as a table row."""
     service = VerificationService(
-        budgets=config.budgets, golden_architecture=config.golden_architecture)
+        golden_architecture=config.golden_architecture)
     return service.submit(VerificationRequest.from_architecture(
         architecture, width, method, budgets=config.budgets,
         find_counterexample=False)).to_row()

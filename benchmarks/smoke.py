@@ -58,7 +58,7 @@ SMOKE_METHODS = ("mt-lr", "mt-fo")
 
 def _calibrate(config: ExperimentConfig, repeats: int = 5) -> float:
     """Time a fixed reference workload (seconds, best of ``repeats``)."""
-    service = VerificationService(budgets=config.budgets)
+    service = VerificationService()
     request = VerificationRequest.from_architecture(
         "SP-AR-RC", SMOKE_WIDTH, "mt-lr", budgets=config.budgets,
         find_counterexample=False)
@@ -122,11 +122,11 @@ def run_smoke(jobs: int, widths: tuple[int, ...] = (SMOKE_WIDTH,),
     # fresh runs, and a REPRO_BENCH_CACHE exported for table work must not
     # leak stale timings into the baseline or the regression gate.
     service = VerificationService(
-        budgets=config.budgets, golden_architecture=config.golden_architecture,
-        jobs=jobs, task_timeout_s=task_timeout_s)
+        golden_architecture=config.golden_architecture, jobs=jobs)
+    budgets = config.budgets.replace(task_timeout_s=task_timeout_s)
     start = time.perf_counter()
     rows = [report.to_row() for report in service.run_grid(
-        TABLE1_ARCHITECTURES, config.widths, SMOKE_METHODS)]
+        TABLE1_ARCHITECTURES, config.widths, SMOKE_METHODS, budgets)]
     total_s = time.perf_counter() - start
     # Summed per-row time is independent of the worker count, so the gate
     # compares like with like even when baseline and CI use different --jobs.

@@ -31,12 +31,13 @@ def main() -> None:
                              "[--baselines] [--jobs N]")
         jobs = int(sys.argv[position])
 
-    service = VerificationService(
-        budgets=Budgets(time_budget_s=30.0, sat_conflict_budget=30_000))
     architectures = TABLE1_ARCHITECTURES + TABLE2_ARCHITECTURES
     methods = (list(TABLE1_BASELINES) if include_baselines else [])
     methods += list(COMPARISON_METHODS)
-    reports = service.run_grid(architectures, [width], methods, jobs=jobs)
+    reports = VerificationService().run_grid(
+        architectures, [width], methods,
+        budgets=Budgets(time_budget_s=30.0, sat_conflict_budget=30_000),
+        jobs=jobs)
     grid = {(report.circuit, report.method): report for report in reports}
 
     rows = []

@@ -29,8 +29,9 @@ class Budgets:
 
     The defaults match the historical per-function defaults, so
     ``Budgets()`` reproduces the behaviour of calling the old entry points
-    without budget kwargs.  ``None`` disables the corresponding guard
-    (except ``counterexample_tries``, which is always bounded).
+    without budget kwargs.  ``None`` disables the corresponding guard,
+    except ``vanishing_cache_limit`` (``None`` = the default 1,000,000
+    cap) and ``counterexample_tries`` (always bounded).
     """
 
     #: Abort the GB reduction when the remainder exceeds this many monomials.
@@ -41,7 +42,8 @@ class Budgets:
     sat_conflict_budget: int | None = 200_000
     #: ROBDD node budget of the BDD baseline.
     bdd_node_budget: int | None = 1_000_000
-    #: Cap on the vanishing-rule verdict cache (whole-cache reset on overflow).
+    #: Cap on the vanishing-rule verdict cache (whole-cache reset on
+    #: overflow); ``None`` = the default 1,000,000 cap.
     vanishing_cache_limit: int | None = None
     #: Random assignments tried when searching for a counterexample.
     counterexample_tries: int = 4096

@@ -147,18 +147,18 @@ def request_cache_key(request: VerificationRequest,
 class VerificationService:
     """Submit verification requests against the registered backends.
 
+    A service holds no budgets: every layer reads the
+    :class:`~repro.api.request.Budgets` of the request it runs, so
+    :meth:`submit`, :meth:`run_batch` and :meth:`iter_batch` bound a
+    request exactly as it asks, and :meth:`grid` puts the budgets it is
+    given on every request it builds.
+
     Parameters
     ----------
-    budgets:
-        Service-level default budgets; :meth:`run_batch` jobs run under
-        them unless a request carries its own budget group (per-request
-        :class:`~repro.api.request.Budgets` are honoured job-by-job).
     golden_architecture:
         Reference architecture the SAT baseline compares against.
     jobs:
         Default worker-process count of :meth:`run_batch`.
-    task_timeout_s:
-        Default hard per-job wall-clock limit of :meth:`run_batch`.
     cache_dir:
         On-disk result cache directory for :meth:`run_batch` (``None``
         disables the cache).
@@ -181,18 +181,14 @@ class VerificationService:
         graceful degradation.
     """
 
-    def __init__(self, budgets: Budgets | None = None,
-                 golden_architecture: str = "SP-AR-RC",
+    def __init__(self, golden_architecture: str = "SP-AR-RC",
                  jobs: int = 1,
-                 task_timeout_s: float | None = None,
                  cache_dir: str | os.PathLike | None = None,
                  retry_policy=None,
                  fallback_policy=None,
                  pool=None) -> None:
-        self.budgets = budgets if budgets is not None else Budgets()
         self.golden_architecture = golden_architecture
         self.jobs = jobs
-        self.task_timeout_s = task_timeout_s
         self.cache_dir = cache_dir
         self.retry_policy = retry_policy
         self.fallback_policy = fallback_policy
@@ -418,8 +414,6 @@ class VerificationService:
         report is returned — with the full history, so the caller can see
         the degradation was exhausted.
         """
-        import dataclasses
-
         from repro.errors import ReproError
         from repro.resilience.policy import attempt_entry, escalate_budgets
         if self.fallback_policy is None or report.verdict != "budget":
@@ -473,10 +467,9 @@ class VerificationService:
         """The runner of a batch, its pool-eligible request indices and jobs.
 
         The shared front half of :meth:`run_batch` and :meth:`iter_batch`:
-        the ``i``-th job is a fresh copy of the request at the ``i``-th
-        index, carrying its effective hard task timeout — its own, else
-        the service budgets', else :attr:`task_timeout_s`.  Fresh copies
-        are distinct objects even when a batch lists one request twice.
+        the ``i``-th job is a copy of the request at the ``i``-th index,
+        budgets and all, so jobs are distinct objects even when a batch
+        lists one request twice.
         """
         from repro.experiments.runner import ParallelRunner
         runner = ParallelRunner(
@@ -487,16 +480,8 @@ class VerificationService:
             golden_architecture=self.golden_architecture)
         pooled = [index for index, request in enumerate(requests)
                   if pool_eligible(request)]
-        grid = []
-        for index in pooled:
-            budgets = requests[index].budgets
-            timeout = next((limit for limit in (
-                budgets.task_timeout_s, self.budgets.task_timeout_s,
-                self.task_timeout_s) if limit is not None), None)
-            grid.append(dataclasses.replace(
-                requests[index],
-                budgets=budgets.replace(task_timeout_s=timeout)))
-        return runner, pooled, grid
+        return runner, pooled, [dataclasses.replace(requests[index])
+                                for index in pooled]
 
     def run_batch(self, requests: Sequence[VerificationRequest],
                   jobs: int | None = None,
@@ -512,12 +497,10 @@ class VerificationService:
         ``xor_and_only``, a custom seed, or ``find_counterexample=True``
         (the pool never searches counterexamples) — falls back to
         in-process :meth:`submit`, so a request always means the same
-        thing through either path.  Per-request budget groups are
-        honoured: a pooled request runs under its own
-        :class:`~repro.api.request.Budgets`, and the result cache keys
-        each job by the budgets it actually ran under.  A per-request
-        ``budgets.task_timeout_s`` of ``None`` falls back to the
-        service-level hard limit rather than disabling it.
+        thing through either path.  Every request runs under its own
+        :class:`~repro.api.request.Budgets`, and the result cache keys it
+        by them; a ``budgets.task_timeout_s`` of ``None`` sets no hard
+        limit.
         """
         requests = list(requests)
         runner, pooled, grid = self._pooled_jobs(requests, jobs)
@@ -608,25 +591,27 @@ class VerificationService:
                 self.last_executed = runner.last_executed
                 self.last_retries = runner.last_retries
 
-    def grid(self, architectures: Sequence[str], widths: Sequence[int],
-             methods: Sequence[str]) -> list[VerificationRequest]:
+    @staticmethod
+    def grid(architectures: Sequence[str], widths: Sequence[int],
+             methods: Sequence[str], budgets: Budgets = Budgets(),
+             ) -> list[VerificationRequest]:
         """The (architecture, width, method) grid as requests, widths outermost.
 
-        Grid requests carry the service :attr:`budgets` and skip the
+        Every grid request carries ``budgets`` and skips the
         counterexample search (table rows report verdicts and counters,
         not witnesses), which keeps every cell eligible for the worker
         pool.
         """
         return [
             VerificationRequest.from_architecture(architecture, width, method,
-                                                  budgets=self.budgets,
+                                                  budgets=budgets,
                                                   find_counterexample=False)
             for width in widths for architecture in architectures
             for method in methods]
 
     def run_grid(self, architectures: Sequence[str], widths: Sequence[int],
-                 methods: Sequence[str], jobs: int | None = None,
-                 ) -> list[VerificationReport]:
-        """Convenience: run the :meth:`grid` as a batch."""
-        return self.run_batch(self.grid(architectures, widths, methods),
-                              jobs=jobs)
+                 methods: Sequence[str], budgets: Budgets = Budgets(),
+                 jobs: int | None = None) -> list[VerificationReport]:
+        """Convenience: run the :meth:`grid` under ``budgets`` as a batch."""
+        return self.run_batch(self.grid(architectures, widths, methods,
+                                        budgets), jobs=jobs)

@@ -94,16 +94,17 @@ def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", default="mt-lr",
                         choices=list(backend_names()),
                         help="verification backend (default: mt-lr)")
-    parser.add_argument("--monomial-budget", type=int, default=2_000_000,
+    parser.add_argument("--monomial-budget", type=int,
                         help="abort when the remainder exceeds this many monomials")
-    parser.add_argument("--time-budget", type=float, default=None,
+    parser.add_argument("--time-budget", type=float,
                         help="abort after this many seconds")
     parser.add_argument("--stats", action="store_true",
                         help="print the substitution-engine counters of the "
                              "rewriting passes and the GB reduction")
-    parser.add_argument("--vanishing-cache-limit", type=int, default=None,
+    parser.add_argument("--vanishing-cache-limit", type=int,
                         help="cap on the vanishing-rule verdict cache "
-                             "(whole-cache reset on overflow)")
+                             "(whole-cache reset on overflow; unset = the "
+                             "default 1,000,000 cap)")
     parser.add_argument("--json", action="store_true",
                         help="emit the verification report as one JSON "
                              "object (schema in repro/api/__init__.py)")
@@ -113,10 +114,19 @@ def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
                              "'repro-verify check-certificate PATH')")
 
 
-def _budgets_from_args(args: argparse.Namespace) -> Budgets:
-    return Budgets(monomial_budget=args.monomial_budget,
-                   time_budget_s=args.time_budget,
-                   vanishing_cache_limit=args.vanishing_cache_limit)
+#: Budget flags (argparse ``dest``) and the ``Budgets`` field each sets.
+_BUDGET_FLAGS = {"monomial_budget": "monomial_budget",
+                 "time_budget": "time_budget_s",
+                 "vanishing_cache_limit": "vanishing_cache_limit",
+                 "task_timeout": "task_timeout_s"}
+
+
+def _budgets_from_args(args: argparse.Namespace,
+                       base: Budgets = Budgets()) -> Budgets:
+    """The budget flags a user set (unset ones are ``None``) over ``base``."""
+    return base.replace(**{
+        field: getattr(args, flag) for flag, field in _BUDGET_FLAGS.items()
+        if getattr(args, flag, None) is not None})
 
 
 def _print_engine_stats(result) -> None:
@@ -311,9 +321,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr, flush=True)
 
     serve(host=args.host, port=args.port, announce=announce,
-          budgets=Budgets(monomial_budget=args.monomial_budget,
-                          time_budget_s=args.time_budget,
-                          task_timeout_s=args.task_timeout),
+          budgets=_budgets_from_args(args),
           jobs=args.jobs, cache_dir=args.cache,
           job_store_limit=args.job_store_limit,
           max_inflight=args.max_inflight,
@@ -338,8 +346,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     summary = run_campaign(
         architectures, args.width, args.method,
-        budgets=Budgets(monomial_budget=args.monomial_budget,
-                        time_budget_s=args.time_budget),
+        budgets=_budgets_from_args(args),
         out_path=args.out,
         resume=args.resume,
         sample=args.sample,
@@ -370,11 +377,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                   f"{', '.join(backend_names())}", file=sys.stderr)
             return 1
     config = ExperimentConfig.from_environment()
-    budgets = config.budgets.replace(task_timeout_s=args.task_timeout)
-    if args.monomial_budget is not None:
-        budgets = budgets.replace(monomial_budget=args.monomial_budget)
-    if args.time_budget is not None:
-        budgets = budgets.replace(time_budget_s=args.time_budget)
     cache_dir = args.cache if args.cache is not None else config.cache_dir
     retry_policy = (RetryPolicy(max_attempts=args.retries + 1)
                     if args.retries else None)
@@ -382,10 +384,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     # The cache keeps each backend's own row; a budget row is degraded
     # through the fallback chain in this process, after the pool.
     service = VerificationService(
-        budgets=budgets, golden_architecture=config.golden_architecture,
+        golden_architecture=config.golden_architecture,
         jobs=args.jobs, cache_dir=cache_dir, retry_policy=retry_policy,
         fallback_policy=fallback)
-    requests = service.grid(architectures, args.width, methods)
+    requests = service.grid(architectures, args.width, methods,
+                            _budgets_from_args(args, config.budgets))
     batch = service
     if args.fleet:
         import dataclasses
@@ -511,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                               f"({', '.join(backend_names())})")
     p_batch.add_argument("--jobs", "-j", type=int, default=1,
                          help="worker processes (default: 1 = serial)")
-    p_batch.add_argument("--task-timeout", type=float, default=None,
+    p_batch.add_argument("--task-timeout", type=float,
                          help="hard per-job wall-clock limit in seconds "
                               "(enforced by killing the worker)")
     p_batch.add_argument("--cache", default=None, metavar="DIR",
@@ -521,10 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--output", "-o", default=None,
                          help="write full result rows (with timings) to this "
                               "JSON file")
-    p_batch.add_argument("--monomial-budget", type=int, default=None,
+    p_batch.add_argument("--monomial-budget", type=int,
                          help="override the REPRO_BENCH_MONOMIAL_BUDGET / "
                               "default budget for this batch")
-    p_batch.add_argument("--time-budget", type=float, default=None)
+    p_batch.add_argument("--time-budget", type=float)
     p_batch.add_argument("--json", action="store_true",
                          help="emit one verification-report JSON line per "
                               "row instead of the verdict table")
@@ -557,11 +560,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--job-store-limit", type=int, default=256,
                          help="bound on the async job store; finished jobs "
                               "are evicted oldest-first (default: 256)")
-    p_serve.add_argument("--monomial-budget", type=int, default=2_000_000,
+    p_serve.add_argument("--monomial-budget", type=int,
                          help="default monomial budget of served requests")
-    p_serve.add_argument("--time-budget", type=float, default=None,
+    p_serve.add_argument("--time-budget", type=float,
                          help="default per-request time budget in seconds")
-    p_serve.add_argument("--task-timeout", type=float, default=None,
+    p_serve.add_argument("--task-timeout", type=float,
                          help="default hard per-job wall-clock limit of "
                               "served batches")
     p_serve.add_argument("--max-inflight", type=int, default=None,
@@ -616,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="hard cap on executed tasks (smoke runs)")
     p_campaign.add_argument("--jobs", "-j", type=int, default=1,
                             help="worker processes (default: 1 = serial)")
-    p_campaign.add_argument("--monomial-budget", type=int, default=2_000_000)
-    p_campaign.add_argument("--time-budget", type=float, default=None)
+    p_campaign.add_argument("--monomial-budget", type=int)
+    p_campaign.add_argument("--time-budget", type=float)
     p_campaign.set_defaults(func=_cmd_campaign)
     return parser
 

@@ -46,8 +46,7 @@ def _merge_method_columns(architecture: str, width: int, columns: dict) -> dict:
 
 
 def _service(config: ExperimentConfig) -> VerificationService:
-    return VerificationService(budgets=config.budgets,
-                               golden_architecture=config.golden_architecture,
+    return VerificationService(golden_architecture=config.golden_architecture,
                                jobs=config.jobs, cache_dir=config.cache_dir)
 
 
@@ -59,7 +58,8 @@ def _method_grid(architectures: Sequence[str], widths: Sequence[int],
     Runs through :meth:`VerificationService.run_grid`, so with
     ``config.jobs > 1`` the whole grid is fanned across worker processes.
     """
-    reports = _service(config).run_grid(architectures, widths, methods)
+    reports = _service(config).run_grid(architectures, widths, methods,
+                                        config.budgets)
     return {(report.circuit, report.width, report.method): report.to_row()
             for report in reports}
 

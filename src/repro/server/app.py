@@ -13,8 +13,8 @@ Endpoints
   ``to_json()`` bytes of the in-process :meth:`VerificationService.submit`
   report).
 * ``POST /v1/batch`` — ``{"requests": [...], "jobs": N?, "async": bool?,
-  "stream": bool?}``; per-request ``budgets`` form budget groups honoured
-  job-by-job by :meth:`VerificationService.run_batch`.  Synchronous
+  "stream": bool?}``; each entry runs under its own budgets (the fields
+  it omits take the served defaults).  Synchronous
   batches answer with a ``{"reports": [...]}`` envelope; ``"async": true``
   answers 202 with a job id for ``GET /v1/jobs/{id}`` polling;
   ``"stream": true`` answers chunked NDJSON — one canonical report per
@@ -145,8 +145,10 @@ def _require_types(kwargs: dict, keys: tuple[str, ...], kind: type,
                            f"got {type(value).__name__}")
 
 
-def parse_request_document(document: object) -> VerificationRequest:
-    """Build a :class:`VerificationRequest` from one wire JSON document."""
+def parse_request_document(document: object,
+                           budgets: Budgets = Budgets()) -> VerificationRequest:
+    """Build a :class:`VerificationRequest` from one wire JSON document;
+    a budget field the document omits takes its value from ``budgets``."""
     if not isinstance(document, dict):
         raise ApiError(400, "bad_request",
                        "request document must be a JSON object")
@@ -162,25 +164,25 @@ def parse_request_document(document: object) -> VerificationRequest:
                        f"unknown request field(s) {unknown}; expected a "
                        f"subset of {list(REQUEST_KEYS)}")
     kwargs = dict(document)
-    budgets = kwargs.pop("budgets", None)
-    if budgets is not None:
-        if not isinstance(budgets, dict):
+    sent = kwargs.pop("budgets", None)
+    if sent is None:
+        sent = {}
+    elif not isinstance(sent, dict):
+        raise ApiError(400, "bad_request", "'budgets' must be a JSON object")
+    unknown = sorted(set(sent) - set(BUDGET_KEYS))
+    if unknown:
+        raise ApiError(400, "unknown_field",
+                       f"unknown budget field(s) {unknown}; expected a "
+                       f"subset of {list(BUDGET_KEYS)}")
+    for key, value in sent.items():
+        # A malformed budget is the client's fault: reject it here as a
+        # 400 instead of letting a string reach the engine as a 500.
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, (int, float))):
             raise ApiError(400, "bad_request",
-                           "'budgets' must be a JSON object")
-        unknown = sorted(set(budgets) - set(BUDGET_KEYS))
-        if unknown:
-            raise ApiError(400, "unknown_field",
-                           f"unknown budget field(s) {unknown}; expected a "
-                           f"subset of {list(BUDGET_KEYS)}")
-        for key, value in budgets.items():
-            # A malformed budget is the client's fault: reject it here as
-            # a 400 instead of letting a string reach the engine as a 500.
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, (int, float))):
-                raise ApiError(400, "bad_request",
-                               f"budget {key!r} must be a number or null, "
-                               f"got {type(value).__name__}")
-        kwargs["budgets"] = Budgets(**budgets)
+                           f"budget {key!r} must be a number or null, "
+                           f"got {type(value).__name__}")
+    kwargs["budgets"] = budgets.replace(**sent)
     specification = kwargs.get("specification")
     if specification is not None and not isinstance(specification, str):
         raise ApiError(400, "bad_request",
@@ -212,11 +214,10 @@ class VerificationServerApp:
     leases its workers from it, and :meth:`close` stops them.  It keeps at
     most ``jobs`` workers idle between batches.
 
-    Parameters mirror :class:`VerificationService`: ``budgets`` are the
-    service-level defaults (per-request budget groups still apply),
-    ``jobs``/``task_timeout_s``/``cache_dir`` configure the batch pool,
-    ``job_store_limit`` bounds the async job store and ``job_workers``
-    the background batch executor.
+    ``budgets`` fill the budget fields a wire document omits (see
+    :meth:`request_from_document`); ``jobs``/``cache_dir`` configure the
+    batch pool, ``job_store_limit`` bounds the async job store and
+    ``job_workers`` the background batch executor.
 
     Resilience (``docs/robustness.md``): ``max_inflight`` bounds the
     verification POSTs executing at once — the excess is answered ``429``
@@ -232,7 +233,6 @@ class VerificationServerApp:
     def __init__(self, budgets: Budgets | None = None,
                  golden_architecture: str = "SP-AR-RC",
                  jobs: int = 1,
-                 task_timeout_s: float | None = None,
                  cache_dir=None,
                  job_store_limit: int = 256,
                  job_workers: int = 2,
@@ -247,7 +247,6 @@ class VerificationServerApp:
         self.budgets = budgets if budgets is not None else Budgets()
         self.golden_architecture = golden_architecture
         self.jobs = jobs
-        self.task_timeout_s = task_timeout_s
         self.cache_dir = cache_dir
         self.max_inflight = max_inflight
         self.retry_after_s = retry_after_s
@@ -297,10 +296,8 @@ class VerificationServerApp:
     def service(self, pool=None) -> VerificationService:
         """A fresh service with the app-level defaults (thread-safe by construction)."""
         return VerificationService(
-            budgets=self.budgets,
             golden_architecture=self.golden_architecture,
             jobs=self.jobs,
-            task_timeout_s=self.task_timeout_s,
             cache_dir=self.cache_dir,
             retry_policy=self.retry_policy,
             fallback_policy=self.fallback_policy,
@@ -551,15 +548,17 @@ class VerificationServerApp:
                 self._errors_total += 1
         return response
 
-    def _clamp_deadline(self, request: VerificationRequest,
-                        ) -> VerificationRequest:
-        """Clamp a request's budgets to the server's per-request deadline.
+    def request_from_document(self, document: object) -> VerificationRequest:
+        """The request that runs (and is keyed) for one wire document.
 
-        The in-process engines trip their wall-clock budget into a
+        A budget field the document omits takes its :attr:`budgets` value;
+        one it sends wins, ``null`` included.  The deadline clamps last:
+        the in-process engines trip their wall-clock budget into a
         ``verdict="budget"`` report, and pooled jobs are hard-killed at the
         same bound — so the client gets a well-formed answer within the
         deadline rather than a connection that hangs until it gives up.
         """
+        request = parse_request_document(document, self.budgets)
         limit = self.request_deadline_s
         if limit is None:
             return request
@@ -736,8 +735,7 @@ class VerificationServerApp:
         return _json_response(certificate)
 
     def handle_verify(self, body: bytes) -> HttpResponse:
-        request = self._clamp_deadline(
-            parse_request_document(self._parse_body(body)))
+        request = self.request_from_document(self._parse_body(body))
         key = self._shared_cache_key(request)
         if key is not None:
             cached = self._shared_cache_get(key)
@@ -780,8 +778,7 @@ class VerificationServerApp:
         if stream and document.get("async"):
             raise ApiError(400, "bad_request",
                            "'stream' and 'async' are mutually exclusive")
-        requests = [self._clamp_deadline(parse_request_document(entry))
-                    for entry in entries]
+        requests = [self.request_from_document(entry) for entry in entries]
         if document.get("async"):
             job = self.job_store.create()
             with self._metrics_lock:

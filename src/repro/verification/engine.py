@@ -49,7 +49,7 @@ from repro.verification.rewriting import (
     no_rewriting,
 )
 from repro.verification.result import ModelStatistics, VerificationResult
-from repro.verification.vanishing import VanishingRules
+from repro.verification.vanishing import DEFAULT_CACHE_LIMIT, VanishingRules
 
 #: Supported verification methods (derived from the backend registry —
 #: the single source of truth in :mod:`repro.api.registry`).
@@ -87,7 +87,8 @@ def verify(netlist: Netlist, specification: Specification | str = "multiplier",
         budgets are blow-up guards whose violation raises
         :class:`~repro.errors.BlowUpError` (reported as a time-out in the
         benchmark tables), ``vanishing_cache_limit`` caps the
-        vanishing-rule verdict memo (whole-cache reset on overflow), and
+        vanishing-rule verdict memo (whole-cache reset on overflow;
+        ``None`` = the default 1,000,000 cap), and
         ``counterexample_tries`` bounds the counterexample search.
     xor_and_only:
         Restrict the vanishing rule to the paper's literal XOR-AND pattern
@@ -242,13 +243,11 @@ def _rewrite(model: AlgebraicModel, method: str, xor_and_only: bool,
         raise VerificationError(
             f"algebraic backend {method!r} has no rewriting scheme in this "
             "engine; only mt-naive/mt-fo/mt-xor/mt-lr are dispatched")
-    if vanishing_cache_limit is not None:
-        vanishing = VanishingRules(model, xor_and_only=xor_and_only,
-                                   cache_limit=vanishing_cache_limit,
-                                   record_proven=record_vanishing)
-    else:
-        vanishing = VanishingRules(model, xor_and_only=xor_and_only,
-                                   record_proven=record_vanishing)
+    vanishing = VanishingRules(
+        model, xor_and_only=xor_and_only,
+        cache_limit=(DEFAULT_CACHE_LIMIT if vanishing_cache_limit is None
+                     else vanishing_cache_limit),
+        record_proven=record_vanishing)
     return logic_reduction_rewriting(
         model, vanishing, apply_common=(method == "mt-lr"),
         monomial_budget=monomial_budget, deadline=deadline), vanishing

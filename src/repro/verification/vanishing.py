@@ -50,6 +50,10 @@ MustMasks = tuple[int, int]
 #: Cap on the minimal-witness set behind the cache's monotonicity shortcut.
 WITNESS_LIMIT = 128
 
+#: Default cap on the mask->verdict memo (:attr:`VanishingRules.cache_limit`);
+#: a ``vanishing_cache_limit`` budget of ``None`` means this cap.
+DEFAULT_CACHE_LIMIT = 1_000_000
+
 
 @dataclass(slots=True)
 class VanishingRules:
@@ -78,7 +82,7 @@ class VanishingRules:
     model: AlgebraicModel
     xor_and_only: bool = False
     max_implied_literals: int = 256
-    cache_limit: int | None = 1_000_000
+    cache_limit: int | None = DEFAULT_CACHE_LIMIT
     removed_count: int = 0
     #: Verdicts served from :attr:`cache` (including the inline probes of
     #: :meth:`remove_vanishing`).

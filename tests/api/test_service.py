@@ -24,10 +24,13 @@ from repro.verification.engine import verify
 
 CATALOG_4BIT = ("SP-AR-RC", "SP-WT-CL", "BP-CT-BK")
 
+#: The budgets these tests' requests carry.
+BUDGETS = Budgets(time_budget_s=60.0)
+
 
 @pytest.fixture(scope="module")
 def service():
-    return VerificationService(budgets=Budgets(time_budget_s=60.0))
+    return VerificationService()
 
 
 @pytest.mark.parametrize("method", backend_names())
@@ -37,7 +40,7 @@ def test_every_backend_verifies_the_4bit_catalog_and_roundtrips(
     """Registry round-trip: every backend runs and its JSON is byte-stable."""
     report = service.submit(
         VerificationRequest.from_architecture(architecture, 4, method=method,
-                                              budgets=service.budgets))
+                                              budgets=BUDGETS))
     assert report.verdict == "verified"
     assert report.method == method
     assert report.circuit == architecture
@@ -66,7 +69,7 @@ def test_verdict_parity_grid_on_injected_bug(service, architecture):
     verdicts = {}
     for method in backend_names():
         report = service.submit(VerificationRequest.from_netlist(
-            buggy, method=method, budgets=service.budgets))
+            buggy, method=method, budgets=BUDGETS))
         verdicts[method] = report.verdict
     assert set(verdicts.values()) == {"refuted"}, verdicts
 
@@ -107,9 +110,9 @@ def _stable(row: dict) -> dict:
 def test_run_batch_matches_parallel_runner_rows(service):
     architectures = ["SP-AR-RC", "SP-WT-CL"]
     methods = ["mt-lr", "sat-cec", "bdd-cec"]
-    reports = service.run_grid(architectures, [3], methods)
+    reports = service.run_grid(architectures, [3], methods, BUDGETS)
     runner = ParallelRunner(workers=1)
-    rows = runner.run(service.grid(architectures, [3], methods))
+    rows = runner.run(service.grid(architectures, [3], methods, BUDGETS))
     assert [_stable(report.to_row()) for report in reports] == [
         _stable(row) for row in rows]
     assert service.last_executed == len(rows)
@@ -117,7 +120,7 @@ def test_run_batch_matches_parallel_runner_rows(service):
 
 def test_run_batch_parallel_matches_serial(service):
     requests = [VerificationRequest.from_architecture(
-                    arch, 3, method, budgets=service.budgets,
+                    arch, 3, method, budgets=BUDGETS,
                     find_counterexample=False)
                 for arch in ("SP-AR-RC", "SP-CT-BK")
                 for method in ("mt-lr", "mt-fo")]
@@ -129,11 +132,11 @@ def test_run_batch_parallel_matches_serial(service):
 
 def test_a_request_listed_twice_gets_both_reports():
     """The runner joins rows by job identity, so each listing is a job."""
-    service = VerificationService(budgets=Budgets(time_budget_s=60.0))
+    service = VerificationService()
     twice = VerificationRequest.from_architecture(
-        "SP-WT-CL", 3, budgets=service.budgets, find_counterexample=False)
+        "SP-WT-CL", 3, budgets=BUDGETS, find_counterexample=False)
     other = VerificationRequest.from_architecture(
-        "SP-AR-RC", 3, budgets=service.budgets, find_counterexample=False)
+        "SP-AR-RC", 3, budgets=BUDGETS, find_counterexample=False)
     requests = [twice, other, twice]
     batched = service.run_batch(requests, jobs=2)
     assert service.last_executed == 3
@@ -149,9 +152,9 @@ def test_run_batch_mixes_pooled_and_inprocess_requests(service):
     netlist = generate_multiplier("SP-AR-RC", 3)
     requests = [
         VerificationRequest.from_architecture("SP-WT-CL", 3,
-                                              budgets=service.budgets,
+                                              budgets=BUDGETS,
                                               find_counterexample=False),
-        VerificationRequest.from_netlist(netlist, budgets=service.budgets),
+        VerificationRequest.from_netlist(netlist, budgets=BUDGETS),
     ]
     reports = service.run_batch(requests)
     assert [r.verdict for r in reports] == ["verified", "verified"]
@@ -163,7 +166,7 @@ def test_run_batch_honours_per_request_budget_groups(service):
     """Pooled requests carry their own budgets job-by-job (ISSUE 5)."""
     requests = [
         VerificationRequest.from_architecture(
-            "SP-AR-RC", 3, "mt-lr", budgets=service.budgets,
+            "SP-AR-RC", 3, "mt-lr", budgets=BUDGETS,
             find_counterexample=False),
         # A 50-monomial budget that provably trips on the naive GB.
         VerificationRequest.from_architecture(
@@ -219,33 +222,27 @@ def test_run_batch_uses_result_cache(tmp_path):
 
 def test_pooled_requests_keep_their_budgets_verbatim(monkeypatch):
     """run_batch must obey the same budget semantics as submit: None means
-    disabled, and REPRO_BENCH_* environment overrides do not sneak in.
-    Only the hard task timeout falls back: to the service budgets', then
-    to the service's own."""
+    disabled, and REPRO_BENCH_* environment overrides do not sneak in."""
     monkeypatch.setenv("REPRO_BENCH_TIMEOUT", "7")
     monkeypatch.setenv("REPRO_BENCH_MONOMIAL_BUDGET", "123")
-    service = VerificationService(task_timeout_s=9.0)
+    service = VerificationService()
     capped = Budgets(vanishing_cache_limit=64)
     requests = [VerificationRequest.from_architecture(
         "SP-AR-RC", 3, budgets=budgets, find_counterexample=False)
-        for budgets in (service.budgets, capped, capped.replace(
+        for budgets in (Budgets(), capped, capped.replace(
             task_timeout_s=2.0))]
     _, pooled, grid = service._pooled_jobs(requests, None)
     assert pooled == [0, 1, 2]
     assert [job.budgets for job in grid] == [
-        service.budgets.replace(task_timeout_s=9.0),
-        capped.replace(task_timeout_s=9.0), capped.replace(task_timeout_s=2.0)]
+        Budgets(), capped, capped.replace(task_timeout_s=2.0)]
     assert grid[0].budgets.time_budget_s is None
-    service.budgets = Budgets(task_timeout_s=5.0)
-    _, _, grid = service._pooled_jobs(requests[1:2], None)
-    assert grid[0].budgets.task_timeout_s == 5.0
 
 
 def test_run_batch_honours_non_default_request_knobs(service):
     """xor_and_only / seed / counterexample requests must not be silently
     pooled with default semantics — batch and submit must agree."""
     request = VerificationRequest.from_architecture(
-        "SP-AR-RC", 3, method="mt-lr", budgets=service.budgets,
+        "SP-AR-RC", 3, method="mt-lr", budgets=BUDGETS,
         xor_and_only=True, find_counterexample=False)
     [batched] = service.run_batch([request])
     direct = service.submit(request)
@@ -294,12 +291,12 @@ def test_baselines_reject_non_multiplier_specifications(service):
     with pytest.raises(VerificationError, match="multiplier"):
         service.submit(VerificationRequest.from_architecture(
             "KS", 4, method="sat-cec", circuit_kind="adder",
-            budgets=service.budgets))
+            budgets=BUDGETS))
 
 
 def test_adder_verification_through_the_service(service):
     report = service.submit(VerificationRequest.from_architecture(
         "KS", 5, method="mt-lr", circuit_kind="adder",
-        budgets=service.budgets))
+        budgets=BUDGETS))
     assert report.verdict == "verified"
     assert "adder" in (report.specification or "")

@@ -53,8 +53,7 @@ def job(architecture: str, width: int = 3, method: str = "mt-lr",
 
 
 def grid(architectures, widths, methods) -> list[VerificationRequest]:
-    return VerificationService(budgets=BUDGETS).grid(architectures, widths,
-                                                     methods)
+    return VerificationService.grid(architectures, widths, methods, BUDGETS)
 
 
 def _deterministic(rows):

@@ -29,9 +29,9 @@ CRASH_KEY = "BP-WT-CL/4/mt-lr"
 
 
 def _grid():
-    service = VerificationService(budgets=Budgets(time_budget_s=60.0,
-                                                  monomial_budget=200_000))
-    return service.grid(ARCHITECTURES, [4], ["mt-lr"])
+    return VerificationService.grid(
+        ARCHITECTURES, [4], ["mt-lr"],
+        Budgets(time_budget_s=60.0, monomial_budget=200_000))
 
 
 def _policy(**overrides):

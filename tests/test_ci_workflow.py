@@ -301,7 +301,9 @@ def test_docs_job_runs_snippet_check(workflow):
 
 
 def test_docs_job_smokes_the_server(workflow):
-    """Boot `serve`, poll /healthz, verify a 2-bit multiplier, check verdict."""
+    """Boot `serve`, poll /healthz, verify a 2-bit multiplier, check verdict;
+    then serve with --monomial-budget 5 and check that it bounds requests
+    without budgets and not those that send their own."""
     commands = " ".join(step.get("run", "")
                         for step in workflow["jobs"]["docs"]["steps"])
     assert "repro-verify serve" in commands
@@ -309,6 +311,14 @@ def test_docs_job_smokes_the_server(workflow):
     assert "/v1/verify" in commands
     assert '"width": 2' in commands
     assert "verified" in commands
+    [served] = [step["run"] for step in workflow["jobs"]["docs"]["steps"]
+                if "--monomial-budget 5" in step.get("run", "")]
+    assert "repro-verify serve --port 8586 --monomial-budget 5" in served
+    assert '"find_counterexample": false}' in served
+    assert "assert r['verdict'] == 'budget'" in served
+    assert '"budgets": {"monomial_budget": 2000000}' in served
+    assert "assert r['verdict'] == 'verified'" in served
+    assert served.index("'budget'") < served.index("2000000")
 
 
 def test_wide_bench_runs_on_schedule_and_dispatch(wide_workflow):
