@@ -7,7 +7,7 @@ BDD baseline's :class:`~repro.baselines.bdd.equivalence.BddCheckResult`, or
 a budget trip) behind one verdict/timing/counter schema with stable JSON
 round-tripping.  The same schema is what ``repro-verify ... --json`` emits,
 what the on-disk :class:`~repro.experiments.runner.ResultCache` persists,
-and what the experiment runner's table rows are derived from.
+and what the experiment runner's table rows flatten losslessly.
 
 Serialization is *canonical*: :meth:`VerificationReport.to_json` always
 emits the top-level keys in the fixed schema order with the backend
@@ -55,11 +55,14 @@ EXIT_CODES = {
     "error": 1,
 }
 
+#: Report fields a table row carries only when they are set, in row order.
+_ROW_OPTIONAL_KEYS = ("specification", "reason", "counterexample",
+                      "remainder", "certificate", "cross_check", "attempts")
+
 #: Table-row keys that are schema fields rather than backend counters.
 _ROW_BASE_KEYS = frozenset((
     "architecture", "width", "method", "status", "time", "time_s",
-    "verified", "reason", "certificate", "cross_check", "attempts",
-))
+    "verified") + _ROW_OPTIONAL_KEYS)
 
 
 def format_seconds(seconds: float) -> str:
@@ -216,11 +219,12 @@ class VerificationReport:
     # -- table-row interoperability --------------------------------------------
 
     def to_row(self) -> dict:
-        """The report as an experiment-runner table row (legacy dict shape).
+        """The report as an experiment-runner table row (a flat dict).
 
+        The row is lossless: :meth:`from_row` rebuilds the same report.
         Key order matters: cached rows must serialize byte-identically to
-        freshly executed ones, so the base keys come first, ``reason`` only
-        when set, and the counters in their stored order.
+        freshly executed ones, so the base keys come first, each optional
+        field only when set, and the counters in their stored order.
         """
         row = {
             "architecture": self.circuit,
@@ -231,14 +235,10 @@ class VerificationReport:
             "time_s": self.time_s,
             "verified": self.verified,
         }
-        if self.reason is not None:
-            row["reason"] = self.reason
-        if self.certificate is not None:
-            row["certificate"] = self.certificate
-        if self.cross_check is not None:
-            row["cross_check"] = self.cross_check
-        if self.attempts is not None:
-            row["attempts"] = self.attempts
+        for key in _ROW_OPTIONAL_KEYS:
+            value = getattr(self, key)
+            if value is not None:
+                row[key] = value
         row.update(self.counters)
         return row
 
@@ -262,11 +262,8 @@ class VerificationReport:
             width=row["width"],
             time=row["time"],
             time_s=row["time_s"],
-            reason=row.get("reason"),
             counters=counters,
-            certificate=row.get("certificate"),
-            cross_check=row.get("cross_check"),
-            attempts=row.get("attempts"))
+            **{key: row.get(key) for key in _ROW_OPTIONAL_KEYS})
 
     # -- backend-result constructors -------------------------------------------
 
@@ -324,6 +321,23 @@ class VerificationReport:
         return cls(
             verdict="budget", status="TO", method=method, circuit=circuit,
             width=width, time="TO", time_s=elapsed_s, reason=str(error))
+
+    @classmethod
+    def from_failure(cls, request, status: str, reason: str,
+                     time_s: float | None = None) -> "VerificationReport":
+        """The report of a request that produced no report of its own.
+
+        ``status`` is ``"error"`` (the run raised, or nothing could run
+        it), ``"crash"`` (its worker process died) or ``"TO"`` (its hard
+        task timeout killed the worker).  The circuit is the request's
+        :meth:`~repro.api.request.VerificationRequest.display_name`, so an
+        entry without an architecture still names what it was.
+        """
+        return cls(
+            verdict=STATUS_TO_VERDICT[status], status=status,
+            method=request.method, circuit=request.display_name(),
+            width=request.width, time="TO" if status == "TO" else "-",
+            time_s=time_s, reason=reason)
 
     @classmethod
     def from_sat_result(cls, result, circuit: str, width: int | None = None,

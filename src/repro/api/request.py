@@ -161,4 +161,5 @@ class VerificationRequest:
             return self.netlist.name
         if self.verilog_path is not None:
             return Path(self.verilog_path).stem
-        return "verilog"
+        from repro.circuit.verilog import module_name
+        return module_name(self.verilog_text) or "verilog"

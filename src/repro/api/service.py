@@ -5,11 +5,12 @@ reproduction.  :meth:`~VerificationService.submit` runs a single
 :class:`~repro.api.request.VerificationRequest` in-process and returns a
 :class:`~repro.api.report.VerificationReport`; budget trips come back as
 ``verdict="budget"`` reports instead of exceptions.
-:meth:`~VerificationService.run_batch` fans many requests across the
-worker processes of :class:`~repro.experiments.runner.ParallelRunner`
-— crash isolation, hard task timeouts, the on-disk result cache, and
-longest-expected-first scheduling included — without the caller touching
-runner internals.
+:meth:`~VerificationService.run_batch` and
+:meth:`~VerificationService.iter_batch` hand every request of a batch to
+:class:`~repro.experiments.runner.ParallelRunner` — crash isolation, hard
+task timeouts, the on-disk result cache, and longest-expected-first
+scheduling included — and return the reports :meth:`submit` would,
+without the caller touching runner internals.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import os
 import threading
 import time
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.api.registry import backends, get_backend
 from repro.api.report import VerificationReport
@@ -81,26 +82,6 @@ def _outputs_differ(netlist, golden, counterexample: dict[str, int] | None,
     return any(values[name] != reference[name] for name in netlist.outputs)
 
 
-def pool_eligible(request: VerificationRequest) -> bool:
-    """True when a request can run through the worker pool / fleet.
-
-    The pool (and the shared result cache keyed by netlist content) only
-    handles architecture-sourced multiplier requests with the
-    runner-default knobs: no custom specification, no ``xor_and_only``,
-    no counterexample search, default seed, and certificates only from
-    certifiable backends.  Everything else runs through in-process
-    :meth:`VerificationService.submit` with identical semantics.
-    """
-    return (request.architecture is not None
-            and request.circuit_kind == "multiplier"
-            and request.specification is None
-            and not request.xor_and_only
-            and not request.find_counterexample
-            and request.seed == 0
-            and (not request.certificate
-                 or get_backend(request.method).certifiable))
-
-
 def request_cache_key(request: VerificationRequest,
                       golden_architecture: str = "SP-AR-RC") -> str | None:
     """Content-addressed result-cache key of a request (``None`` = uncacheable).
@@ -108,13 +89,23 @@ def request_cache_key(request: VerificationRequest,
     The one key function of the result cache, shared by
     :class:`~repro.experiments.runner.ResultCache`, the server's shared
     cache and the fleet, so a local batch and a fleet address the same
-    entries.  Only :func:`pool_eligible` requests whose netlist hashes
-    are keyable.  The key covers the netlist content hash, the method,
-    the width, the certificate flag, every outcome-relevant budget (the
-    hard task timeout included), the cache schema and the package
-    version, plus the golden netlist for ``sat-cec``.
+    entries.  The key covers the netlist content hash, the method, the
+    width, the certificate flag, every outcome-relevant budget (the hard
+    task timeout included), the cache schema and the package version,
+    plus the golden netlist for ``sat-cec``.  So only the requests it
+    describes in full are keyable: architecture-sourced multipliers whose
+    netlist hashes, with no custom specification, no ``xor_and_only``, no
+    counterexample search, the default seed, and certificates only from
+    certifiable backends.
     """
-    if not pool_eligible(request):
+    if not (request.architecture is not None
+            and request.circuit_kind == "multiplier"
+            and request.specification is None
+            and not request.xor_and_only
+            and not request.find_counterexample
+            and request.seed == 0
+            and (not request.certificate
+                 or get_backend(request.method).certifiable)):
         return None
     from repro import __version__
     from repro.experiments.runner import ResultCache, netlist_hash
@@ -462,14 +453,13 @@ class VerificationService:
 
     # -- batches ---------------------------------------------------------------
 
-    def _pooled_jobs(self, requests: list[VerificationRequest],
-                     jobs: int | None):
-        """The runner of a batch, its pool-eligible request indices and jobs.
+    def _batch(self, requests: list[VerificationRequest], jobs: int | None):
+        """The runner of a batch and its jobs.
 
         The shared front half of :meth:`run_batch` and :meth:`iter_batch`:
-        the ``i``-th job is a copy of the request at the ``i``-th index,
-        budgets and all, so jobs are distinct objects even when a batch
-        lists one request twice.
+        the ``i``-th job is a copy of the ``i``-th request, budgets and
+        all, so jobs are distinct objects even when a batch lists one
+        request twice.
         """
         from repro.experiments.runner import ParallelRunner
         runner = ParallelRunner(
@@ -478,72 +468,56 @@ class VerificationService:
             retry_policy=self.retry_policy,
             pool=self.pool,
             golden_architecture=self.golden_architecture)
-        pooled = [index for index, request in enumerate(requests)
-                  if pool_eligible(request)]
-        return runner, pooled, [dataclasses.replace(requests[index])
-                                for index in pooled]
+        return runner, [dataclasses.replace(request) for request in requests]
 
-    def run_batch(self, requests: Sequence[VerificationRequest],
-                  jobs: int | None = None,
-                  on_report: Callable[[VerificationReport], None] | None = None,
-                  ) -> list[VerificationReport]:
-        """Run many requests and return their reports in request order.
-
-        Architecture-sourced multiplier requests with the runner-default
-        knobs are fanned across worker processes (with the on-disk cache
-        and longest-expected-first scheduling) — leased from :attr:`pool`
-        when the service has one, else from a pool started for this batch
-        alone; everything else — netlist/Verilog/adder sources,
-        ``xor_and_only``, a custom seed, or ``find_counterexample=True``
-        (the pool never searches counterexamples) — falls back to
-        in-process :meth:`submit`, so a request always means the same
-        thing through either path.  Every request runs under its own
-        :class:`~repro.api.request.Budgets`, and the result cache keys it
-        by them; a ``budgets.task_timeout_s`` of ``None`` sets no hard
-        limit.
-        """
-        requests = list(requests)
-        runner, pooled, grid = self._pooled_jobs(requests, jobs)
-        rows = runner.run(grid)
+    def _book(self, runner) -> None:
+        """Take over the counters of the batch the runner just ran."""
         self.last_cache_hits = runner.last_cache_hits
         self.last_executed = runner.last_executed
         self.last_retries = runner.last_retries
+
+    def run_batch(self, requests: Sequence[VerificationRequest],
+                  jobs: int | None = None) -> list[VerificationReport]:
+        """Run many requests and return their reports in request order.
+
+        Every request goes through
+        :class:`~repro.experiments.runner.ParallelRunner`: the on-disk
+        cache (for the requests :func:`request_cache_key` can key),
+        longest-expected-first scheduling, and worker processes leased
+        from :attr:`pool` when the service has one, else from a pool
+        started for this batch alone.  Each request runs under its own
+        :class:`~repro.api.request.Budgets`, its hard
+        ``budgets.task_timeout_s`` included (``None`` sets no hard limit),
+        and its report is the one :meth:`submit` returns.  With one job
+        and no hard limit the runner runs the batch in this process.  A
+        request that fails to run (an unknown architecture, unparsable
+        Verilog) answers an ``error`` report in its slot.
+        """
+        runner, grid = self._batch(list(requests), jobs)
+        rows = runner.run(grid)
+        self._book(runner)
         self.last_fallbacks = 0
-        reports: dict[int, VerificationReport] = {}
-        for index, row in zip(pooled, rows):
-            reports[index] = self.apply_fallback(
-                requests[index], VerificationReport.from_row(row))
-        for index, request in enumerate(requests):
-            if index not in reports:
-                reports[index] = self.submit(request)
-        ordered = [reports[i] for i in range(len(requests))]
-        if on_report is not None:
-            for report in ordered:
-                on_report(report)
-        return ordered
+        return [self.apply_fallback(job, VerificationReport.from_row(row))
+                for job, row in zip(grid, rows)]
 
     def iter_batch(self, requests: Sequence[VerificationRequest],
                    jobs: int | None = None,
                    ) -> Iterator[VerificationReport]:
         """Yield reports in request order, each as soon as it is available.
 
-        The streaming sibling of :meth:`run_batch` (same pooling rules,
-        same budget-group handling, same cache): pooled jobs fan across
-        the worker processes on a background thread and their rows are
-        handed over index-by-index, so a huge grid's first report is
-        yielded while later jobs are still executing instead of after the
-        whole batch.  Non-pooled requests run inline at their position.
-        The ``last_*`` counters are final once the generator is exhausted.
+        The streaming sibling of :meth:`run_batch` (same runner, same
+        budgets, same cache, same reports): the runner works on a
+        background thread and its rows are handed over index-by-index, so
+        a huge grid's first report is yielded while later jobs are still
+        executing instead of after the whole batch.  The ``last_*``
+        counters are final once the generator is exhausted.
         """
-        requests = list(requests)
         self.last_fallbacks = 0
-        runner, pooled, grid = self._pooled_jobs(requests, jobs)
+        runner, grid = self._batch(list(requests), jobs)
         # Grid entries are fresh copies, distinct objects even for one
         # request listed twice, so object identity maps each row to its
         # request index.
-        positions = {id(job): index for index, job in zip(pooled, grid)}
-        pooled = set(pooled)
-
+        positions = {id(job): index for index, job in enumerate(grid)}
         condition = threading.Condition()
         rows: dict[int, dict] = {}
         failure: list[BaseException] = []
@@ -561,35 +535,26 @@ class VerificationService:
             with condition:
                 condition.notify_all()
 
-        worker = None
-        if grid:
-            worker = threading.Thread(target=run_pool, daemon=True,
-                                      name="repro-iter-batch")
-            worker.start()
+        worker = threading.Thread(target=run_pool, daemon=True,
+                                  name="repro-iter-batch")
+        worker.start()
         finished = False
         try:
-            for index, request in enumerate(requests):
-                if index in pooled:
-                    with condition:
-                        while index not in rows and not failure:
-                            condition.wait()
-                    if failure:
-                        raise failure[0]
-                    report = self.apply_fallback(
-                        request, VerificationReport.from_row(rows[index]))
-                else:
-                    report = self.submit(request)
-                yield report
+            for index, job in enumerate(grid):
+                with condition:
+                    while index not in rows and not failure:
+                        condition.wait()
+                if failure:
+                    raise failure[0]
+                yield self.apply_fallback(
+                    job, VerificationReport.from_row(rows.pop(index)))
             finished = True
         finally:
             # An abandoned generator (the consumer went away mid-stream)
             # must not block on the pool — the daemon thread drains alone.
             if finished or failure:
-                if worker is not None:
-                    worker.join()
-                self.last_cache_hits = runner.last_cache_hits
-                self.last_executed = runner.last_executed
-                self.last_retries = runner.last_retries
+                worker.join()
+                self._book(runner)
 
     @staticmethod
     def grid(architectures: Sequence[str], widths: Sequence[int],
@@ -599,8 +564,8 @@ class VerificationService:
 
         Every grid request carries ``budgets`` and skips the
         counterexample search (table rows report verdicts and counters,
-        not witnesses), which keeps every cell eligible for the worker
-        pool.
+        not witnesses), which keeps every cell keyable by the result
+        cache.
         """
         return [
             VerificationRequest.from_architecture(architecture, width, method,

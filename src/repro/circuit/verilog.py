@@ -139,6 +139,18 @@ def _normalise_signal(token: str) -> str:
     return token
 
 
+def _strip_comments(text: str) -> str:
+    text = re.sub(r"//.*", "", text)
+    return re.sub(r"/\*.*?\*/", "", text, flags=re.S)
+
+
+def module_name(text: str) -> str | None:
+    """The name in the module header :func:`parse_verilog` would read
+    (``None``: the text has none)."""
+    header = re.search(r"(?:^|;)\s*module\s+(\w+)", _strip_comments(text))
+    return header.group(1) if header else None
+
+
 def parse_verilog(text: str, name: str | None = None) -> Netlist:
     """Parse the supported structural-Verilog subset into a netlist.
 
@@ -149,8 +161,7 @@ def parse_verilog(text: str, name: str | None = None) -> Netlist:
     from expanding into millions of names.
     """
     # Strip comments and split into ';'-terminated statements.
-    text = re.sub(r"//.*", "", text)
-    text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
+    text = _strip_comments(text)
     declared_budget = len("".join(text.split()))
     statements = [s.strip() for s in text.replace("\n", " ").split(";") if s.strip()]
 

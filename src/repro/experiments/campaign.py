@@ -8,11 +8,12 @@ JSON-lines row per mutant.  Every refuted row carries the service's
 automatic SAT-miter cross-check (``cross_check``); the summary counts the
 refutations it decided and those it contradicted.
 
-Mutants are in-memory netlists, which the worker pool and the result
-cache do not take (:func:`~repro.api.service.pool_eligible`), so the
-campaign fans out over its own process pool.  Rows are appended and
-flushed one by one, so an interrupted campaign resumes (``resume=True``)
-executing only the unfinished mutants.
+Mutants are in-memory netlists, which the result cache cannot key
+(:func:`~repro.api.service.request_cache_key`), and the campaign fans
+out over its own process pool rather than
+:meth:`~repro.api.service.VerificationService.iter_batch`.  Rows are
+appended and flushed one by one, so an interrupted campaign resumes
+(``resume=True``) executing only the unfinished mutants.
 """
 
 from __future__ import annotations

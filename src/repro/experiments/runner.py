@@ -4,16 +4,18 @@
 :class:`~repro.api.request.VerificationRequest` entries across a
 persistent pool of worker processes (``multiprocessing``), streams result
 rows back as they complete, and isolates crashes and hard timeouts per
-circuit so one bad request can never take down a table reproduction.
+request so one bad request can never take down a table reproduction.
 Every request runs through :meth:`VerificationService.submit
 <repro.api.service.VerificationService.submit>` (see :func:`run_request`),
-the one code path that calls a backend; its report comes back as a table
-row (:meth:`~repro.api.report.VerificationReport.to_row`).  A run that
-exceeds its monomial/conflict/node/time budget is reported with
-``time = "TO"`` exactly like the 100-hour timeouts in the paper's tables.
-Completed rows can be cached on disk (:class:`ResultCache`) keyed by
-netlist content hash, method, width, and budgets, so re-running a table
-only executes changed or uncached requests.
+the one code path that calls a backend; its report comes back as a flat
+table row (:meth:`~repro.api.report.VerificationReport.to_row`), which
+:meth:`~repro.api.report.VerificationReport.from_row` turns back into the
+same report.  A run that exceeds its monomial/conflict/node/time budget
+is reported with ``time = "TO"`` exactly like the 100-hour timeouts in
+the paper's tables.  Completed reports can be cached on disk
+(:class:`ResultCache`) keyed by netlist content hash, method, width, and
+budgets, so re-running a table only executes changed or uncached
+requests.
 """
 
 from __future__ import annotations
@@ -130,13 +132,11 @@ def expected_cost_key(request: VerificationRequest) -> tuple[int, int, int]:
     return (request.width or 0, scheduling_rank(request.method), cost)
 
 
-def _failure_row(request: VerificationRequest, status: str,
-                 time_s: float | None, reason: str) -> dict:
+def _failure_row(request: VerificationRequest, status: str, reason: str,
+                 time_s: float | None = None) -> dict:
     """The row of a request that produced no report of its own."""
-    return {"architecture": request.architecture, "width": request.width,
-            "method": request.method, "status": status,
-            "time": "TO" if status == "TO" else "-",
-            "time_s": time_s, "verified": None, "reason": reason}
+    return VerificationReport.from_failure(request, status, reason,
+                                           time_s).to_row()
 
 
 def _guarded_run_job(request: VerificationRequest,
@@ -150,7 +150,7 @@ def _guarded_run_job(request: VerificationRequest,
     try:
         return run_request(request, golden_architecture)
     except Exception as error:  # noqa: BLE001 - isolation boundary
-        return _failure_row(request, "error", None,
+        return _failure_row(request, "error",
                             f"{type(error).__name__}: {error}")
 
 
@@ -189,9 +189,9 @@ def netlist_hash(architecture: str, width: int) -> str | None:
 
 
 class ResultCache:
-    """On-disk JSON cache of completed verification rows.
+    """On-disk JSON cache of completed verification reports.
 
-    Rows are keyed by the *content* of the problem, not its name: the
+    Reports are keyed by the *content* of the problem, not its name: the
     gate-level Verilog of the generated netlist is hashed together with the
     method, the operand width, every budget that can change the outcome
     (including the golden reference netlist for SAT CEC and the hard task
@@ -201,18 +201,19 @@ class ResultCache:
     hits, while upgrading the package invalidates every entry so an
     algorithm fix is never masked by stale rows.
 
-    Rows that report infrastructure failures (``status`` of ``error`` or
+    Reports of infrastructure failures (``status`` of ``error`` or
     ``crash``) are never cached — those describe the run, not the problem.
-    ``TO`` rows *are* cached: the budgets that produced them are part of the
-    key, and a re-run that reproduces the table (the cache's contract) must
-    reproduce its timeouts too.  They are still wall-clock-dependent, so to
-    re-measure timeouts on a faster machine, point ``--cache`` at a fresh
-    directory (or delete the entry).
+    ``TO`` reports *are* cached: the budgets that produced them are part of
+    the key, and a re-run that reproduces the table (the cache's contract)
+    must reproduce its timeouts too.  They are still wall-clock-dependent,
+    so to re-measure timeouts on a faster machine, point ``--cache`` at a
+    fresh directory (or delete the entry).
 
-    On-disk entries store the unified
-    :class:`~repro.api.report.VerificationReport` schema (see
-    ``repro/api/__init__.py``); table rows are reconstructed from it on
-    every hit, byte-identical to freshly executed rows.
+    :meth:`get` and :meth:`put` speak
+    :class:`~repro.api.report.VerificationReport` objects, and on-disk
+    entries store the report schema (see ``repro/api/__init__.py``).  The
+    one API serves every caller: the runner (which turns a hit into its
+    table row), the ``/v1/cache/{key}`` routes and the fleet dispatcher.
     """
 
     #: Bump when the stored schema or its semantics change within a version.
@@ -244,12 +245,7 @@ class ResultCache:
 
     # -- storage ---------------------------------------------------------------
 
-    def get(self, key: str | None) -> dict | None:
-        """Return the cached row for ``key``, or ``None`` on a miss."""
-        report = self.get_report(key)
-        return report.to_row() if report is not None else None
-
-    def get_report(self, key: str | None) -> "VerificationReport | None":
+    def get(self, key: str | None) -> VerificationReport | None:
         """Return the cached report for ``key``, or ``None`` on a miss.
 
         A corrupt entry — unparseable JSON, a malformed report document, or
@@ -277,7 +273,7 @@ class ResultCache:
             return None
 
     @staticmethod
-    def _checksum(report: "VerificationReport") -> str:
+    def _checksum(report: VerificationReport) -> str:
         """Integrity checksum over the canonical report serialization."""
         return hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
 
@@ -289,24 +285,16 @@ class ResultCache:
         except OSError:
             pass  # a concurrent reader already moved (or removed) it
 
-    def put(self, key: str | None, request: VerificationRequest,
-            row: dict) -> None:
-        """Store a completed row unless it reports an infrastructure failure."""
-        if key is None or row.get("status") not in self.CACHEABLE_STATUSES:
-            return
-        self.put_report(key, VerificationReport.from_row(row), job=request)
+    def put(self, key: str | None, report: VerificationReport,
+            job: VerificationRequest | None = None) -> bool:
+        """Store a report under ``key``; ``True`` iff it was published.
 
-    def put_report(self, key: str | None, report: "VerificationReport",
-                   job: VerificationRequest | None = None) -> bool:
-        """Store a canonical report under an explicit key.
-
-        The entry point of the shared-cache protocol (``PUT
-        /v1/cache/{key}`` and the fleet dispatcher): the caller computed
-        the key (:func:`~repro.api.service.request_cache_key`), the cache
-        only enforces the
-        cacheability contract.  Returns ``True`` iff the entry was
-        published — infrastructure-failure reports and unwritable
-        directories are a quiet ``False``, never an exception.
+        The caller computed the key
+        (:func:`~repro.api.service.request_cache_key`); the cache only
+        enforces the cacheability contract, so infrastructure-failure
+        reports and unwritable directories are a quiet ``False``, never an
+        exception.  ``job`` is recorded beside the report for readers of
+        the directory.
         """
         if key is None or report.status not in self.CACHEABLE_STATUSES:
             return False
@@ -595,7 +583,7 @@ class ParallelRunner:
     the verdicts are byte-for-byte identical to the serial path regardless
     of worker count or completion order.
 
-    With a ``cache_dir`` completed rows are stored on disk keyed by
+    With a ``cache_dir`` completed reports are stored on disk keyed by
     (netlist content hash, method, width, budgets); re-running a table
     then only executes changed or uncached jobs and reproduces the cached
     rows verbatim.
@@ -605,7 +593,8 @@ class ParallelRunner:
     workers:
         Number of worker processes; ``None`` uses ``os.cpu_count()``.
         ``workers <= 1`` runs serially in-process (still crash-isolated
-        against Python exceptions, not against hard crashes).
+        against Python exceptions, not against hard crashes) unless a job
+        carries a hard task timeout, which needs a worker process to kill.
     cache_dir:
         Directory of the on-disk result cache; ``None`` disables caching.
     retry_policy:
@@ -654,12 +643,16 @@ class ParallelRunner:
             return None
         return self.cache.key(job, self.golden_architecture)
 
+    def _cached_row(self, key: str | None) -> dict | None:
+        report = self.cache.get(key)
+        return report.to_row() if report is not None else None
+
     def _finish_row(self, job: VerificationRequest, row: dict,
                     cache_key: str | None,
                     on_result: Callable[[VerificationRequest, dict], None] | None,
                     ) -> dict:
         if self.cache is not None and cache_key is not None:
-            self.cache.put(cache_key, job, row)
+            self.cache.put(cache_key, VerificationReport.from_row(row), job)
         if on_result is not None:
             on_result(job, row)
         return row
@@ -676,7 +669,7 @@ class ParallelRunner:
         self.last_retries = 0
         for job in jobs:
             key = self._cache_key(job)
-            row = self.cache.get(key) if self.cache is not None else None
+            row = self._cached_row(key) if self.cache is not None else None
             if row is None:
                 self.last_executed += 1
                 row = _guarded_run_job(job, self.golden_architecture)
@@ -705,7 +698,7 @@ class ParallelRunner:
         if self.cache is not None:
             for index, job in enumerate(jobs):
                 keys[index] = key = self._cache_key(job)
-                row = self.cache.get(key)
+                row = self._cached_row(key)
                 if row is None:
                     pending.append(index)
                 else:
@@ -876,7 +869,7 @@ class ParallelRunner:
                         if row is None:
                             worker.process.join(5.0)
                             row = _failure_row(
-                                job, "crash", None, "worker exited with "
+                                job, "crash", "worker exited with "
                                 f"code {worker.process.exitcode}")
                             replace(slot)
                         else:
@@ -887,8 +880,8 @@ class ParallelRunner:
                         # job, so it is killed and replaced.
                         replace(slot)
                         finish(index, _failure_row(
-                            job, "TO", job.budgets.task_timeout_s,
-                            "hard task timeout"))
+                            job, "TO", "hard task timeout",
+                            job.budgets.task_timeout_s))
                     elif (grace is not None and now - worker.started > grace
                           and attempt_counts.get(index, 1)
                           < policy.max_attempts):
@@ -899,8 +892,9 @@ class ParallelRunner:
                         # runs to completion.
                         replace(slot)
                         finish(index, _failure_row(
-                            job, "TO", grace,
-                            f"straggler re-dispatch after {grace}s grace"))
+                            job, "TO",
+                            f"straggler re-dispatch after {grace}s grace",
+                            grace))
                 assign_idle()
         finally:
             # A worker still busy here (the run raised) holds a job whose

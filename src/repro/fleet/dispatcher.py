@@ -301,7 +301,7 @@ class _FleetRun:
 
                 key = request_cache_key(request, self.d.golden_architecture)
                 if key is not None:
-                    report = self.d.cache.get_report(key)
+                    report = self.d.cache.get(key)
                     if report is not None:
                         self.results[index] = report
                         self.cache_hits += 1
@@ -609,17 +609,8 @@ class _FleetRun:
         self._finish_error(index, reason)
 
     def _finish_error(self, index: int, reason: str) -> None:
-        request = self.requests[index]
-        report = VerificationReport.from_row({
-            "architecture": request.architecture or request.display_name(),
-            "width": request.width,
-            "method": request.method,
-            "status": "error",
-            "time": "-",
-            "time_s": None,
-            "verified": None,
-            "reason": reason,
-        })
+        report = VerificationReport.from_failure(self.requests[index],
+                                                 "error", reason)
         self._finish(index, None, report, close_history=False)
 
     def _finish(self, index: int, epoch: "int | None",
@@ -645,7 +636,7 @@ class _FleetRun:
             report.attempts = list(report.attempts or ()) + history
         key = self.keys.get(index)
         if key is not None and self.d.cache is not None:
-            self.d.cache.put_report(key, report)
+            self.d.cache.put(key, report)
         self.results[index] = report
         self.executed += 1
         self.unresolved -= 1

@@ -223,9 +223,9 @@ class VerificationServerApp:
     verification POSTs executing at once — the excess is answered ``429``
     with a ``Retry-After: retry_after_s`` header instead of queueing
     without bound.  ``request_deadline_s`` clamps every request's
-    ``time_budget_s`` (and pooled hard task timeout), so an oversized
-    request answers ``verdict="budget"`` within the deadline instead of
-    holding a socket open indefinitely.  ``retry_policy`` and
+    ``time_budget_s`` (and a batch entry's hard task timeout), so an
+    oversized request answers ``verdict="budget"`` within the deadline
+    instead of holding a socket open indefinitely.  ``retry_policy`` and
     ``fallback_policy`` are handed to each per-request
     :class:`VerificationService`.
     """
@@ -553,10 +553,11 @@ class VerificationServerApp:
 
         A budget field the document omits takes its :attr:`budgets` value;
         one it sends wins, ``null`` included.  The deadline clamps last:
-        the in-process engines trip their wall-clock budget into a
-        ``verdict="budget"`` report, and pooled jobs are hard-killed at the
-        same bound — so the client gets a well-formed answer within the
-        deadline rather than a connection that hangs until it gives up.
+        the engines trip their wall-clock budget into a
+        ``verdict="budget"`` report, and every batch entry is hard-killed
+        at twice the deadline — so the client gets a well-formed answer
+        within the deadline rather than a connection that hangs until it
+        gives up.
         """
         request = parse_request_document(document, self.budgets)
         limit = self.request_deadline_s
@@ -692,7 +693,7 @@ class VerificationServerApp:
                 raise ApiError(404, "cache_disabled",
                                "this server was started without a result "
                                "cache (--cache)")
-            report = cache.get_report(key)
+            report = cache.get(key)
             if report is None:
                 raise ApiError(404, "cache_miss", f"no entry for {key}")
             with self._metrics_lock:
@@ -705,7 +706,7 @@ class VerificationServerApp:
                            "PUT body must be {\"report\": {...}} with a "
                            "canonical report document")
         report = VerificationReport.from_dict(document["report"])
-        stored = cache is not None and cache.put_report(key, report)
+        stored = cache is not None and cache.put(key, report)
         if stored:
             with self._metrics_lock:
                 self._cache_puts_served_total += 1

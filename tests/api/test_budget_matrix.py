@@ -292,7 +292,7 @@ def test_a_shared_cache_worker_publishes_under_its_local_key(monkeypatch,
     [key] = published
     assert key == ResultCache(tmp_path).key(VerificationRequest.from_architecture(
         "SP-AR-RC", 3, budgets=SERVED, find_counterexample=False))
-    assert ResultCache(tmp_path).get_report(key) is not None
+    assert ResultCache(tmp_path).get(key) is not None
 
 
 # -- service ---------------------------------------------------------------------

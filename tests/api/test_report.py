@@ -15,8 +15,10 @@ from repro.api.report import (
 )
 from repro.api.request import Budgets, VerificationRequest
 from repro.api.service import VerificationService
+from repro.circuit.mutate import apply_mutation, list_mutations
 from repro.errors import VerificationError
 from repro.experiments.runner import run_request
+from repro.generators.multipliers import generate_multiplier
 
 BUDGETS = Budgets(time_budget_s=60.0, monomial_budget=200_000)
 
@@ -36,6 +38,7 @@ def _assert_row_roundtrip(row: dict) -> None:
     assert list(report.to_row()) == list(row)
     # ... and survives the canonical JSON serialization unchanged.
     revived = VerificationReport.from_json(report.to_json())
+    assert revived.to_dict() == report.to_dict()
     assert revived.to_row() == row
     assert list(revived.to_row()) == list(row)
 
@@ -49,6 +52,21 @@ def test_membership_budget_trip_row_roundtrip():
                Budgets(time_budget_s=60.0, monomial_budget=10))
     assert row["status"] == "TO"
     _assert_row_roundtrip(row)
+
+
+def test_refuted_netlist_row_roundtrip():
+    """A refutation's row carries its specification, counterexample and
+    remainder, so it rebuilds the report submit returned."""
+    netlist = generate_multiplier("SP-AR-RC", 4)
+    buggy = apply_mutation(netlist, list_mutations(netlist)[5])
+    report = VerificationService().submit(VerificationRequest.from_netlist(
+        buggy, budgets=BUDGETS))
+    assert report.verdict == "refuted"
+    assert None not in (report.specification, report.counterexample,
+                        report.remainder, report.cross_check)
+    row = report.to_row()
+    _assert_row_roundtrip(row)
+    assert VerificationReport.from_row(row).to_dict() == report.to_dict()
 
 
 def test_sat_row_roundtrip():

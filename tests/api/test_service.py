@@ -9,6 +9,9 @@ baselines agree with the algebraic methods verdict-for-verdict,
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.api.registry import backend_names
@@ -16,11 +19,17 @@ from repro.api.report import VerificationReport
 from repro.api.request import Budgets, VerificationRequest
 from repro.api.service import VerificationService
 from repro.circuit.mutate import apply_mutation, list_mutations
+from repro.circuit.verilog import write_verilog
 from repro.errors import VerificationError
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import ParallelRunner
 from repro.circuit.simulate import simulate_words
 from repro.generators.multipliers import generate_multiplier
 from repro.verification.engine import verify
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="pool workers inherit a patched run_request only when forked")
 
 CATALOG_4BIT = ("SP-AR-RC", "SP-WT-CL", "BP-CT-BK")
 
@@ -231,24 +240,111 @@ def test_pooled_requests_keep_their_budgets_verbatim(monkeypatch):
         "SP-AR-RC", 3, budgets=budgets, find_counterexample=False)
         for budgets in (Budgets(), capped, capped.replace(
             task_timeout_s=2.0))]
-    _, pooled, grid = service._pooled_jobs(requests, None)
-    assert pooled == [0, 1, 2]
-    assert [job.budgets for job in grid] == [
+    received: list[VerificationRequest] = []
+    run = ParallelRunner.run
+
+    def recording_run(self, jobs, on_result=None):
+        received.extend(jobs)
+        return run(self, jobs, on_result)
+
+    monkeypatch.setattr(ParallelRunner, "run", recording_run)
+    service.run_batch(requests)
+    assert [job.budgets for job in received] == [
         Budgets(), capped, capped.replace(task_timeout_s=2.0)]
-    assert grid[0].budgets.time_budget_s is None
+    assert received[0].budgets.time_budget_s is None
 
 
 def test_run_batch_honours_non_default_request_knobs(service):
-    """xor_and_only / seed / counterexample requests must not be silently
-    pooled with default semantics — batch and submit must agree."""
+    """xor_and_only / seed / counterexample requests must keep their knobs
+    through the runner — batch and submit must agree."""
     request = VerificationRequest.from_architecture(
         "SP-AR-RC", 3, method="mt-lr", budgets=BUDGETS,
         xor_and_only=True, find_counterexample=False)
     [batched] = service.run_batch([request])
     direct = service.submit(request)
-    assert service.last_executed == 0        # routed in-process, not pooled
+    assert service.last_executed == 1
     assert batched.counters["cancelled_vanishing_monomials"] == \
         direct.counters["cancelled_vanishing_monomials"]
+
+
+def _request_shapes() -> dict[str, VerificationRequest]:
+    """One request of every shape a batch can carry, by name."""
+    netlist = generate_multiplier("SP-AR-RC", 4)
+    mutant = apply_mutation(netlist, list_mutations(netlist)[5])
+    return {
+        "architecture": VerificationRequest.from_architecture(
+            "SP-AR-RC", 4, budgets=BUDGETS, find_counterexample=False),
+        "counterexample search": VerificationRequest.from_architecture(
+            "SP-WT-CL", 4, budgets=BUDGETS),
+        "refuted netlist": VerificationRequest.from_netlist(
+            mutant, budgets=BUDGETS),
+        "verilog_text": VerificationRequest.from_verilog(
+            text=write_verilog(generate_multiplier("BP-CT-BK", 4)),
+            budgets=BUDGETS),
+        "xor_and_only": VerificationRequest.from_architecture(
+            "SP-AR-RC", 4, budgets=BUDGETS, xor_and_only=True),
+        "seed": VerificationRequest.from_architecture(
+            "SP-WT-CL", 4, budgets=BUDGETS, seed=3),
+        "certificate": VerificationRequest.from_architecture(
+            "SP-AR-RC", 4, budgets=BUDGETS, certificate=True),
+        "budget trip": VerificationRequest.from_architecture(
+            "SP-AR-RC", 4, "mt-naive", budgets=Budgets(monomial_budget=10)),
+        "simulation refutation": VerificationRequest.from_netlist(
+            mutant, budgets=Budgets(monomial_budget=20)),
+        "sat-cec": VerificationRequest.from_architecture(
+            "SP-WT-CL", 4, "sat-cec", budgets=BUDGETS),
+        "bdd-cec": VerificationRequest.from_architecture(
+            "SP-WT-CL", 4, "bdd-cec", budgets=BUDGETS),
+    }
+
+
+def _stable_report(report: VerificationReport) -> dict:
+    """A report's ``to_dict()`` with the timing fields masked."""
+    document = _stable(report.to_dict())
+    document["counters"] = _stable(document["counters"])
+    return document
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("entry", ["run_batch", "iter_batch"])
+def test_batch_reports_equal_submit_for_every_request_shape(service, entry,
+                                                            jobs):
+    """Rows carry the whole report, so a batch answers each request with
+    the report submit gives it: specification, counterexample, remainder,
+    certificate and cross-check included."""
+    shapes = _request_shapes()
+    expected = {name: _stable_report(service.submit(request))
+                for name, request in shapes.items()}
+    assert expected["refuted netlist"]["remainder"] is not None
+    assert expected["simulation refutation"]["counters"] == {
+        "simulated_vectors": 4096}
+    assert expected["budget trip"]["verdict"] == "budget"
+    reports = getattr(service, entry)(list(shapes.values()), jobs=jobs)
+    assert {name: _stable_report(report)
+            for name, report in zip(shapes, reports)} == expected
+
+
+@needs_fork
+def test_the_hard_task_timeout_binds_every_batch_entry(monkeypatch):
+    """An entry that searches for a counterexample and a Verilog entry are
+    killed at their hard limit like any other, and name their circuit."""
+    monkeypatch.setattr(runner_module, "run_request",
+                        lambda request, golden_architecture: time.sleep(60))
+    budgets = Budgets(task_timeout_s=1.0)
+    requests = [
+        VerificationRequest.from_architecture("SP-AR-RC", 3, budgets=budgets),
+        VerificationRequest.from_verilog(
+            text=write_verilog(generate_multiplier("SP-WT-CL", 3)),
+            budgets=budgets)]
+    service = VerificationService(jobs=2)
+    start = time.monotonic()
+    reports = service.run_batch(requests)
+    assert time.monotonic() - start < 30
+    assert [(report.verdict, report.reason) for report in reports] == [
+        ("budget", "hard task timeout")] * 2
+    assert [report.circuit for report in reports] == [
+        "SP-AR-RC", "SP_WT_CL_3x3"]
+    assert service.last_executed == 2
 
 
 def test_unknown_algebraic_plugin_fails_loudly_not_as_mt_xor():

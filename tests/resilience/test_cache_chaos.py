@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.api.report import VerificationReport
 from repro.api.request import Budgets, VerificationRequest
 from repro.experiments.runner import ParallelRunner, ResultCache, run_request
 from repro.resilience.faults import Fault
@@ -60,17 +61,17 @@ def test_corrupted_publish_is_quarantined_and_reexecuted(job, chaos,
 def test_tampered_verdict_fails_the_checksum(job, tmp_path):
     """Flipping a stored verdict breaks the entry checksum -> miss."""
     cache = ResultCache(tmp_path / "cache")
-    row = run_request(job, "SP-AR-RC")
+    report = VerificationReport.from_row(run_request(job, "SP-AR-RC"))
     key = cache.key(job)
-    cache.put(key, job, row)
-    assert cache.get_report(key) is not None
+    assert cache.put(key, report, job) is True
+    assert cache.get(key) is not None
 
     [entry] = [p for p in cache.directory.iterdir() if p.suffix == ".json"]
     document = json.loads(entry.read_text(encoding="utf-8"))
     document["report"]["verdict"] = "refuted"
     entry.write_text(json.dumps(document), encoding="utf-8")
 
-    assert cache.get_report(key) is None
+    assert cache.get(key) is None
     assert len(_quarantined(cache.directory)) == 1
     assert not _entries(cache.directory)
 
@@ -79,13 +80,13 @@ def test_unreadable_garbage_entry_is_a_miss(job, tmp_path):
     cache = ResultCache(tmp_path / "cache")
     key = cache.key(job)
     (cache.directory / f"{key}.json").write_bytes(b"\x00\xffnot json at all")
-    assert cache.get_report(key) is None
+    assert cache.get(key) is None
     assert len(_quarantined(cache.directory)) == 1
 
 
 def test_missing_entry_is_a_plain_miss(job, tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    assert cache.get_report(cache.key(job)) is None
+    assert cache.get(cache.key(job)) is None
     assert not _quarantined(cache.directory)
 
 
@@ -97,15 +98,15 @@ def test_concurrent_writers_never_publish_a_torn_entry(job, tmp_path):
     key = cache.key(job)
 
     def writer(_):
-        cache.put(key, job, dict(row))
-        return cache.get_report(key)
+        cache.put(key, VerificationReport.from_row(row), job)
+        return cache.get(key)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         reports = list(pool.map(writer, range(64)))
     live = [report for report in reports if report is not None]
     assert live, "concurrent put/get must observe complete entries"
     assert all(report.verdict == "verified" for report in live)
-    assert cache.get_report(key) is not None
+    assert cache.get(key) is not None
     litter = [p.name for p in cache.directory.iterdir()
               if ".tmp." in p.name]
     assert not litter, f"temporary publish files left behind: {litter}"

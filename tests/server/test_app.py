@@ -8,6 +8,8 @@ here against :meth:`VerificationServerApp.handle` directly.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import time
 
 import pytest
 
@@ -271,6 +273,33 @@ def test_metrics_show_the_batch_pool_reusing_its_workers():
         app.close()
     assert pool["workers_started_total"] == 2
     assert pool["workers_idle"] == 2
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="pool workers inherit a patched run_request only when forked")
+def test_the_request_deadline_hard_kills_every_batch_entry(monkeypatch):
+    """An entry that omits ``find_counterexample`` runs in the pool like
+    any other, so the deadline's hard kill (twice the deadline) binds it."""
+    from repro.experiments import runner as runner_module
+
+    monkeypatch.setattr(runner_module, "run_request",
+                        lambda request, golden_architecture: time.sleep(60))
+    app = VerificationServerApp(request_deadline_s=0.5, jobs=2)
+    try:
+        start = time.monotonic()
+        response = _post(app, "/v1/batch", {"requests": [
+            {"architecture": "SP-AR-RC", "width": 3, "method": "mt-lr"}]})
+        elapsed = time.monotonic() - start
+    finally:
+        app.close()
+    assert response.status == 200
+    envelope = _body(response)
+    [report] = envelope["reports"]
+    assert (report["verdict"], report["reason"], report["circuit"]) == (
+        "budget", "hard task timeout", "SP-AR-RC")
+    assert envelope["executed"] == 1
+    assert elapsed < 30
 
 
 def test_verify_never_creates_the_batch_pool(app):

@@ -10,6 +10,7 @@ acceptance against a real fleet coordinator), and the worker-side
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from repro import __version__
 from repro.api.report import REPORT_SCHEMA, VerificationReport
 from repro.api.request import VerificationRequest
-from repro.api.service import request_cache_key
+from repro.api.service import VerificationService, request_cache_key
 from repro.certify.certificate import CERTIFICATE_VERSION
 from repro.experiments.runner import ResultCache, expected_cost_key
 from repro.fleet import FleetTopology
@@ -136,10 +137,26 @@ def test_batch_stream_matches_sync_batch_and_carries_a_trailer(client):
                             "retries", "fallbacks", "steals"}
 
 
-def test_batch_stream_surfaces_failures_as_an_error_line(client):
+def test_batch_stream_surfaces_failures_as_an_error_line(client,
+                                                         monkeypatch):
     documents = [dict(DOCUMENT), {"architecture": "XX-YY-ZZ", "width": 3}]
+    # An entry that cannot run answers an error report in its slot, in a
+    # synchronous and a streamed batch alike.
+    for reports in (client.batch(documents),
+                    list(client.batch_stream(documents))):
+        assert [report.verdict for report in reports] == ["verified", "error"]
+        assert reports[1].circuit == "XX-YY-ZZ"
+        assert reports[1].reason.startswith("CircuitError: unknown")
+    # A batch that fails as a whole ends its stream with an error line.
+    iter_batch = VerificationService.iter_batch
+
+    def failing_iter_batch(self, requests, jobs=None):
+        yield from itertools.islice(iter_batch(self, requests, jobs), 1)
+        raise RuntimeError("injected batch failure")
+
+    monkeypatch.setattr(VerificationService, "iter_batch", failing_iter_batch)
     received = []
-    with pytest.raises(ServerError, match="XX-YY-ZZ|error|generator"):
+    with pytest.raises(ServerError, match="batch_failed.*injected"):
         for report in client.batch_stream(documents):
             received.append(report)
     # The good row still arrived before the failure line.

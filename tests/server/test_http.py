@@ -193,12 +193,21 @@ def test_async_job_submit_poll_and_result_parity(client):
         [report.to_json() for report in reports]
 
 
-def test_async_job_failure_is_reported_not_silent(client):
-    # A netlist that parses but fails verification setup: unknown spec kind
-    # is caught at parse time, so use an unknown architecture — it passes
-    # wire validation and fails inside the batch run.
+def test_async_job_failure_is_reported_not_silent(client, monkeypatch):
+    # An unknown architecture passes wire validation and fails inside the
+    # batch run: that entry answers an error report naming it ...
     job_id = client.submit_batch([{"architecture": "XX-YY-ZZ", "width": 3}])
-    with pytest.raises(ServerError, match="job_failed|GeneratorError|error"):
+    [report] = client.wait(job_id, timeout_s=60.0)
+    assert (report.verdict, report.circuit) == ("error", "XX-YY-ZZ")
+    assert report.reason.startswith("CircuitError: unknown")
+
+    # ... while a batch that fails as a whole fails its job.
+    def failing_run_batch(self, requests, jobs=None):
+        raise RuntimeError("injected batch failure")
+
+    monkeypatch.setattr(VerificationService, "run_batch", failing_run_batch)
+    job_id = client.submit_batch([{"architecture": "SP-AR-RC", "width": 3}])
+    with pytest.raises(ServerError, match="job_failed.*injected"):
         client.wait(job_id, timeout_s=60.0)
 
 

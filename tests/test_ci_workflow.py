@@ -247,6 +247,32 @@ def test_chaos_job_checks_pool_reuse_and_parent_death(workflow):
     assert 'listener.bind(("127.0.0.1", 8586))' in command
 
 
+def test_chaos_job_smokes_a_served_hard_timeout(workflow):
+    """Every served batch entry is bound by the deadline's hard kill.
+
+    A ``--request-deadline 1`` server whose pool jobs all sleep 30 s (an
+    injected ``worker-latency`` fault) must answer two 4-bit entries that
+    omit ``find_counterexample`` with ``budget`` / ``"hard task timeout"``
+    in under 10 s, after the persistent-pool step.
+    """
+    steps = workflow["jobs"]["chaos"]["steps"]
+    names = [step.get("name") for step in steps]
+    index = names.index("Served hard timeout binds every batch entry")
+    assert index > names.index("Persistent batch pool: reuse and parent death")
+    command = steps[index]["run"]
+    assert ('{"faults": [{"site": "worker-latency", "match": "*", '
+            '"delay_s": 30, "times": 100}]}') in command
+    assert ("repro-verify serve --port 8587 --jobs 2 --request-deadline 1"
+            in command)
+    assert command.count('"SP-') == 2
+    assert '"width": 4' in command
+    assert "find_counterexample" not in command
+    assert ('assert answers == [("budget", "hard task timeout")] * 2'
+            in command)
+    assert "assert elapsed < 10" in command
+    assert "kill $SERVER_PID" in command
+
+
 def test_fleet_job_checks_parity_steals_and_cache(workflow):
     """Two real workers, byte-parity with serial, steals, cache replay.
 
