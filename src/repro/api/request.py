@@ -159,7 +159,12 @@ class VerificationRequest:
             return netlist.name
         if self.netlist is not None:
             return self.netlist.name
-        if self.verilog_path is not None:
-            return Path(self.verilog_path).stem
         from repro.circuit.verilog import module_name
-        return module_name(self.verilog_text) or "verilog"
+        if self.verilog_path is None:
+            return module_name(self.verilog_text) or "verilog"
+        stem = Path(self.verilog_path).stem
+        try:
+            text = Path(self.verilog_path).read_text(encoding="utf-8")
+        except (OSError, ValueError):
+            return stem
+        return module_name(text) or stem

@@ -20,9 +20,8 @@ import hashlib
 import itertools
 import json
 import os
-import threading
 import time
-from typing import Iterator, Sequence
+from typing import Generator, Iterator, Sequence
 
 from repro.api.registry import backends, get_backend
 from repro.api.report import VerificationReport
@@ -406,6 +405,27 @@ class VerificationService:
         the degradation was exhausted.
         """
         from repro.errors import ReproError
+        chain, outcome = self._fallback_chain(request, report), None
+        while True:
+            try:
+                rung = chain.send(outcome)
+            except StopIteration as stop:
+                return stop.value
+            try:
+                outcome = self._submit_once(rung)
+            except ReproError as error:
+                outcome = VerificationReport.from_failure(
+                    rung, "error", f"{type(error).__name__}: {error}")
+
+    def _fallback_chain(self, request: VerificationRequest,
+                        report: VerificationReport) -> Generator:
+        """:meth:`apply_fallback` as a generator, wherever rungs run.
+
+        It yields each rung's request, is sent back the rung's report (an
+        ``error`` report for a rung that could not run), and returns the
+        final report.  Only its soft budgets bind a rung, in process or on
+        a batch worker alike: it carries no hard task timeout.
+        """
         from repro.resilience.policy import attempt_entry, escalate_budgets
         if self.fallback_policy is None or report.verdict != "budget":
             return report
@@ -417,35 +437,30 @@ class VerificationService:
             history.append(attempt_entry(1, request.method, "initial",
                                          "budget", reason=report.reason))
         attempt = history[-1]["attempt"]
+        budgets = request.budgets.replace(task_timeout_s=None)
         for step in chain:
             attempt += 1
             self.last_fallbacks += 1
             if step.kind == "escalate":
-                derived = dataclasses.replace(
+                rung = dataclasses.replace(
                     request,
-                    budgets=escalate_budgets(request.budgets,
-                                             step.budget_scale))
+                    budgets=escalate_budgets(budgets, step.budget_scale))
                 kind = "escalate"
                 extra = {"budget_scale": step.budget_scale}
             else:
                 target = get_backend(step.method)
-                derived = dataclasses.replace(
-                    request, method=step.method,
+                rung = dataclasses.replace(
+                    request, method=step.method, budgets=budgets,
                     certificate=request.certificate and target.certifiable)
                 kind = "fallback"
                 extra = {}
-            try:
-                report = self._submit_once(derived)
-            except ReproError as error:
-                history.append(attempt_entry(
-                    attempt, derived.method, kind, "error",
-                    reason=f"{type(error).__name__}: {error}", **extra))
+            outcome = yield rung
+            history.append(attempt_entry(attempt, rung.method, kind,
+                                         outcome.verdict,
+                                         reason=outcome.reason, **extra))
+            if outcome.verdict == "error":
                 continue
-            outcome = ("budget" if report.verdict == "budget"
-                       else report.verdict)
-            history.append(attempt_entry(attempt, derived.method, kind,
-                                         outcome, reason=report.reason,
-                                         **extra))
+            report = outcome
             if report.verdict != "budget":
                 break
         report.attempts = history
@@ -453,22 +468,15 @@ class VerificationService:
 
     # -- batches ---------------------------------------------------------------
 
-    def _batch(self, requests: list[VerificationRequest], jobs: int | None):
-        """The runner of a batch and its jobs.
-
-        The shared front half of :meth:`run_batch` and :meth:`iter_batch`:
-        the ``i``-th job is a copy of the ``i``-th request, budgets and
-        all, so jobs are distinct objects even when a batch lists one
-        request twice.
-        """
+    def _runner(self, jobs: int | None):
+        """The runner of one :meth:`run_batch` or :meth:`iter_batch` call."""
         from repro.experiments.runner import ParallelRunner
-        runner = ParallelRunner(
+        return ParallelRunner(
             workers=jobs if jobs is not None else self.jobs,
             cache_dir=self.cache_dir,
             retry_policy=self.retry_policy,
             pool=self.pool,
             golden_architecture=self.golden_architecture)
-        return runner, [dataclasses.replace(request) for request in requests]
 
     def _book(self, runner) -> None:
         """Take over the counters of the batch the runner just ran."""
@@ -493,7 +501,7 @@ class VerificationService:
         request that fails to run (an unknown architecture, unparsable
         Verilog) answers an ``error`` report in its slot.
         """
-        runner, grid = self._batch(list(requests), jobs)
+        runner, grid = self._runner(jobs), list(requests)
         rows = runner.run(grid)
         self._book(runner)
         self.last_fallbacks = 0
@@ -506,55 +514,47 @@ class VerificationService:
         """Yield reports in request order, each as soon as it is available.
 
         The streaming sibling of :meth:`run_batch` (same runner, same
-        budgets, same cache, same reports): the runner works on a
-        background thread and its rows are handed over index-by-index, so
-        a huge grid's first report is yielded while later jobs are still
-        executing instead of after the whole batch.  The ``last_*``
-        counters are final once the generator is exhausted.
+        budgets, same cache, same reports): an in-order buffer over
+        :meth:`ParallelRunner.iter_rows
+        <repro.experiments.runner.ParallelRunner.iter_rows>`, which runs
+        in the consumer's thread, so a huge grid's first report is
+        yielded while later jobs are still executing instead of after the
+        whole batch.  Dispatch pauses while the consumer holds a report,
+        and closing the generator stops the batch: busy workers are
+        killed and no later job runs.  Fallback rungs (see
+        :meth:`apply_fallback`) run as the runner's follow-up jobs, so a
+        degrading report keeps the workers busy instead of this thread.
+        The ``last_*`` counters are final once the generator is exhausted.
         """
         self.last_fallbacks = 0
-        runner, grid = self._batch(list(requests), jobs)
-        # Grid entries are fresh copies, distinct objects even for one
-        # request listed twice, so object identity maps each row to its
-        # request index.
-        positions = {id(job): index for index, job in enumerate(grid)}
-        condition = threading.Condition()
-        rows: dict[int, dict] = {}
-        failure: list[BaseException] = []
-
-        def on_row(job, row) -> None:
-            with condition:
-                rows[positions[id(job)]] = row
-                condition.notify_all()
-
-        def run_pool() -> None:
-            try:
-                runner.run(grid, on_result=on_row)
-            except BaseException as error:  # noqa: BLE001 - re-raised below
-                failure.append(error)
-            with condition:
-                condition.notify_all()
-
-        worker = threading.Thread(target=run_pool, daemon=True,
-                                  name="repro-iter-batch")
-        worker.start()
-        finished = False
+        runner, grid = self._runner(jobs), list(requests)
+        batch = list(grid)  # the runner's jobs: the grid, then its rungs
+        resolved = runner.iter_rows(batch)
+        reports: dict[int, VerificationReport] = {}
+        # Each rung in flight, by its job index: the grid entry it degrades
+        # and that entry's chain.
+        chains: dict[int, tuple[int, Generator]] = {}
         try:
-            for index, job in enumerate(grid):
-                with condition:
-                    while index not in rows and not failure:
-                        condition.wait()
-                if failure:
-                    raise failure[0]
-                yield self.apply_fallback(
-                    job, VerificationReport.from_row(rows.pop(index)))
-            finished = True
+            for index in range(len(grid)):
+                while index not in reports:
+                    position, row = next(resolved)
+                    report = VerificationReport.from_row(row)
+                    if position < len(grid):
+                        owner, outcome = position, None
+                        chain = self._fallback_chain(grid[owner], report)
+                    else:
+                        (owner, chain), outcome = chains.pop(position), report
+                    try:
+                        rung = chain.send(outcome)
+                    except StopIteration as stop:
+                        reports[owner] = stop.value
+                        continue
+                    chains[len(batch)] = owner, chain
+                    batch.append(rung)
+                yield reports.pop(index)
         finally:
-            # An abandoned generator (the consumer went away mid-stream)
-            # must not block on the pool — the daemon thread drains alone.
-            if finished or failure:
-                worker.join()
-                self._book(runner)
+            resolved.close()
+        self._book(runner)
 
     @staticmethod
     def grid(architectures: Sequence[str], widths: Sequence[int],

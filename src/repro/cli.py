@@ -382,7 +382,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                     if args.retries else None)
     fallback = FallbackPolicy.parse(args.fallback)
     # The cache keeps each backend's own row; a budget row is degraded
-    # through the fallback chain in this process, after the pool.
+    # through the fallback chain, whose rungs run uncached on the pool.
     service = VerificationService(
         golden_architecture=config.golden_architecture,
         jobs=args.jobs, cache_dir=cache_dir, retry_policy=retry_policy,

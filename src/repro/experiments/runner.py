@@ -2,9 +2,10 @@
 
 :class:`ParallelRunner` fans a batch of
 :class:`~repro.api.request.VerificationRequest` entries across a
-persistent pool of worker processes (``multiprocessing``), streams result
-rows back as they complete, and isolates crashes and hard timeouts per
-request so one bad request can never take down a table reproduction.
+persistent pool of worker processes (``multiprocessing``), yields result
+rows as they complete from a generator that runs in the caller's thread,
+and isolates crashes and hard timeouts per request so one bad request
+can never take down a table reproduction.
 Every request runs through :meth:`VerificationService.submit
 <repro.api.service.VerificationService.submit>` (see :func:`run_request`),
 the one code path that calls a backend; its report comes back as a flat
@@ -20,6 +21,7 @@ requests.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import json
@@ -31,7 +33,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.api.registry import scheduling_rank
 from repro.api.report import VerificationReport
@@ -143,8 +145,8 @@ def _guarded_run_job(request: VerificationRequest,
                      golden_architecture: str) -> dict:
     """Run a request, converting any exception into an ``error`` row.
 
-    This is the per-circuit isolation layer shared by the serial and the
-    parallel paths: a generator or verifier bug on one architecture must
+    This is the per-circuit isolation layer shared by the in-process and
+    the pooled paths: a generator or verifier bug on one architecture must
     never abort the rest of the batch.
     """
     try:
@@ -373,6 +375,12 @@ def _release_inherited_sockets(keep: int) -> None:
         os.close(null)
 
 
+#: The exit code of a pool worker its deadline alarm ended (see
+#: :func:`_pool_worker_main`); ``None`` without interval timers, where the
+#: parent's loop alone enforces the hard limit.
+_DEADLINE_EXITCODE = -signal.SIGALRM if hasattr(signal, "setitimer") else None
+
+
 def _watch_parent(parent: int) -> None:
     """End this worker process once ``parent`` is gone, busy or idle."""
     while os.getppid() == parent:
@@ -381,11 +389,15 @@ def _watch_parent(parent: int) -> None:
 
 
 def _pool_worker_main(connection, parent_end) -> None:
-    """Worker-process loop: run ``(request, golden_architecture)`` tasks.
+    """Worker-process loop: run ``(request, golden_architecture, deadline)`` tasks.
 
     Tasks arrive on ``connection`` and each task's row goes back down the
     same pipe, so a row always belongs to the request the parent handed
-    this worker.  The loop ends on a ``None``
+    this worker.  A task's hard deadline (a ``time.monotonic`` instant,
+    which is system-wide) arms an interval timer: ``SIGALRM`` keeps its
+    default action and ends the process there, wherever the job is, so
+    the limit binds even while the parent's loop is paused by a consumer
+    holding a row.  The loop ends on a ``None``
     task or on EOF.  The worker holds no socket of its parent but its own
     end of the pipe (see :func:`_release_inherited_sockets`), so the
     parent's death reads as EOF while it waits for a task; a daemon thread
@@ -407,6 +419,8 @@ def _pool_worker_main(connection, parent_end) -> None:
     _release_inherited_sockets(connection.fileno())
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if _DEADLINE_EXITCODE is not None:
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
     threading.Thread(target=_watch_parent, args=(os.getppid(),),
                      daemon=True).start()
     while True:
@@ -416,12 +430,19 @@ def _pool_worker_main(connection, parent_end) -> None:
             return
         if task is None:
             return
-        request, golden_architecture = task
+        request, golden_architecture, deadline = task
+        armed = deadline is not None and _DEADLINE_EXITCODE is not None
+        if armed:
+            signal.setitimer(signal.ITIMER_REAL,
+                             max(deadline - time.monotonic(), 1e-6))
         fault_key = f"{request.architecture}/{request.width}/{request.method}"
         maybe_delay(fault_key)
         maybe_crash(fault_key)
+        row = _guarded_run_job(request, golden_architecture)
+        if armed:
+            signal.setitimer(signal.ITIMER_REAL, 0)
         try:
-            connection.send(_guarded_run_job(request, golden_architecture))
+            connection.send(row)
         except BrokenPipeError:
             return  # the parent died while the job ran
 
@@ -429,8 +450,7 @@ def _pool_worker_main(connection, parent_end) -> None:
 class _PoolWorker:
     """Parent-side handle of one persistent worker process and its pipe."""
 
-    __slots__ = ("connection", "process", "index", "job", "deadline",
-                 "started")
+    __slots__ = ("connection", "process", "index", "job", "deadline")
 
     def __init__(self, context) -> None:
         with _START_LOCK:
@@ -443,7 +463,6 @@ class _PoolWorker:
         self.index: int | None = None
         self.job: VerificationRequest | None = None
         self.deadline: float | None = None
-        self.started: float | None = None
 
     @property
     def busy(self) -> bool:
@@ -454,8 +473,7 @@ class _PoolWorker:
         """Record that this worker now runs ``job``, the run's ``index``-th."""
         self.index = index
         self.job = job
-        self.started = time.monotonic()
-        self.deadline = (self.started + task_timeout_s
+        self.deadline = (time.monotonic() + task_timeout_s
                          if task_timeout_s is not None else None)
 
     def receive(self) -> dict | None:
@@ -471,7 +489,6 @@ class _PoolWorker:
         self.index = None
         self.job = None
         self.deadline = None
-        self.started = None
 
     def kill(self) -> None:
         """End the process now and drop its pipe (and any row left in it)."""
@@ -502,8 +519,8 @@ class WorkerPool:
     workers, starting new ones when too few are idle; each lease is
     exclusive, so concurrent runs never share a worker.  :meth:`give_back`
     returns a run's workers and keeps at most ``max_idle`` of them.  A
-    worker that crashed or was killed (hard timeout, straggler) is never
-    given back; its run replaces it through :meth:`start`.  After
+    worker that crashed or was killed (hard timeout, abandoned run) is
+    never given back; its run replaces it through :meth:`start`.  After
     :meth:`close`, idle workers are stopped and workers handed back later
     are stopped too.  No process starts before the first lease.
     """
@@ -568,20 +585,21 @@ class ParallelRunner:
 
     A job of the runner is a :class:`~repro.api.request.VerificationRequest`
     and runs through :func:`run_request` under the budgets it carries.
-    :meth:`run` leases at most ``workers`` long-lived ``multiprocessing``
-    processes from a :class:`WorkerPool`, so the fork + import cost is paid
+    :meth:`iter_rows` is the one scheduling loop, a generator that yields
+    each job's row as it resolves; :meth:`run` collects it.  Pooled jobs
+    run on at most ``workers`` long-lived ``multiprocessing`` processes
+    leased from a :class:`WorkerPool`, so the fork + import cost is paid
     once per worker instead of once per job (which dominates small 4-bit
     runs).  With ``pool`` given (the HTTP server's, say) the workers also
-    outlive the run and serve later ones; without it :meth:`run` uses a
-    private pool and closes it before returning.  Crash isolation and the
+    outlive the run and serve later ones; without it each run uses a
+    private pool and closes it when it ends.  Crash isolation and the
     hard per-job wall-clock limit (``budgets.task_timeout_s`` of each
     request) are preserved: a hard crash (segfault, OOM kill) or a job
     exceeding its limit takes down only the worker it ran on — the parent
     reports the job as a table row (``status="crash"`` / ``"TO"``) and
-    starts a replacement worker.  Results are streamed to the optional
-    ``on_result`` callback as they complete and returned in job order, so
-    the verdicts are byte-for-byte identical to the serial path regardless
-    of worker count or completion order.
+    starts a replacement worker.  :meth:`run` returns the rows in job
+    order, so the verdicts are byte-for-byte identical regardless of
+    worker count or completion order.
 
     With a ``cache_dir`` completed reports are stored on disk keyed by
     (netlist content hash, method, width, budgets); re-running a table
@@ -592,9 +610,9 @@ class ParallelRunner:
     ----------
     workers:
         Number of worker processes; ``None`` uses ``os.cpu_count()``.
-        ``workers <= 1`` runs serially in-process (still crash-isolated
-        against Python exceptions, not against hard crashes) unless a job
-        carries a hard task timeout, which needs a worker process to kill.
+        ``workers <= 1`` runs in-process (still crash-isolated against
+        Python exceptions, not against hard crashes) unless a job carries
+        a hard task timeout, which needs a worker process to kill.
     cache_dir:
         Directory of the on-disk result cache; ``None`` disables caching.
     retry_policy:
@@ -603,12 +621,6 @@ class ParallelRunner:
         deterministic backoff); ``None`` (the default) reports the first
         failure exactly as before.  Jobs that needed more than one attempt
         carry the history in their row's ``attempts`` key.
-    straggler_grace_s:
-        With a retry policy, a busy worker whose job has run longer than
-        this grace is killed and the job re-dispatched (counted as a
-        retry attempt, classified ``hard_timeout``); ``None`` disables
-        straggler re-dispatch.  Only jobs with retry budget left are ever
-        killed, so a genuinely long job still finishes on its last attempt.
     pool:
         A :class:`WorkerPool` to lease workers from and give them back to;
         ``None`` starts a private pool per run.
@@ -619,7 +631,6 @@ class ParallelRunner:
     def __init__(self, workers: int | None = None,
                  cache_dir: str | os.PathLike | None = None,
                  retry_policy=None,
-                 straggler_grace_s: float | None = None,
                  pool: WorkerPool | None = None,
                  golden_architecture: str = "SP-AR-RC") -> None:
         if workers is None:
@@ -627,7 +638,6 @@ class ParallelRunner:
         self.workers = max(1, int(workers))
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.retry_policy = retry_policy
-        self.straggler_grace_s = straggler_grace_s
         self.pool = pool
         self.golden_architecture = golden_architecture
         #: Rows served from the cache / executed fresh by the last run.
@@ -644,100 +654,103 @@ class ParallelRunner:
         return self.cache.key(job, self.golden_architecture)
 
     def _cached_row(self, key: str | None) -> dict | None:
+        if self.cache is None:
+            return None
         report = self.cache.get(key)
         return report.to_row() if report is not None else None
 
-    def _finish_row(self, job: VerificationRequest, row: dict,
-                    cache_key: str | None,
-                    on_result: Callable[[VerificationRequest, dict], None] | None,
-                    ) -> dict:
+    def _store(self, job: VerificationRequest, row: dict,
+               cache_key: str | None) -> dict:
         if self.cache is not None and cache_key is not None:
             self.cache.put(cache_key, VerificationReport.from_row(row), job)
-        if on_result is not None:
-            on_result(job, row)
         return row
 
     # -- execution -------------------------------------------------------------
 
-    def run_serial(self, jobs: Sequence[VerificationRequest],
-                   on_result: Callable[[VerificationRequest, dict], None] | None = None,
-                   ) -> list[dict]:
-        """Reference serial execution (same rows, same order, one process)."""
-        rows = []
-        self.last_cache_hits = 0
-        self.last_executed = 0
-        self.last_retries = 0
-        for job in jobs:
-            key = self._cache_key(job)
-            row = self._cached_row(key) if self.cache is not None else None
-            if row is None:
-                self.last_executed += 1
-                row = _guarded_run_job(job, self.golden_architecture)
-                self._finish_row(job, row, key, on_result)
-            else:
-                self.last_cache_hits += 1
-                if on_result is not None:
-                    on_result(job, row)
-            rows.append(row)
-        return rows
-
     def run(self, jobs: Sequence[VerificationRequest],
             on_result: Callable[[VerificationRequest, dict], None] | None = None,
             ) -> list[dict]:
-        """Run all jobs and return their rows in job order."""
+        """Run all jobs and return their rows in job order.
+
+        Collects :meth:`iter_rows`, handing each row to the optional
+        ``on_result(job, row)`` as it resolves.
+        """
         jobs = list(jobs)
+        rows: list[dict | None] = [None] * len(jobs)
+        for index, row in self.iter_rows(jobs):
+            rows[index] = row
+            if on_result is not None:
+                on_result(jobs[index], row)
+        return rows
+
+    def iter_rows(self, jobs: list[VerificationRequest],
+                  ) -> Iterator[tuple[int, dict]]:
+        """Yield ``(index, row)`` for each of ``jobs`` as it resolves.
+
+        Cache hits come first.  With one worker (or one job to run) and no
+        hard task timeout, the jobs then run in this process in job order,
+        each once the consumer asks for the next row; otherwise they go to
+        leased pool workers, longest expected first, and idle workers take
+        their next jobs before each round of rows is handed over.  The
+        generator runs in whichever thread iterates it and dispatches only
+        while it is iterated, so a consumer holding a row pauses dispatch;
+        a job's hard limit still binds meanwhile, since each worker ends
+        itself at its job's deadline (see :func:`_pool_worker_main`).
+        Closing it, or an exception escaping it, kills the workers still
+        busy and gives the rest back: no later job runs or is cached.  The
+        ``last_*`` counters are final once every row is out.
+
+        The consumer may append a follow-up to ``jobs`` between rows (the
+        fallback rung of a row it took, say): it runs next, where the batch
+        runs, and bypasses the cache, ``last_cache_hits`` and
+        ``last_executed``.
+        """
         self.last_retries = 0
-        if not jobs:
-            self.last_cache_hits = 0
-            self.last_executed = 0
-            return []
-
-        results: dict[int, dict] = {}
-        keys: dict[int, str | None] = {}
+        keys: list[str | None] = []
+        hits: list[tuple[int, dict]] = []
         pending: list[int] = []
-        if self.cache is not None:
-            for index, job in enumerate(jobs):
-                keys[index] = key = self._cache_key(job)
-                row = self._cached_row(key)
-                if row is None:
-                    pending.append(index)
-                else:
-                    results[index] = row
-                    if on_result is not None:
-                        on_result(job, row)
-        else:
-            keys = dict.fromkeys(range(len(jobs)))
-            pending = list(range(len(jobs)))
-        self.last_cache_hits = len(jobs) - len(pending)
+        for index, job in enumerate(jobs):
+            keys.append(self._cache_key(job))
+            row = self._cached_row(keys[index])
+            if row is None:
+                pending.append(index)
+            else:
+                hits.append((index, row))
+        self.last_cache_hits = len(hits)
         self.last_executed = len(pending)
+        yield from hits
 
-        if not pending:
-            return [results[i] for i in range(len(jobs))]
+        def follow_ups() -> list[int]:
+            start = len(keys)
+            keys.extend([None] * (len(jobs) - start))
+            return list(range(start, len(jobs)))
+
         # The hard wall-clock limit needs a killable worker process, so the
-        # in-process shortcut only applies when no such limit was requested.
+        # in-process path only applies when no such limit was requested.
         if (all(jobs[index].budgets.task_timeout_s is None
                 for index in pending)
                 and (self.workers <= 1 or len(pending) <= 1)):
-            for index in pending:
-                job = jobs[index]
-                row = _guarded_run_job(job, self.golden_architecture)
-                results[index] = self._finish_row(job, row, keys[index],
-                                                  on_result)
-            return [results[i] for i in range(len(jobs))]
+            queue = collections.deque(pending)
+            while True:
+                queue.extendleft(reversed(follow_ups()))
+                if not queue:
+                    return
+                index = queue.popleft()
+                row = _guarded_run_job(jobs[index], self.golden_architecture)
+                yield index, self._store(jobs[index], row, keys[index])
 
         # Longest-expected-first assignment: without it a heavy job picked
         # up late (one 16-bit Booth run, say) serialises the tail of the
         # batch.  The sort is stable, so equal-cost jobs keep grid order,
         # and the result rows are joined by index — byte-identical to the
-        # serial path regardless of the schedule.
-        queue_order = sorted(pending, key=lambda index:
-                             expected_cost_key(jobs[index]), reverse=True)
-        next_slot = 0
+        # in-process path regardless of the schedule.
+        queue = collections.deque(sorted(
+            pending, key=lambda index: expected_cost_key(jobs[index]),
+            reverse=True))
         outstanding = len(pending)
         pool = self.pool if self.pool is not None else WorkerPool(self.workers)
         workers = pool.lease(min(self.workers, len(pending)))
         policy = self.retry_policy
-        grace = self.straggler_grace_s if policy is not None else None
         # Per-job retry state: 1-based attempt counts, accumulated attempt
         # histories, and re-dispatches waiting out their backoff delay.
         attempt_counts: dict[int, int] = {}
@@ -745,17 +758,12 @@ class ParallelRunner:
         retry_queue: list[tuple[float, int]] = []
 
         def pop_ready_index() -> int | None:
-            nonlocal next_slot
             now = time.monotonic()
             for position, (ready_at, index) in enumerate(retry_queue):
                 if ready_at <= now:
                     retry_queue.pop(position)
                     return index
-            if next_slot < len(queue_order):
-                index = queue_order[next_slot]
-                next_slot += 1
-                return index
-            return None
+            return queue.popleft() if queue else None
 
         def replace(slot: int) -> None:
             """Kill the worker in ``slot`` (its pipe goes with it) for a new one."""
@@ -779,12 +787,13 @@ class ParallelRunner:
                 job = jobs[index]
                 worker.assign(index, job, job.budgets.task_timeout_s)
                 try:
-                    worker.connection.send((job, self.golden_architecture))
+                    worker.connection.send((job, self.golden_architecture,
+                                            worker.deadline))
                 except OSError:
                     pass  # died just now: its sentinel reports the crash
 
         def wait_timeout() -> float | None:
-            """Seconds to the nearest deadline, grace expiry or backoff."""
+            """Seconds to the nearest deadline or backoff."""
             # A retry that came due since ``assign_idle`` ran goes to an
             # idle worker at once; with every worker busy it waits for one
             # to finish, whose handle wakes the wait (counting it would
@@ -793,20 +802,18 @@ class ParallelRunner:
             idle = not all(worker.busy for worker in workers)
             moments = [ready_at for ready_at, _ in retry_queue
                        if idle or ready_at > now]
-            for worker in workers:
-                if not worker.busy:
-                    continue
-                if worker.deadline is not None:
-                    moments.append(worker.deadline)
-                if (grace is not None and attempt_counts.get(worker.index, 1)
-                        < policy.max_attempts):
-                    moments.append(worker.started + grace)
+            moments += [worker.deadline for worker in workers
+                        if worker.busy and worker.deadline is not None]
             if not moments:
                 return None
             return max(0.0, min(moments) - now)
 
-        def finish(index: int, row: dict) -> None:
-            nonlocal outstanding
+        def timed_out(job: VerificationRequest) -> dict:
+            return _failure_row(job, "TO", "hard task timeout",
+                                job.budgets.task_timeout_s)
+
+        def finish(index: int, row: dict) -> dict | None:
+            """The job's final row, or ``None`` when it goes back for a retry."""
             job = jobs[index]
             attempt = attempt_counts.get(index, 1)
             if policy is not None:
@@ -827,7 +834,7 @@ class ParallelRunner:
                     attempt_counts[index] = attempt + 1
                     self.last_retries += 1
                     retry_queue.append((time.monotonic() + delay, index))
-                    return
+                    return None
                 if index in histories:
                     # The job needed more than one attempt: close the
                     # history with the final outcome and let it ride on
@@ -841,22 +848,26 @@ class ParallelRunner:
                         reason=row.get("reason")))
                     report.attempts = history
                     row = report.to_row()
-            results[index] = self._finish_row(job, row, keys[index],
-                                              on_result)
-            outstanding -= 1
+            return self._store(job, row, keys[index])
 
         # Imported here: importing it at module level would cost every CLI
         # start and verify-only server its dozen modules.
         from multiprocessing.connection import wait
 
         try:
-            assign_idle()
-            while outstanding:
+            while True:
+                fresh = follow_ups()
+                queue.extendleft(reversed(fresh))
+                outstanding += len(fresh)
+                if not outstanding:
+                    break
+                assign_idle()
                 handles = [handle for worker in workers if worker.busy
                            for handle in (worker.connection,
                                           worker.process.sentinel)]
                 ready = set(wait(handles, timeout=wait_timeout()))
                 now = time.monotonic()
+                resolved: list[tuple[int, dict]] = []
                 for slot, worker in enumerate(workers):
                     if not worker.busy:
                         continue
@@ -864,46 +875,42 @@ class ParallelRunner:
                     if (worker.connection in ready
                             or worker.process.sentinel in ready):
                         # A row the worker sent before dying is still in
-                        # its pipe, so only an empty pipe means a crash.
+                        # its pipe, so only an empty pipe means it died in
+                        # the job: by its deadline alarm or in a crash.
                         row = worker.receive()
                         if row is None:
                             worker.process.join(5.0)
-                            row = _failure_row(
-                                job, "crash", "worker exited with "
-                                f"code {worker.process.exitcode}")
+                            code = worker.process.exitcode
+                            row = (timed_out(job) if code is not None
+                                   and code == _DEADLINE_EXITCODE
+                                   else _failure_row(
+                                       job, "crash",
+                                       f"worker exited with code {code}"))
                             replace(slot)
                         else:
                             worker.release()
-                        finish(index, row)
                     elif worker.deadline is not None and now > worker.deadline:
                         # Hard timeout: the worker is wedged inside the
                         # job, so it is killed and replaced.
                         replace(slot)
-                        finish(index, _failure_row(
-                            job, "TO", "hard task timeout",
-                            job.budgets.task_timeout_s))
-                    elif (grace is not None and now - worker.started > grace
-                          and attempt_counts.get(index, 1)
-                          < policy.max_attempts):
-                        # Straggler re-dispatch: the job has retry budget,
-                        # so killing the slow worker and re-running beats
-                        # waiting for the hard deadline.  Guarded on
-                        # remaining attempts — the last attempt always
-                        # runs to completion.
-                        replace(slot)
-                        finish(index, _failure_row(
-                            job, "TO",
-                            f"straggler re-dispatch after {grace}s grace",
-                            grace))
+                        row = timed_out(job)
+                    else:
+                        continue
+                    row = finish(index, row)
+                    if row is not None:
+                        resolved.append((index, row))
+                outstanding -= len(resolved)
+                # Idle workers take their next jobs before the rows go out,
+                # so they keep running while the consumer holds a row.
                 assign_idle()
+                yield from resolved
         finally:
-            # A worker still busy here (the run raised) holds a job whose
-            # row must never reach a later run: it is killed, not kept.
+            # A worker still busy here (the run raised, or its consumer
+            # closed it) holds a job whose row must never reach a later
+            # run or the cache: it is killed, not kept.
             for worker in workers:
                 if worker.busy:
                     worker.kill()
             pool.give_back(worker for worker in workers if not worker.busy)
             if self.pool is None:
                 pool.close()
-        return [results[i] for i in range(len(jobs))]
-

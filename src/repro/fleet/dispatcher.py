@@ -18,8 +18,7 @@ Scheduling mirrors :class:`~repro.experiments.runner.ParallelRunner`:
 * **Work-stealing** — once the queue drains, a job in flight longer
   than ``straggler_grace_s`` is re-dispatched to an idle worker.  Both
   attempts race and the first finisher wins; a dispatch-epoch guard
-  drops the loser's result (``ParallelRunner`` needs none: it kills the
-  straggler's worker, whose pipe takes any late row with it).
+  drops the loser's result.
   The report's ``attempts`` history records the steal only when the
   stolen attempt is the one that won — when the original outruns its
   re-dispatch, nothing was actually superseded.

@@ -433,16 +433,24 @@ class VerificationServerApp:
         misses = [request for index, request in enumerate(requests)
                   if index not in hits]
         executed = iter(execute(misses, jobs=jobs) if misses else ())
-        for index, key in enumerate(keys):
-            if index in hits:
-                yield hits[index], True
-                continue
-            report = next(executed)
-            if key is not None:
-                self._shared_cache_put(key, report)
-            yield report, False
-        # Run a streaming executor to its end, where it books its counters.
-        next(executed, None)
+        try:
+            for index, key in enumerate(keys):
+                if index in hits:
+                    yield hits[index], True
+                    continue
+                report = next(executed)
+                if key is not None:
+                    self._shared_cache_put(key, report)
+                yield report, False
+            # Run a streaming executor to its end, where it books its
+            # counters.
+            next(executed, None)
+        finally:
+            # An abandoned stream stops its batch here, not whenever the
+            # executor happens to be finalized.
+            close = getattr(executed, "close", None)
+            if close is not None:
+                close()
 
     def _book_batch(self, served, runner) -> tuple[list, int]:
         """Book a finished batch's ``(report, shared)`` pairs; return its
@@ -797,8 +805,6 @@ class VerificationServerApp:
                                 content_type="application/x-ndjson",
                                 stream=self._stream_batch(runner, requests,
                                                           jobs))
-        # The synchronous path stays on run_batch, in the handler's own
-        # thread; iter_batch would run the batch on another thread.
         served = list(self._iter_batch(runner.run_batch, requests, jobs))
         with self._metrics_lock:
             self._batches_total += 1
@@ -823,9 +829,9 @@ class VerificationServerApp:
         only booked once the batch ran to completion.
         """
         served = []
+        batch = self._iter_batch(runner.iter_batch, requests, jobs)
         try:
-            for report, shared in self._iter_batch(runner.iter_batch,
-                                                   requests, jobs):
+            for report, shared in batch:
                 served.append((report, shared))
                 yield report.to_json().encode("utf-8") + b"\n"
         except Exception as error:  # noqa: BLE001 - stream boundary
@@ -835,6 +841,8 @@ class VerificationServerApp:
             yield json.dumps(document, ensure_ascii=False,
                              separators=(",", ":")).encode("utf-8") + b"\n"
             return
+        finally:
+            batch.close()
         reports, cache_hits = self._book_batch(served, runner)
         trailer = {"trailer": {
             "reports": len(reports),

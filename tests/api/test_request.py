@@ -71,10 +71,11 @@ def test_adder_requests_resolve_through_the_adder_generator():
     assert request.resolve_specification() == "adder"
 
 
-def test_display_name_prefers_architecture_then_module():
+def test_display_name_prefers_architecture_then_module(tmp_path):
     netlist = generate_multiplier("SP-AR-RC", 3)
     assert VerificationRequest.from_architecture(
         "SP-AR-RC", 3).display_name() == "SP-AR-RC"
     assert VerificationRequest.from_netlist(netlist).display_name() == netlist.name
+    # An unreadable file falls back to its stem.
     assert VerificationRequest.from_verilog(
-        path="/tmp/foo.v").display_name() == "foo"
+        path=tmp_path / "foo.v").display_name() == "foo"

@@ -10,6 +10,7 @@ baselines agree with the algebraic methods verdict-for-verdict,
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 
 import pytest
@@ -19,7 +20,7 @@ from repro.api.report import VerificationReport
 from repro.api.request import Budgets, VerificationRequest
 from repro.api.service import VerificationService
 from repro.circuit.mutate import apply_mutation, list_mutations
-from repro.circuit.verilog import write_verilog
+from repro.circuit.verilog import save_verilog, write_verilog
 from repro.errors import VerificationError
 from repro.experiments import runner as runner_module
 from repro.experiments.runner import ParallelRunner
@@ -140,7 +141,7 @@ def test_run_batch_parallel_matches_serial(service):
 
 
 def test_a_request_listed_twice_gets_both_reports():
-    """The runner joins rows by job identity, so each listing is a job."""
+    """The runner joins rows by position, so each listing is a job."""
     service = VerificationService()
     twice = VerificationRequest.from_architecture(
         "SP-WT-CL", 3, budgets=BUDGETS, find_counterexample=False)
@@ -325,26 +326,54 @@ def test_batch_reports_equal_submit_for_every_request_shape(service, entry,
 
 
 @needs_fork
-def test_the_hard_task_timeout_binds_every_batch_entry(monkeypatch):
-    """An entry that searches for a counterexample and a Verilog entry are
-    killed at their hard limit like any other, and name their circuit."""
+def test_the_hard_task_timeout_binds_every_batch_entry(monkeypatch, tmp_path):
+    """An entry that searches for a counterexample and Verilog entries are
+    killed at their hard limit like any other, and name their circuit as
+    a run of them would: by the module, not the file."""
     monkeypatch.setattr(runner_module, "run_request",
                         lambda request, golden_architecture: time.sleep(60))
     budgets = Budgets(task_timeout_s=1.0)
+    cell = tmp_path / "cell.v"
+    save_verilog(generate_multiplier("BP-CT-BK", 3), str(cell))
     requests = [
         VerificationRequest.from_architecture("SP-AR-RC", 3, budgets=budgets),
         VerificationRequest.from_verilog(
             text=write_verilog(generate_multiplier("SP-WT-CL", 3)),
-            budgets=budgets)]
+            budgets=budgets),
+        VerificationRequest.from_verilog(cell, budgets=budgets)]
     service = VerificationService(jobs=2)
     start = time.monotonic()
     reports = service.run_batch(requests)
     assert time.monotonic() - start < 30
     assert [(report.verdict, report.reason) for report in reports] == [
-        ("budget", "hard task timeout")] * 2
+        ("budget", "hard task timeout")] * 3
     assert [report.circuit for report in reports] == [
-        "SP-AR-RC", "SP_WT_CL_3x3"]
-    assert service.last_executed == 2
+        "SP-AR-RC", "SP_WT_CL_3x3", "BP_CT_BK_3x3"]
+    assert service.last_executed == 3
+
+
+def test_one_job_batches_run_inline_and_lazily(monkeypatch):
+    """With one job and no hard limit, iter_batch runs request i+1 only
+    once the consumer took report i, in the consumer's own thread."""
+    real_run_request = runner_module.run_request
+    events: list[tuple[str, str]] = []
+    threads: set[int] = set()
+
+    def run_request(request, golden_architecture):
+        threads.add(threading.get_ident())
+        events.append(("run", request.architecture))
+        return real_run_request(request, golden_architecture)
+
+    monkeypatch.setattr(runner_module, "run_request", run_request)
+    architectures = ("SP-AR-RC", "SP-WT-CL", "BP-CT-BK")
+    requests = [VerificationRequest.from_architecture(
+        architecture, 3, budgets=BUDGETS, find_counterexample=False)
+        for architecture in architectures]
+    for report in VerificationService().iter_batch(requests, jobs=1):
+        events.append(("take", report.circuit))
+    assert events == [(step, architecture) for architecture in architectures
+                      for step in ("run", "take")]
+    assert threads == {threading.get_ident()}
 
 
 def test_unknown_algebraic_plugin_fails_loudly_not_as_mt_xor():

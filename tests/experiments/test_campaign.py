@@ -6,7 +6,9 @@ import json
 from pathlib import Path
 
 from repro.api.request import Budgets
+from repro.api.service import VerificationService
 from repro.circuit.mutate import list_mutations
+from repro.experiments import campaign
 from repro.experiments.campaign import _finished_ids, enumerate_tasks, run_campaign
 from repro.generators.multipliers import generate_multiplier
 
@@ -220,3 +222,52 @@ def test_a_fresh_run_appends_after_a_torn_line_on_a_new_line(tmp_path):
     assert [json.loads(line)["id"] for line in lines[1:]] == \
         [task.id for task in enumerate_tasks(["SP-AR-RC"], [3], sample=2,
                                              seed=0)]
+
+
+def test_a_mutant_whose_run_raises_is_an_error_row(monkeypatch):
+    """The campaign runs mutants behind the runner's isolation boundary:
+    a run that raises answers an ``error`` row and the campaign goes on."""
+    submit = VerificationService.submit
+
+    def failing_submit(self, request):
+        if request.netlist.name.endswith("_buggy"):
+            raise RuntimeError("injected failure")
+        return submit(self, request)
+
+    monkeypatch.setattr(VerificationService, "submit", failing_submit)
+    rows = []
+    summary = run_campaign(["SP-AR-RC"], [3], sample=2, seed=0,
+                           on_row=rows.append)
+    assert summary["executed"] == 3
+    assert summary["verdicts"] == {"verified": 1, "error": 2}
+    assert [row["status"] for row in rows] == ["ok", "error", "error"]
+
+
+def test_batches_split_at_max_batch_keep_rows_order_and_resume(
+        tmp_path, monkeypatch):
+    """A cell split over several ``iter_batch`` calls answers the rows of
+    an unsplit run, in task order, at one job and two, and resumes across
+    a split."""
+
+    def timeless(rows):
+        return [{key: value for key, value in row.items() if key != "time_s"}
+                for row in rows]
+
+    grid = (["SP-AR-RC", "SP-WT-CL"], [3])
+    whole: list[dict] = []
+    run_campaign(*grid, sample=4, seed=5, on_row=whole.append)
+    assert len(whole) == 10
+    monkeypatch.setattr(campaign, "MAX_BATCH", 2)
+    for jobs in (1, 2):
+        split: list[dict] = []
+        run_campaign(*grid, sample=4, seed=5, jobs=jobs, on_row=split.append)
+        assert timeless(split) == timeless(whole)
+
+    out = tmp_path / "campaign.jsonl"
+    run_campaign(*grid, sample=4, seed=5, limit=3, out_path=out)
+    resumed = run_campaign(*grid, sample=4, seed=5, jobs=2, resume=True,
+                           out_path=out)
+    assert (resumed["skipped"], resumed["executed"]) == (3, 7)
+    rows = [json.loads(line)
+            for line in out.read_text(encoding="utf-8").splitlines()]
+    assert timeless(rows) == timeless(whole)

@@ -76,7 +76,7 @@ def test_parallel_results_match_serial():
     runner = ParallelRunner(workers=2)
     jobs = grid(["SP-AR-RC", "SP-WT-CL", "SP-CT-BK"], [3], ["mt-lr", "mt-fo"])
     parallel_rows = runner.run(jobs)
-    serial_rows = runner.run_serial(jobs)
+    serial_rows = ParallelRunner(workers=1).run(jobs)
     assert _deterministic(parallel_rows) == _deterministic(serial_rows)
     assert all(row["verified"] for row in parallel_rows)
 
@@ -298,7 +298,7 @@ def test_parallel_schedule_matches_serial_rows():
     jobs = [job(arch, width) for width in (2, 3)
             for arch in ("SP-AR-RC", "SP-WT-RC")]
     runner = ParallelRunner(workers=2)
-    serial = runner.run_serial(jobs)
+    serial = ParallelRunner(workers=1).run(jobs)
     parallel = runner.run(jobs)
     assert _deterministic(serial) == _deterministic(parallel)
 

@@ -122,6 +122,17 @@ def _child_words(child: subprocess.Popen, lines: int,
     return data.decode().split()
 
 
+def _slow_jobs(monkeypatch, delay_s: float = 0.3) -> None:
+    """Make every pooled job take at least ``delay_s`` seconds."""
+    real_run_request = runner_module.run_request
+
+    def slow_run_request(request, golden_architecture):
+        time.sleep(delay_s)
+        return real_run_request(request, golden_architecture)
+
+    monkeypatch.setattr(runner_module, "run_request", slow_run_request)
+
+
 def test_consecutive_batches_reuse_the_same_workers(assigned):
     first = _requests("SP-AR-RC", "SP-WT-CL", "SP-DT-HC", "BP-WT-CL")
     second = _requests("SP-CT-BK", "SP-AR-KS", "BP-AR-RC", "SP-WT-RC")
@@ -434,13 +445,7 @@ def test_close_leaves_no_live_worker(assigned):
 
 def test_close_stops_the_workers_of_a_batch_still_running(assigned,
                                                           monkeypatch):
-    real_run_request = runner_module.run_request
-
-    def slow_run_request(request, golden_architecture):
-        time.sleep(0.5)
-        return real_run_request(request, golden_architecture)
-
-    monkeypatch.setattr(runner_module, "run_request", slow_run_request)
+    _slow_jobs(monkeypatch, 0.5)
     app = VerificationServerApp(jobs=2)
     requests = _requests("SP-AR-RC", "SP-WT-CL", "SP-DT-HC")
     reports = []
@@ -456,3 +461,76 @@ def test_close_stops_the_workers_of_a_batch_still_running(assigned,
     assert [report.verdict for report in reports] == ["verified"] * 3
     assert not any(process.is_alive() for process in assigned)
     assert app.pool.idle == 0
+
+
+def _assert_stopped(assigned, pool, threads) -> None:
+    """No dispatch, thread or busy worker outlives an abandoned batch."""
+    dispatched = len(assigned)
+    time.sleep(1.0)
+    assert len(assigned) == dispatched
+    assert set(threading.enumerate()) <= threads
+    idle = {worker.process for worker in pool._idle}
+    assert all(process in idle or not process.is_alive()
+               for process in assigned)
+
+
+def test_an_abandoned_batch_stops(assigned, monkeypatch):
+    _slow_jobs(monkeypatch)
+    threads = set(threading.enumerate())
+    pool = WorkerPool(max_idle=2)
+    try:
+        batch = VerificationService(jobs=2, pool=pool).iter_batch(
+            _requests(*["SP-AR-RC"] * 8, width=3))
+        assert next(batch).verdict == "verified"
+        batch.close()
+        assert assigned
+        _assert_stopped(assigned, pool, threads)
+    finally:
+        pool.close()
+
+
+def test_an_abandoned_stream_stops_its_batch(assigned, monkeypatch):
+    _slow_jobs(monkeypatch)
+    threads = set(threading.enumerate())
+    app = VerificationServerApp(jobs=2)
+    document = json.loads(_documents(_requests(*["SP-AR-RC"] * 8, width=3)))
+    document["stream"] = True
+    try:
+        response = app.handle("POST", "/v1/batch",
+                              json.dumps(document).encode("utf-8"))
+        assert response.status == 200
+        assert json.loads(next(response.stream))["verdict"] == "verified"
+        response.stream.close()
+        assert assigned
+        _assert_stopped(assigned, app.pool, threads)
+    finally:
+        app.close()
+
+
+def test_a_held_report_does_not_stretch_the_hard_limit(assigned, monkeypatch):
+    """A job that overruns its hard limit while the consumer holds an
+    earlier report ends at its deadline and answers ``budget``, however
+    long the consumer held on."""
+    real_run_request = runner_module.run_request
+
+    def run_request(request, golden_architecture):
+        if request.budgets.task_timeout_s is not None:
+            time.sleep(1.0)
+        return real_run_request(request, golden_architecture)
+
+    monkeypatch.setattr(runner_module, "run_request", run_request)
+    requests = (_requests("SP-AR-RC", width=3)
+                + _requests("SP-WT-CL", width=3,
+                            budgets=Budgets(task_timeout_s=0.5)))
+    batch = VerificationService(jobs=2).iter_batch(requests)
+    try:
+        assert next(batch).verdict == "verified"
+        time.sleep(2.0)
+        # Only the idle worker of the first job is left running.
+        assert len(assigned) == 2
+        assert sum(_running(process.pid) for process in assigned) == 1
+        report = next(batch)
+        assert (report.verdict, report.reason) == ("budget",
+                                                   "hard task timeout")
+    finally:
+        batch.close()

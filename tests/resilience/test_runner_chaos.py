@@ -1,4 +1,4 @@
-"""Chaos tests for the worker pool: crash retries, stragglers, parity.
+"""Chaos tests for the worker pool: crash retries, latency, parity.
 
 Every test drives a real multi-process :class:`ParallelRunner` with a
 seeded :class:`FaultPlan` active and asserts the verdict rows are
@@ -94,20 +94,3 @@ def test_latency_fault_is_benign_without_straggler_grace(chaos):
                           retry_policy=_policy()).run(_grid())
     assert stable(rows) == stable(baseline)
     assert all("attempts" not in row for row in rows)
-
-
-@needs_fork
-def test_straggler_is_redispatched_and_recovers(chaos):
-    """A 5s stall against a 0.75s grace: killed, re-run, verified."""
-    chaos(Fault("worker-latency", match=CRASH_KEY, delay_s=5.0, times=1))
-    runner = ParallelRunner(workers=2, retry_policy=_policy(),
-                            straggler_grace_s=0.75)
-    rows = runner.run(_grid())
-
-    assert all(row["verified"] for row in rows)
-    [retried] = [row for row in rows if row.get("attempts")]
-    assert retried["architecture"] == "BP-WT-CL"
-    first = retried["attempts"][0]
-    assert first["outcome"] == "hard_timeout"
-    assert "straggler" in first["reason"]
-    assert retried["attempts"][-1]["outcome"] == "verified"

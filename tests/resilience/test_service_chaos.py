@@ -116,3 +116,48 @@ def test_batch_with_faults_matches_fault_free_baseline(chaos, tmp_path,
         [stable(r.to_row()) for r in baseline]
     assert again.last_cache_hits + again.last_executed == len(architectures)
     assert again.last_executed >= 1, "the corrupted entry must re-execute"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_streamed_rungs_run_as_batch_jobs_with_run_batchs_reports(
+        jobs, monkeypatch):
+    """``iter_batch`` hands each fallback rung to its runner as a
+    follow-up job: on the batch's workers at two jobs, inline at one.  Its
+    reports equal ``run_batch``'s in-process chains, and a rung drops its
+    entry's hard limit on a worker too."""
+    from repro.experiments import runner as runner_module
+
+    dispatched = []
+    assign = runner_module._PoolWorker.assign
+
+    def spy(self, index, job, task_timeout_s):
+        dispatched.append(job)
+        return assign(self, index, job, task_timeout_s)
+
+    monkeypatch.setattr(runner_module._PoolWorker, "assign", spy)
+    # A hard limit needs a worker, so only the two-job batch sets one.
+    timeout = None if jobs == 1 else 60.0
+    requests = [VerificationRequest.from_architecture(
+        "SP-AR-RC", 4, method="mt-naive", find_counterexample=False,
+        budgets=Budgets(monomial_budget=budget, task_timeout_s=timeout))
+        for budget in (TIGHT, 2_000_000, RESCUABLE)]
+    service = VerificationService(jobs=jobs,
+                                  fallback_policy=FallbackPolicy())
+    expected = service.run_batch(requests)
+    del dispatched[:]
+    reports = list(service.iter_batch(requests))
+    assert [stable(report.to_dict()) for report in reports] == \
+        [stable(report.to_dict()) for report in expected]
+    assert [report.method for report in reports] == [
+        "sat-cec", "mt-naive", "mt-naive"]
+    assert service.last_fallbacks == 3
+    assert service.last_executed == 3
+    rungs = dispatched[3:]
+    if jobs == 1:
+        assert dispatched == []
+    else:
+        assert sorted((job.method, job.budgets.monomial_budget)
+                      for job in rungs) == [
+            ("mt-naive", 4 * TIGHT), ("mt-naive", 4 * RESCUABLE),
+            ("sat-cec", TIGHT)]
+        assert all(job.budgets.task_timeout_s is None for job in rungs)

@@ -300,19 +300,22 @@ def test_campaign_job_reruns_cross_checks_and_resumes(workflow):
     """Seeded mutation campaign, twice, with cross-check, parity and resume.
 
     The campaign gate must (a) run ``repro-verify campaign`` twice with
-    the same seed, (b) assert the SAT cross-check decided at least one
-    refutation and contradicted none (the command also exits 1 itself on
-    a disagreement), (c) byte-diff the extracted (id, verdict) columns of
-    the two runs, and (d) resume over the first run's output and assert
-    nothing is executed again.
+    the same seed, and once more at ``--jobs 2``, (b) assert the SAT
+    cross-check decided at least one refutation and contradicted none
+    (the command also exits 1 itself on a disagreement), (c) byte-diff
+    the extracted (id, verdict) columns of the two runs, and of the
+    first run against the ``--jobs 2`` run, and (d) resume over the
+    first run's output and assert nothing is executed again.
     """
     commands = " ".join(step.get("run", "")
                         for step in workflow["jobs"]["campaign"]["steps"])
-    assert commands.count("repro-verify campaign") >= 3
-    assert commands.count("--seed 7") >= 3
+    assert commands.count("repro-verify campaign") >= 4
+    assert commands.count("--seed 7") >= 4
+    assert "--seed 7 --jobs 2 --out run3.jsonl" in commands
     assert '["cross_checked"] >= 1' in commands
     assert '["cross_check_disagreements"] == 0' in commands
     assert "diff verdicts1.txt verdicts2.txt" in commands
+    assert "diff verdicts1.txt verdicts3.txt" in commands
     assert "--resume --out run1.jsonl" in commands
     assert '["executed"] == 0' in commands
     assert "--cone-cache" not in commands
