@@ -6,8 +6,14 @@ server) on some host/port; the dispatcher speaks the same wire protocol
 as :class:`~repro.server.client.VerificationClient` and therefore needs
 no worker-side changes beyond the ``/v1/version`` handshake.
 
-Scheduling mirrors :class:`~repro.experiments.runner.ParallelRunner`:
+Scheduling mirrors :class:`~repro.experiments.runner.ParallelRunner`,
+whose loop is also a generator in its consumer's thread:
 
+* **One loop, in the consumer's thread** — ``iter_batch`` is a
+  generator.  It dispatches, steals and books answers only while it is
+  iterated, so a consumer holding a report (or a local entry running)
+  pauses dispatch.  Each remote attempt is a daemon thread that posts
+  one request and hands the answer back; nothing else runs beside it.
 * **Longest-expected-first placement** — queued requests are sorted by
   :func:`~repro.experiments.runner.expected_cost_key` (descending) so
   the heavy Booth/tree rows go out first and the grid's wall-clock is
@@ -15,10 +21,13 @@ Scheduling mirrors :class:`~repro.experiments.runner.ParallelRunner`:
 * **Bounded in-flight per worker** — each :class:`WorkerSpec` carries a
   ``capacity``; the dispatcher never keeps more than that many requests
   outstanding on one worker.
-* **Work-stealing** — once the queue drains, a job in flight longer
-  than ``straggler_grace_s`` is re-dispatched to an idle worker.  Both
-  attempts race and the first finisher wins; a dispatch-epoch guard
-  drops the loser's result.
+* **Work-stealing** — once the queue drains, an unresolved job in
+  flight longer than ``straggler_grace_s`` is re-dispatched to an idle
+  worker.  Both attempts race and the first finisher wins; a
+  dispatch-epoch guard drops the loser's result.  The batch does not
+  wait for the loser, nor does a closed or failed batch wait for any
+  attempt in flight: those run out on their own, unreported and
+  uncached.
   The report's ``attempts`` history records the steal only when the
   stolen attempt is the one that won — when the original outruns its
   re-dispatch, nothing was actually superseded.
@@ -48,7 +57,7 @@ import dataclasses
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from queue import Empty, SimpleQueue
 from typing import Callable, Iterator, Sequence
 
 from repro.api.report import REPORT_SCHEMA, VerificationReport
@@ -152,10 +161,13 @@ class FleetDispatcher:
             else:
                 # One transparent attempt per dispatch: the dispatcher
                 # owns retries so it can fail over to another worker.
+                # Each attempt runs on a thread of its own, so a
+                # per-thread keep-alive connection would never be reused.
                 client = VerificationClient(
                     host=worker.host, port=worker.port,
                     timeout_s=self.request_timeout_s,
-                    retry_policy=RetryPolicy(max_attempts=1))
+                    retry_policy=RetryPolicy(max_attempts=1),
+                    keep_alive=False)
             self._clients[worker.name] = client
         return client
 
@@ -227,73 +239,139 @@ class FleetDispatcher:
                    ) -> Iterator[VerificationReport]:
         """Yield reports in request order as the fleet resolves them.
 
-        ``jobs`` is accepted for service-interface compatibility; fleet
-        concurrency is governed by worker capacities, not a local pool.
+        The batch's one scheduling loop runs in whichever thread iterates
+        this generator (see :meth:`_FleetRun.reports`).  ``jobs`` is
+        accepted for service-interface compatibility; fleet concurrency
+        is governed by worker capacities, not a local pool.
         """
         del jobs
-        run = _FleetRun(self, list(requests))
-        run.start()
-        try:
-            for index in range(len(run.requests)):
-                yield run.take(index)
-            run.complete()
-        finally:
-            run.shutdown()
+        return _FleetRun(self, list(requests)).reports()
+
+
+def _attempt(answers: SimpleQueue, key: tuple[int, int],
+             client: VerificationClient, worker_name: str,
+             document: dict) -> None:
+    """One remote attempt, on its own thread: post, classify, answer.
+
+    Touches no batch state: puts ``key + (report, reason, worker_down,
+    retryable)`` on ``answers``, exactly once, because the batch loop
+    waits for every attempt it dispatched to answer.
+    """
+    report = None
+    reason = None
+    worker_down = False
+    retryable = False
+    try:
+        status, body = client.request_raw("POST", "/v1/batch", document)
+    except ServerError as error:
+        reason = f"worker {worker_name}: {error}"
+        # Only connection-level failures mark the worker down; a
+        # client-side request timeout means one slow job, not a dead
+        # worker — it routes through the normal retry path so one
+        # straggler cannot cascade a healthy fleet into "all down".
+        worker_down = (error.status == 0
+                       and error.code != "request_timeout")
+        retryable = True
+    except Exception as error:  # pragma: no cover - defensive
+        reason = f"worker {worker_name}: {type(error).__name__}: {error}"
+        worker_down = True
+        retryable = True
+    else:
+        if status == 200:
+            try:
+                envelope = json.loads(body.decode("utf-8"))
+                report = VerificationReport.from_dict(envelope["reports"][0])
+            except Exception as error:
+                reason = (f"worker {worker_name}: unparseable report "
+                          f"({type(error).__name__}: {error})")
+                retryable = True
+        elif status in RETRYABLE_WORKER_STATUSES:
+            reason = f"worker {worker_name}: HTTP {status}"
+            retryable = True
+        else:
+            detail = body[:200].decode("utf-8", "replace")
+            reason = f"worker {worker_name}: HTTP {status} {detail}"
+    answers.put(key + (report, reason, worker_down, retryable))
 
 
 class _FleetRun:
-    """State of one batch in flight: queue, epochs, retries, results."""
+    """One batch: its queue, attempts in flight, retries and results.
+
+    All of it belongs to the thread iterating :meth:`reports`; attempt
+    threads only put their answers on ``answers``.
+    """
 
     def __init__(self, dispatcher: FleetDispatcher,
                  requests: list[VerificationRequest]) -> None:
         self.d = dispatcher
         self.requests = requests
-        self.condition = threading.Condition()
         self.documents: dict[int, dict] = {}
-        self.costs: dict[int, tuple] = {}
         self.keys: dict[int, "str | None"] = {}
         self.results: dict[int, VerificationReport] = {}
         self.local: set[int] = set()
         self.queue: list[int] = []
         self.retry_queue: list[tuple[float, int]] = []
-        self.live: dict[int, set[int]] = {}
+        #: Dispatches so far per request: its n-th dispatch is epoch n,
+        #: and attempt n of its ``attempts`` history.
         self.epochs: dict[int, int] = {}
-        self.attempt_of: dict[tuple[int, int], int] = {}
-        self.attempt_counts: dict[int, int] = {}
+        #: ``(index, epoch) -> (dispatch time, worker name)`` per attempt
+        #: in flight, a steal's loser included until it answers.
+        self.running: dict[tuple[int, int], tuple[float, str]] = {}
         self.histories: dict[int, list[dict]] = {}
-        #: ``(index, stealing epoch) -> (superseded attempt, entry)`` —
+        #: ``(index, stealing epoch) -> superseded attempt's entry`` —
         #: steal annotations held back until the stolen attempt wins.
-        self.pending_steals: dict[tuple[int, int], tuple[int, dict]] = {}
+        self.pending_steals: dict[tuple[int, int], dict] = {}
         self.tried: dict[int, set[str]] = {}
-        self.starts: dict[tuple[int, int], float] = {}
-        self.running: dict[tuple[int, int], str] = {}
-        self.inflight = {worker.name: 0
-                         for worker in dispatcher.topology.workers}
         self.down: set[str] = set()
-        self.unresolved = 0
-        self.closed = False
-        self.failure: "BaseException | None" = None
+        self.answers: SimpleQueue = SimpleQueue()
         self.cache_hits = 0
         self.executed = 0
         self.retries = 0
         self.steals = 0
-        self.executor: "ThreadPoolExecutor | None" = None
-        self.scheduler: "threading.Thread | None" = None
 
-    # -- lifecycle -------------------------------------------------------------
+    def reports(self) -> Iterator[VerificationReport]:
+        """The batch's one loop: yield each report in request order.
 
-    def start(self) -> None:
+        Before a report goes out, the answers that came in are booked and
+        idle workers take their next jobs.  Exhaustion, ``close()`` and
+        an exception return at once: attempts still in flight run out on
+        their own, and their answers are neither reported nor cached.
+        """
+        self._start()
+        for index in range(len(self.requests)):
+            if index in self.local:
+                # Single-request run_batch, mirroring the remote dispatch
+                # path, so local fallbacks stay byte-identical too.
+                self.results[index] = self.d._local_service().run_batch(
+                    [self.requests[index]])[0]
+                self.executed += 1
+            wait: "float | None" = 0.0
+            while True:
+                self._collect(wait)
+                now = time.monotonic()
+                self._promote_retries(now)
+                self._assign(now)
+                self._steal(now)
+                if index in self.results:
+                    break
+                wait = self._wakeup(now)
+            yield self.results[index]
+        self.d.last_cache_hits = self.cache_hits
+        self.d.last_executed = self.executed
+        self.d.last_retries = self.retries
+        self.d.last_fallbacks = 0
+        self.d.last_steals = self.steals
+
+    def _start(self) -> None:
         from repro.experiments.runner import expected_cost_key
 
         self.d.check_workers(down=self.down)
-        order: list[int] = []
         for index, request in enumerate(self.requests):
             document = wire_document(request)
             if document is None \
                     or not self.d.topology.workers_for(request.method):
                 self.local.add(index)
                 continue
-            self.costs[index] = expected_cost_key(request)
             key = None
             if self.d.cache is not None:
                 from repro.api.service import request_cache_key
@@ -307,80 +385,28 @@ class _FleetRun:
                         continue
             self.keys[index] = key
             self.documents[index] = document
-            order.append(index)
         # Longest expected cost first; stable on grid order for ties.
-        self.queue = sorted(order, key=lambda i: self.costs[i], reverse=True)
-        self.unresolved = len(order)
-        if self.unresolved:
-            capacity = sum(worker.capacity
-                           for worker in self.d.topology.workers)
-            self.executor = ThreadPoolExecutor(
-                max_workers=max(1, capacity),
-                thread_name_prefix="repro-fleet")
-            self.scheduler = threading.Thread(
-                target=self._schedule, daemon=True,
-                name="repro-fleet-scheduler")
-            self.scheduler.start()
-
-    def take(self, index: int) -> VerificationReport:
-        """Block until request ``index`` resolves; return its report."""
-        if index in self.local:
-            # Single-request run_batch, mirroring the remote dispatch
-            # path, so local fallbacks stay byte-identical too.
-            report = self.d._local_service().run_batch(
-                [self.requests[index]])[0]
-            with self.condition:
-                self.results[index] = report
-                self.executed += 1
-            return report
-        with self.condition:
-            while index not in self.results and self.failure is None:
-                self.condition.wait()
-            if index not in self.results and self.failure is not None:
-                raise self.failure
-            return self.results[index]
-
-    def complete(self) -> None:
-        if self.scheduler is not None:
-            self.scheduler.join()
-        if self.executor is not None:
-            self.executor.shutdown(wait=True)
-            self.executor = None
-        self.d.last_cache_hits = self.cache_hits
-        self.d.last_executed = self.executed
-        self.d.last_retries = self.retries
-        self.d.last_fallbacks = 0
-        self.d.last_steals = self.steals
-
-    def shutdown(self) -> None:
-        with self.condition:
-            self.closed = True
-            self.condition.notify_all()
-        if self.executor is not None:
-            self.executor.shutdown(wait=False)
-            self.executor = None
+        self.queue = sorted(
+            self.documents,
+            key=lambda index: expected_cost_key(self.requests[index]),
+            reverse=True)
 
     # -- scheduling ------------------------------------------------------------
 
-    def _schedule(self) -> None:
-        try:
-            with self.condition:
-                while not self.closed and self.unresolved:
-                    now = time.monotonic()
-                    self._promote_retries(now)
-                    self._assign(now)
-                    self._steal(now)
-                    # _assign may have resolved the last jobs itself
-                    # (queued work dropped because its workers died) —
-                    # re-check before sleeping, or this thread waits on
-                    # a notification that will never come.
-                    if self.closed or not self.unresolved:
-                        break
-                    self.condition.wait(timeout=self._wakeup(now))
-        except BaseException as error:  # pragma: no cover - defensive
-            with self.condition:
-                self.failure = error
-                self.condition.notify_all()
+    def _collect(self, wait: "float | None") -> None:
+        """Book every answer posted, first waiting for one if need be.
+
+        ``wait`` bounds that wait in seconds; ``None`` waits until an
+        answer comes, and ``0`` does not wait.
+        """
+        block = wait is None or wait > 0
+        while True:
+            try:
+                answer = self.answers.get(block, wait)
+            except Empty:
+                return
+            self._settle(*answer)
+            block = False
 
     def _promote_retries(self, now: float) -> None:
         ready = [index for ready_at, index in self.retry_queue
@@ -392,15 +418,22 @@ class _FleetRun:
             # Retries jump the queue: they already waited out a backoff.
             self.queue[:0] = ready
 
+    def _free(self, worker: WorkerSpec) -> bool:
+        """True iff ``worker`` is up and has room for one more attempt."""
+        busy = sum(1 for _, name in self.running.values()
+                   if name == worker.name)
+        return worker.name not in self.down and busy < worker.capacity
+
+    def _in_flight(self, index: int) -> int:
+        return sum(1 for other, _ in self.running if other == index)
+
     def _assign(self, now: float) -> None:
         self._drop_unservable()
         progress = True
         while progress and self.queue:
             progress = False
             for worker in self.d.topology.workers:
-                if worker.name in self.down:
-                    continue
-                if self.inflight[worker.name] >= worker.capacity:
+                if not self._free(worker):
                     continue
                 index = self._pick(worker)
                 if index is None:
@@ -435,172 +468,109 @@ class _FleetRun:
         return untried if untried is not None else fallback
 
     def _dispatch(self, index: int, worker: WorkerSpec, now: float,
-                  steal_from: "tuple[int, str] | None" = None) -> None:
-        request = self.requests[index]
+                  superseded: "int | None" = None) -> None:
+        client = self.d._client(worker)
         epoch = self.epochs.get(index, 0) + 1
         self.epochs[index] = epoch
-        self.live.setdefault(index, set()).add(epoch)
-        attempt = self.attempt_counts.get(index, 0) + 1
-        self.attempt_counts[index] = attempt
-        self.attempt_of[(index, epoch)] = attempt
         self.tried.setdefault(index, set()).add(worker.name)
-        self.starts[(index, epoch)] = now
-        self.running[(index, epoch)] = worker.name
-        self.inflight[worker.name] += 1
+        self.running[(index, epoch)] = (now, worker.name)
         self.d.dispatch_log.append((now, index, worker.name))
-        if steal_from is not None:
-            superseded_attempt, grace_text = steal_from
+        if superseded is not None:
             self.steals += 1
             # Both attempts race and the original frequently wins, so the
             # "superseded" entry is only pending until this new epoch
             # actually finishes first (_finish attaches it then).
-            self.pending_steals[(index, epoch)] = (
-                superseded_attempt,
-                attempt_entry(
-                    superseded_attempt, request.method,
-                    "initial" if superseded_attempt == 1 else "retry",
-                    "hard_timeout",
-                    reason=f"straggler re-dispatch after {grace_text}s grace "
-                           f"to {worker.name}"))
-        assert self.executor is not None
-        self.executor.submit(self._attempt, index, epoch, worker)
-
-    def _steal(self, now: float) -> None:
-        grace = self.d.topology.straggler_grace_s
-        if grace is None or self.queue:
-            return
-        grace_text = f"{grace:g}"
-        for worker in self.d.topology.workers:
-            if worker.name in self.down:
-                continue
-            if self.inflight[worker.name] >= worker.capacity:
-                continue
-            best = None
-            best_started = None
-            for (index, epoch), started in self.starts.items():
-                if epoch not in self.live.get(index, ()):
-                    continue
-                if len(self.live[index]) != 1:
-                    continue
-                if now - started <= grace:
-                    continue
-                if self.attempt_counts[index] \
-                        >= self.d.retry_policy.max_attempts:
-                    continue
-                request = self.requests[index]
-                if not worker.supports(request.method):
-                    continue
-                if self.running.get((index, epoch)) == worker.name:
-                    continue
-                if best_started is None or started < best_started:
-                    best, best_started = (index, epoch), started
-            if best is None:
-                continue
-            index, epoch = best
-            self._dispatch(index, worker, now,
-                           steal_from=(self.attempt_of[(index, epoch)],
-                                       grace_text))
-
-    def _wakeup(self, now: float) -> "float | None":
-        deadlines = [ready_at for ready_at, _ in self.retry_queue]
-        grace = self.d.topology.straggler_grace_s
-        if grace is not None and not self.queue:
-            for (index, epoch), started in self.starts.items():
-                if epoch in self.live.get(index, ()):
-                    deadlines.append(started + grace)
-        if not deadlines:
-            return None
-        return max(0.01, min(deadlines) - now)
-
-    # -- one remote attempt ----------------------------------------------------
-
-    def _attempt(self, index: int, epoch: int, worker: WorkerSpec) -> None:
+            self.pending_steals[(index, epoch)] = attempt_entry(
+                superseded, self.requests[index].method,
+                "initial" if superseded == 1 else "retry",
+                "hard_timeout",
+                reason=f"straggler re-dispatch after "
+                       f"{self.d.topology.straggler_grace_s:g}s grace "
+                       f"to {worker.name}")
         # One-request batch, not /v1/verify: the worker then executes the
         # job through the exact same VerificationService.run_batch code
         # path as a local run, so reports stay byte-identical to the
         # in-process baseline for every request shape.
         document = {"requests": [self.documents[index]], "jobs": 1}
-        client = self.d._client(worker)
-        report = None
-        reason = None
-        transport = False
-        retryable = False
-        try:
-            status, body = client.request_raw("POST", "/v1/batch", document)
-        except ServerError as error:
-            reason = f"worker {worker.name}: {error}"
-            # Only connection-level failures mark the worker down; a
-            # client-side request timeout means one slow job, not a dead
-            # worker — it routes through the normal retry path so one
-            # straggler cannot cascade a healthy fleet into "all down".
-            transport = (error.status == 0
-                         and error.code != "request_timeout")
-            retryable = True
-        except Exception as error:  # pragma: no cover - defensive
-            reason = (f"worker {worker.name}: "
-                      f"{type(error).__name__}: {error}")
-            transport = True
-            retryable = True
+        threading.Thread(
+            target=_attempt, name="repro-fleet-attempt", daemon=True,
+            args=(self.answers, (index, epoch), client, worker.name,
+                  document)).start()
+
+    def _steal(self, now: float) -> None:
+        grace = self.d.topology.straggler_grace_s
+        if grace is None or self.queue:
+            return
+        for worker in self.d.topology.workers:
+            if not self._free(worker):
+                continue
+            # The earliest-dispatched unresolved job alone in flight past
+            # its grace, on another worker, that this one may run.
+            candidates = [
+                (started, index, epoch)
+                for (index, epoch), (started, name) in self.running.items()
+                if now - started > grace and name != worker.name
+                and index not in self.results
+                and self._in_flight(index) == 1
+                and self.epochs[index] < self.d.retry_policy.max_attempts
+                and worker.supports(self.requests[index].method)]
+            if candidates:
+                _, index, epoch = min(candidates, key=lambda item: item[0])
+                self._dispatch(index, worker, now, superseded=epoch)
+
+    def _wakeup(self, now: float) -> "float | None":
+        """Seconds until a retry comes due or a straggler's grace ends.
+
+        An expired grace is left out: its job becomes stealable only when
+        a worker frees up, and that worker's answer ends the wait anyway.
+        """
+        moments = [ready_at for ready_at, _ in self.retry_queue]
+        grace = self.d.topology.straggler_grace_s
+        if grace is not None and not self.queue:
+            moments += [started + grace
+                        for started, _ in self.running.values()
+                        if now - started <= grace]
+        return min(moments) - now if moments else None
+
+    # -- bookkeeping -----------------------------------------------------------
+
+    def _settle(self, index: int, epoch: int,
+                report: "VerificationReport | None", reason: "str | None",
+                worker_down: bool, retryable: bool) -> None:
+        """Book one attempt's answer (see :func:`_attempt`)."""
+        _, worker_name = self.running.pop((index, epoch))
+        if worker_down:
+            self.down.add(worker_name)
+        if index in self.results:
+            return  # a racing duplicate already won; the epoch is stale
+        if report is not None:
+            self._finish(index, epoch, report)
         else:
-            if status == 200:
-                try:
-                    envelope = json.loads(body.decode("utf-8"))
-                    report = VerificationReport.from_dict(
-                        envelope["reports"][0])
-                except Exception as error:
-                    reason = (f"worker {worker.name}: unparseable report "
-                              f"({type(error).__name__}: {error})")
-                    retryable = True
-            elif status in RETRYABLE_WORKER_STATUSES:
-                reason = f"worker {worker.name}: HTTP {status}"
-                retryable = True
-            else:
-                detail = body[:200].decode("utf-8", "replace")
-                reason = f"worker {worker.name}: HTTP {status} {detail}"
-                retryable = False
-        with self.condition:
-            self.inflight[worker.name] -= 1
-            self.live.get(index, set()).discard(epoch)
-            self.starts.pop((index, epoch), None)
-            self.running.pop((index, epoch), None)
-            if transport:
-                self.down.add(worker.name)
-            if index in self.results:
-                # A racing duplicate already won; epoch guard drops this.
-                self.condition.notify_all()
-                return
-            if report is not None:
-                self._finish(index, epoch, report)
-            else:
-                self._record_failure(index, epoch, reason or "worker failure",
-                                     retryable)
-            self.condition.notify_all()
+            self._record_failure(index, epoch, reason, retryable)
 
     def _record_failure(self, index: int, epoch: int, reason: str,
                         retryable: bool) -> None:
-        attempt = self.attempt_of[(index, epoch)]
         request = self.requests[index]
         # This attempt's real outcome is a crash: it neither supersedes
         # anything (a failed stealer) nor was superseded (the annotation
         # claiming so would be false history).
         self.pending_steals.pop((index, epoch), None)
-        for key, (superseded, _entry) in list(self.pending_steals.items()):
-            if key[0] == index and superseded == attempt:
+        for key, entry in list(self.pending_steals.items()):
+            if key[0] == index and entry["attempt"] == epoch:
                 del self.pending_steals[key]
         self.histories.setdefault(index, []).append(attempt_entry(
-            attempt, request.method,
-            "initial" if attempt == 1 else "retry",
+            epoch, request.method,
+            "initial" if epoch == 1 else "retry",
             "crash", reason=reason))
-        if self.live.get(index):
+        if self._in_flight(index):
             return  # a racing duplicate is still in flight
         up = [worker
               for worker in self.d.topology.workers_for(request.method)
               if worker.name not in self.down]
         if retryable and up \
-                and self.attempt_counts[index] \
-                < self.d.retry_policy.max_attempts:
+                and self.epochs[index] < self.d.retry_policy.max_attempts:
             delay = self.d.retry_policy.delay_s(
-                attempt,
+                epoch,
                 key=(request.architecture, request.width, request.method))
             self.retries += 1
             self.retry_queue.append((time.monotonic() + delay, index))
@@ -608,39 +578,34 @@ class _FleetRun:
         self._finish_error(index, reason)
 
     def _finish_error(self, index: int, reason: str) -> None:
-        report = VerificationReport.from_failure(self.requests[index],
-                                                 "error", reason)
-        self._finish(index, None, report, close_history=False)
+        self._finish(index, None, VerificationReport.from_failure(
+            self.requests[index], "error", reason))
 
     def _finish(self, index: int, epoch: "int | None",
-                report: VerificationReport, close_history: bool = True) -> None:
+                report: VerificationReport) -> None:
+        """Resolve ``index`` with the report of attempt ``epoch``.
+
+        ``epoch`` is ``None`` for the batch's own error report, whose
+        history then ends at the last failed attempt.
+        """
         # A steal annotation only becomes true history if the stolen
         # (new-epoch) attempt is the one that actually wins the race —
         # first-finisher-wins means the original frequently does.
-        steal = (self.pending_steals.pop((index, epoch), None)
-                 if epoch is not None else None)
+        steal = self.pending_steals.pop((index, epoch), None)
         if steal is not None:
-            self.histories.setdefault(index, []).append(steal[1])
+            self.histories.setdefault(index, []).append(steal)
         for key in [key for key in self.pending_steals if key[0] == index]:
             del self.pending_steals[key]
         history = self.histories.pop(index, None)
         if history:
-            if close_history:
-                attempt = self.attempt_of.get(
-                    (index, epoch), self.attempt_counts.get(index, 1))
+            if epoch is not None:
                 history.append(attempt_entry(
-                    attempt, report.method,
-                    "initial" if attempt == 1 else "retry",
+                    epoch, report.method,
+                    "initial" if epoch == 1 else "retry",
                     report.verdict, reason=report.reason))
             report.attempts = list(report.attempts or ()) + history
-        key = self.keys.get(index)
-        if key is not None and self.d.cache is not None:
+        key = self.keys[index]
+        if key is not None:
             self.d.cache.put(key, report)
         self.results[index] = report
         self.executed += 1
-        self.unresolved -= 1
-        # Always called with the lock held; wake the consumer directly so
-        # resolutions that never pass through _attempt — a queued job
-        # dropped because its every supporting worker went down — cannot
-        # leave take() blocked forever.
-        self.condition.notify_all()

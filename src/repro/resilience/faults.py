@@ -139,6 +139,7 @@ class FaultPlan:
             self._local_hits[index] = used + 1
             return True
         directory = Path(self.state_dir)
+        directory.mkdir(parents=True, exist_ok=True)
         for hit in range(budget):
             marker = directory / f"fault-{index}-hit-{hit}"
             try:

@@ -13,6 +13,7 @@ refusal.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -82,6 +83,39 @@ def test_fleet_batch_matches_local_run_batch(workers):
     assert dispatcher.last_executed == len(GRID)
     assert dispatcher.last_cache_hits == 0
     assert {name for _, _, name in dispatcher.dispatch_log} == {"w0", "w1"}
+
+
+def test_many_attempts_in_flight_are_each_booked_once(workers):
+    """Eight attempt threads at a time, switching every microsecond.
+
+    Each attempt only posts its answer; the consumer's loop books them
+    all.  A lost or doubled answer would hang the batch, repeat a
+    dispatch or break parity with the local run.
+    """
+    grid = GRID * 2
+    topology = FleetTopology.from_document({"workers": [
+        {"name": f"w{index}", "port": worker.port, "capacity": 4}
+        for index, worker in enumerate(workers)]})
+    dispatcher = FleetDispatcher(topology)
+    reports: list = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumer = threading.Thread(
+            target=lambda: reports.extend(
+                dispatcher.run_batch(requests_for(grid))),
+            daemon=True)
+        consumer.start()
+        consumer.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not consumer.is_alive(), "consumer hung on a lost answer"
+    local = VerificationService().run_batch(requests_for(grid))
+    assert [stable(report) for report in reports] == \
+        [stable(report) for report in local]
+    assert sorted(index for _, index, _ in dispatcher.dispatch_log) == \
+        list(range(len(grid)))
+    assert dispatcher.last_executed == len(grid)
 
 
 def test_placement_is_longest_expected_first(workers):
@@ -248,9 +282,9 @@ def test_queued_jobs_resolve_when_every_worker_goes_down(workers):
 
     One worker, capacity 1, two requests: the first dispatch marks the
     worker down (connection error), so the second — still queued — is
-    resolved by the scheduler thread, not by any worker attempt.  The
-    consumer blocked in ``take()`` must see that resolution instead of
-    sleeping forever.
+    resolved by the batch loop itself, not by any worker attempt.  The
+    loop must yield that resolution instead of waiting forever for an
+    attempt answer that will never come.
     """
     class _Dead:
         def __init__(self, client: VerificationClient) -> None:
@@ -278,6 +312,38 @@ def test_queued_jobs_resolve_when_every_worker_goes_down(workers):
     assert any("connection_error" in (report.reason or "")
                for report in reports)
     assert any("are down" in (report.reason or "") for report in reports)
+
+
+def test_a_bookkeeping_error_reaches_the_consumer(workers, tmp_path,
+                                                 monkeypatch):
+    """An exception in the batch's own bookkeeping raises in its consumer.
+
+    Publishing the worker's verdict to the coordinator cache fails; the
+    consumer must see that error instead of waiting for a report that
+    will never be booked.
+    """
+    from repro.experiments.runner import ResultCache
+
+    def broken_put(self, key, report):
+        raise RuntimeError("injected cache publish failure")
+
+    monkeypatch.setattr(ResultCache, "put", broken_put)
+    dispatcher = FleetDispatcher(
+        topology_for(workers, cache_dir=str(tmp_path / "cache")))
+    errors: list = []
+
+    def consume() -> None:
+        try:
+            dispatcher.run_batch(requests_for([("SP-AR-RC", 3, "mt-lr")]))
+        except RuntimeError as error:
+            errors.append(error)
+
+    consumer = threading.Thread(target=consume, daemon=True)
+    consumer.start()
+    consumer.join(timeout=30.0)
+    assert not consumer.is_alive(), "consumer hung on a failed batch"
+    assert [str(error) for error in errors] == \
+        ["injected cache publish failure"]
 
 
 def test_request_timeout_is_retried_without_marking_worker_down(workers):
@@ -375,6 +441,61 @@ def test_no_steal_annotation_when_original_attempt_wins(workers):
     assert len(dispatcher.dispatch_log) == 2
     # ...but the winner was never superseded, so its history stays clean.
     assert not report.attempts
+
+
+class _Dawdling(_Gated):
+    """A ``_Gated`` client that dawdles only on one architecture's jobs."""
+
+    def __init__(self, client: VerificationClient, architecture: str,
+                 delay: float) -> None:
+        super().__init__(client, delay=delay)
+        self.architecture = architecture
+
+    def request_raw(self, method, path, document=None):
+        if document["requests"][0]["architecture"] != self.architecture:
+            return self.client.request_raw(method, path, document)
+        return super().request_raw(method, path, document)
+
+
+def test_a_resolved_job_is_not_stolen_again(workers):
+    """The loser of a won steal race is still in flight, but no straggler.
+
+    w0 (capacity 1) holds job 0 until its report is out; w1 (capacity 2)
+    runs jobs 1 and 2 and dawdles 1 s on job 1.  Job 0 is stolen to w1
+    once, and job 1 to w0 once w0 frees up; w0's stale attempt on the
+    resolved job 0 is never re-dispatched.
+    """
+    gate = threading.Event()
+
+    def factory(worker):
+        client = VerificationClient(port=worker.port, keep_alive=False)
+        if worker.name == "w0":
+            return _Gated(client, gate=gate)
+        return _Dawdling(client, "SP-WT-CL", delay=1.0)
+
+    topology = FleetTopology.from_document({
+        "workers": [
+            {"name": "w0", "port": workers[0].port, "capacity": 1},
+            {"name": "w1", "port": workers[1].port, "capacity": 2}],
+        "straggler_grace_s": 0.05})
+    dispatcher = FleetDispatcher(topology, client_factory=factory)
+    iterator = dispatcher.iter_batch(requests_for(
+        [("BP-CT-BK", 4, "mt-lr"), ("SP-WT-CL", 4, "mt-lr"),
+         ("SP-AR-RC", 2, "mt-lr")]))
+    try:
+        first = next(iterator)
+        gate.set()
+        reports = [first, *iterator]
+    finally:
+        gate.set()
+    assert [report.verdict for report in reports] == ["verified"] * 3
+    assert [(index, name) for _, index, name in dispatcher.dispatch_log] \
+        == [(0, "w0"), (1, "w1"), (2, "w1"), (0, "w1"), (1, "w0")]
+    assert dispatcher.last_steals == 2
+    for report in reports[:2]:
+        superseded, final = report.attempts
+        assert "straggler re-dispatch" in superseded["reason"]
+        assert final["outcome"] == "verified"
 
 
 # -- version handshake ---------------------------------------------------------

@@ -53,10 +53,17 @@ def test_should_matches_globs_and_respects_times():
     assert plan.should("worker-crash", "SP-AR-RC/4/mt-lr") is None
 
 
-def test_state_dir_claims_are_fleet_wide(tmp_path):
-    """Two plan instances (= two processes) share one hit budget."""
-    state = tmp_path / "state"
-    state.mkdir()
+@pytest.mark.parametrize("created", [True, False],
+                         ids=["existing-dir", "missing-dir"])
+def test_state_dir_claims_are_fleet_wide(tmp_path, created):
+    """Two plan instances (= two processes) share one hit budget.
+
+    A ``state_dir`` nobody created yet is made by the first claim, so
+    such a plan fires too instead of silently never firing.
+    """
+    state = tmp_path / "runs" / "state"
+    if created:
+        state.mkdir(parents=True)
     fault = Fault("worker-crash", times=3)
     first = FaultPlan(seed=CHAOS_SEED, faults=(fault,),
                       state_dir=str(state))

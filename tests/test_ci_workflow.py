@@ -9,6 +9,8 @@ well-formed steps.
 
 from __future__ import annotations
 
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -281,12 +283,23 @@ def test_fleet_job_checks_parity_steals_and_cache(workflow):
     byte-diff the stdout against the serial run, (c) force work-stealing
     with a tiny straggler grace and grep a non-zero ``steals`` counter,
     and (d) re-run against the shared cache asserting non-zero cache
-    hits with zero executions.
+    hits with zero executions.  The steal is made deterministic: both
+    workers share one fault plan that stalls one job once, and the fleet
+    runs carry a hard limit so that job reaches the workers' pools,
+    where the fault fires.
     """
     commands = " ".join(step.get("run", "")
                         for step in workflow["jobs"]["fleet"]["steps"])
     assert "tests/fleet" in commands
     assert commands.count("repro-verify serve") >= 2
+    assert commands.count('REPRO_FAULT_PLAN="$PLAN" repro-verify serve') == 2
+    plan = re.search(r"PLAN='(.*?)'", commands, re.DOTALL)
+    assert plan is not None
+    assert json.loads(plan.group(1)) == {
+        "faults": [{"site": "worker-latency", "match": "SP-AR-RC/4/mt-lr",
+                    "delay_s": 10, "times": 1}],
+        "state_dir": ".fault-state"}
+    assert commands.count("--task-timeout 60 \\\n  --fleet fleet.json") == 2
     assert "--fleet" in commands
     assert "straggler_grace_s" in commands
     assert "cache_dir" in commands
