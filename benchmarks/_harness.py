@@ -28,9 +28,7 @@ def bench_config() -> ExperimentConfig:
 def run_cell(architecture: str, width: int, method: str,
              config: ExperimentConfig) -> dict:
     """One fresh in-process table cell through the service, as a table row."""
-    service = VerificationService(
-        golden_architecture=config.golden_architecture)
-    return service.submit(VerificationRequest.from_architecture(
+    return VerificationService().submit(VerificationRequest.from_architecture(
         architecture, width, method, budgets=config.budgets,
         find_counterexample=False)).to_row()
 

@@ -121,8 +121,7 @@ def run_smoke(jobs: int, widths: tuple[int, ...] = (SMOKE_WIDTH,),
     # No cache directory: the whole point of the benchmark is to time
     # fresh runs, and a REPRO_BENCH_CACHE exported for table work must not
     # leak stale timings into the baseline or the regression gate.
-    service = VerificationService(
-        golden_architecture=config.golden_architecture, jobs=jobs)
+    service = VerificationService(jobs=jobs)
     budgets = config.budgets.replace(task_timeout_s=task_timeout_s)
     start = time.perf_counter()
     rows = [report.to_row() for report in service.run_grid(

@@ -77,20 +77,6 @@ def union_mask(masks: Iterable[int]) -> int:
     return support
 
 
-def any_submask(candidates: Iterable[int], mask: int) -> bool:
-    """Return ``True`` if any candidate bitmask is a submask of ``mask``.
-
-    For multilinear monomials "submask" is divisibility, so this answers
-    whether ``mask`` is a multiple of any candidate — the monotonicity
-    shortcut of the vanishing-rule cache: a monomial divisible by a known
-    vanishing monomial vanishes too.
-    """
-    for candidate in candidates:
-        if candidate & mask == candidate:
-            return True
-    return False
-
-
 class Monomial:
     """An immutable product of distinct Boolean variables.
 

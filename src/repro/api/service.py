@@ -28,6 +28,10 @@ from repro.api.report import VerificationReport
 from repro.api.request import Budgets, VerificationRequest
 from repro.errors import BlowUpError, VerificationError
 
+#: The reference multiplier that the SAT baseline and the SAT cross-check
+#: of a refutation compare a circuit with.
+GOLDEN_ARCHITECTURE = "SP-AR-RC"
+
 
 def _certifiable_backends():
     return tuple(spec for spec in backends() if spec.certifiable)
@@ -81,8 +85,7 @@ def _outputs_differ(netlist, golden, counterexample: dict[str, int] | None,
     return any(values[name] != reference[name] for name in netlist.outputs)
 
 
-def request_cache_key(request: VerificationRequest,
-                      golden_architecture: str = "SP-AR-RC") -> str | None:
+def request_cache_key(request: VerificationRequest) -> str | None:
     """Content-addressed result-cache key of a request (``None`` = uncacheable).
 
     The one key function of the result cache, shared by
@@ -129,7 +132,7 @@ def request_cache_key(request: VerificationRequest,
         },
     }
     if request.method == "sat-cec":
-        document["golden"] = netlist_hash(golden_architecture, request.width)
+        document["golden"] = netlist_hash(GOLDEN_ARCHITECTURE, request.width)
     serial = json.dumps(document, sort_keys=True)
     return hashlib.sha256(serial.encode("utf-8")).hexdigest()
 
@@ -145,8 +148,6 @@ class VerificationService:
 
     Parameters
     ----------
-    golden_architecture:
-        Reference architecture the SAT baseline compares against.
     jobs:
         Default worker-process count of :meth:`run_batch`.
     cache_dir:
@@ -171,13 +172,11 @@ class VerificationService:
         graceful degradation.
     """
 
-    def __init__(self, golden_architecture: str = "SP-AR-RC",
-                 jobs: int = 1,
+    def __init__(self, jobs: int = 1,
                  cache_dir: str | os.PathLike | None = None,
                  retry_policy=None,
                  fallback_policy=None,
                  pool=None) -> None:
-        self.golden_architecture = golden_architecture
         self.jobs = jobs
         self.cache_dir = cache_dir
         self.retry_policy = retry_policy
@@ -348,7 +347,7 @@ class VerificationService:
         if specification == "multiplier" and width:
             from repro.baselines.sat.miter import sat_equivalence_check
             from repro.generators.multipliers import generate_multiplier
-            golden = generate_multiplier(self.golden_architecture, width)
+            golden = generate_multiplier(GOLDEN_ARCHITECTURE, width)
             if _outputs_differ(netlist, golden, counterexample, values):
                 record.update(status="different", agrees=True, conflicts=0)
                 return record
@@ -370,7 +369,7 @@ class VerificationService:
             raise VerificationError(
                 f"{method} needs the operand width to build the golden "
                 "reference (no 'a' input word found)")
-        golden = generate_multiplier(self.golden_architecture, width)
+        golden = generate_multiplier(GOLDEN_ARCHITECTURE, width)
         result = sat_equivalence_check(
             netlist, golden, conflict_limit=budgets.sat_conflict_budget,
             time_budget_s=budgets.time_budget_s)
@@ -475,8 +474,7 @@ class VerificationService:
             workers=jobs if jobs is not None else self.jobs,
             cache_dir=self.cache_dir,
             retry_policy=self.retry_policy,
-            pool=self.pool,
-            golden_architecture=self.golden_architecture)
+            pool=self.pool)
 
     def _book(self, runner) -> None:
         """Take over the counters of the batch the runner just ran."""

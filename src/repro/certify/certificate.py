@@ -24,8 +24,8 @@ Every vanishing-monomial cancellation recorded by the engine is justified
 with a *cone proof*: a minimal set of gate variables such that expanding
 the monomial through their gate tails (in descending variable order)
 reaches the zero polynomial exactly.  The checker replays exactly that
-expansion, so no vanishing table, implied-literal machinery or witness
-cache is needed on the checking side.
+expansion, so no vanishing table, implied-literal machinery or verdict
+memo is needed on the checking side.
 """
 
 from __future__ import annotations

@@ -147,8 +147,7 @@ def _print_engine_stats(result) -> None:
                   f"hits={stats.vanishing_cache_hits} "
                   f"misses={stats.vanishing_cache_misses} "
                   f"size={stats.vanishing_cache_size} "
-                  f"resets={stats.vanishing_cache_resets} "
-                  f"witness-hits={stats.vanishing_witness_hits}")
+                  f"resets={stats.vanishing_cache_resets}")
     trace = result.reduction_trace
     print(f"reduction: substitutions={trace.substitutions} "
           f"affected-terms={trace.affected_terms} "
@@ -384,7 +383,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     # The cache keeps each backend's own row; a budget row is degraded
     # through the fallback chain, whose rungs run uncached on the pool.
     service = VerificationService(
-        golden_architecture=config.golden_architecture,
         jobs=args.jobs, cache_dir=cache_dir, retry_policy=retry_policy,
         fallback_policy=fallback)
     requests = service.grid(architectures, args.width, methods,
@@ -398,8 +396,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         topology = FleetTopology.from_file(args.fleet)
         if args.cache:
             topology = dataclasses.replace(topology, cache_dir=args.cache)
-        batch = FleetDispatcher(
-            topology, golden_architecture=config.golden_architecture)
+        batch = FleetDispatcher(topology)
 
     reports: list[VerificationReport] = []
     rows = []

@@ -68,7 +68,6 @@ class ExperimentConfig:
     #: Budgets of every run; the table runs default to a 60 s time budget.
     budgets: Budgets = field(
         default_factory=lambda: Budgets(time_budget_s=60.0))
-    golden_architecture: str = "SP-AR-RC"
     #: Worker processes used by :class:`ParallelRunner` consumers (1 = serial).
     jobs: int = 1
     #: Directory of the on-disk result cache (``None`` disables caching).
@@ -100,15 +99,14 @@ class ExperimentConfig:
 # One task: a request through the service, behind the isolation boundary
 # ---------------------------------------------------------------------------
 
-def run_request(request: VerificationRequest, golden_architecture: str) -> dict:
+def run_request(request: VerificationRequest) -> dict:
     """Run one request through :class:`VerificationService` and return its row.
 
     The worker's service has no fallback policy: the batch's caller
     degrades budget rows afterwards, so the cache keeps the original
     backend's own row.
     """
-    service = VerificationService(golden_architecture=golden_architecture)
-    return service.submit(request).to_row()
+    return VerificationService().submit(request).to_row()
 
 
 def expected_cost_key(request: VerificationRequest) -> tuple[int, int, int]:
@@ -141,8 +139,7 @@ def _failure_row(request: VerificationRequest, status: str, reason: str,
                                            time_s).to_row()
 
 
-def _guarded_run_job(request: VerificationRequest,
-                     golden_architecture: str) -> dict:
+def _guarded_run_job(request: VerificationRequest) -> dict:
     """Run a request, converting any exception into an ``error`` row.
 
     This is the per-circuit isolation layer shared by the in-process and
@@ -150,7 +147,7 @@ def _guarded_run_job(request: VerificationRequest,
     never abort the rest of the batch.
     """
     try:
-        return run_request(request, golden_architecture)
+        return run_request(request)
     except Exception as error:  # noqa: BLE001 - isolation boundary
         return _failure_row(request, "error",
                             f"{type(error).__name__}: {error}")
@@ -234,8 +231,7 @@ class ResultCache:
 
     # -- keying ----------------------------------------------------------------
 
-    def key(self, request: VerificationRequest,
-            golden_architecture: str = "SP-AR-RC") -> str | None:
+    def key(self, request: VerificationRequest) -> str | None:
         """Cache key of a request (``None`` = uncacheable).
 
         Delegates to :func:`repro.api.service.request_cache_key`, the one
@@ -243,7 +239,7 @@ class ResultCache:
         timeout included) are part of the key, so two requests of one
         batch running under different budget groups never share an entry.
         """
-        return request_cache_key(request, golden_architecture)
+        return request_cache_key(request)
 
     # -- storage ---------------------------------------------------------------
 
@@ -389,7 +385,7 @@ def _watch_parent(parent: int) -> None:
 
 
 def _pool_worker_main(connection, parent_end) -> None:
-    """Worker-process loop: run ``(request, golden_architecture, deadline)`` tasks.
+    """Worker-process loop: run ``(request, deadline)`` tasks.
 
     Tasks arrive on ``connection`` and each task's row goes back down the
     same pipe, so a row always belongs to the request the parent handed
@@ -430,7 +426,7 @@ def _pool_worker_main(connection, parent_end) -> None:
             return
         if task is None:
             return
-        request, golden_architecture, deadline = task
+        request, deadline = task
         armed = deadline is not None and _DEADLINE_EXITCODE is not None
         if armed:
             signal.setitimer(signal.ITIMER_REAL,
@@ -438,7 +434,7 @@ def _pool_worker_main(connection, parent_end) -> None:
         fault_key = f"{request.architecture}/{request.width}/{request.method}"
         maybe_delay(fault_key)
         maybe_crash(fault_key)
-        row = _guarded_run_job(request, golden_architecture)
+        row = _guarded_run_job(request)
         if armed:
             signal.setitimer(signal.ITIMER_REAL, 0)
         try:
@@ -624,22 +620,18 @@ class ParallelRunner:
     pool:
         A :class:`WorkerPool` to lease workers from and give them back to;
         ``None`` starts a private pool per run.
-    golden_architecture:
-        Reference architecture the SAT baseline compares against.
     """
 
     def __init__(self, workers: int | None = None,
                  cache_dir: str | os.PathLike | None = None,
                  retry_policy=None,
-                 pool: WorkerPool | None = None,
-                 golden_architecture: str = "SP-AR-RC") -> None:
+                 pool: WorkerPool | None = None) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         self.workers = max(1, int(workers))
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.retry_policy = retry_policy
         self.pool = pool
-        self.golden_architecture = golden_architecture
         #: Rows served from the cache / executed fresh by the last run.
         self.last_cache_hits = 0
         self.last_executed = 0
@@ -651,7 +643,7 @@ class ParallelRunner:
     def _cache_key(self, job: VerificationRequest) -> str | None:
         if self.cache is None:
             return None
-        return self.cache.key(job, self.golden_architecture)
+        return self.cache.key(job)
 
     def _cached_row(self, key: str | None) -> dict | None:
         if self.cache is None:
@@ -736,7 +728,7 @@ class ParallelRunner:
                 if not queue:
                     return
                 index = queue.popleft()
-                row = _guarded_run_job(jobs[index], self.golden_architecture)
+                row = _guarded_run_job(jobs[index])
                 yield index, self._store(jobs[index], row, keys[index])
 
         # Longest-expected-first assignment: without it a heavy job picked
@@ -787,8 +779,7 @@ class ParallelRunner:
                 job = jobs[index]
                 worker.assign(index, job, job.budgets.task_timeout_s)
                 try:
-                    worker.connection.send((job, self.golden_architecture,
-                                            worker.deadline))
+                    worker.connection.send((job, worker.deadline))
                 except OSError:
                     pass  # died just now: its sentinel reports the crash
 

@@ -46,8 +46,7 @@ def _merge_method_columns(architecture: str, width: int, columns: dict) -> dict:
 
 
 def _service(config: ExperimentConfig) -> VerificationService:
-    return VerificationService(golden_architecture=config.golden_architecture,
-                               jobs=config.jobs, cache_dir=config.cache_dir)
+    return VerificationService(jobs=config.jobs, cache_dir=config.cache_dir)
 
 
 def _method_grid(architectures: Sequence[str], widths: Sequence[int],

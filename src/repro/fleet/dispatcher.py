@@ -125,23 +125,19 @@ class FleetDispatcher:
     """
 
     def __init__(self, topology: FleetTopology,
-                 golden_architecture: str = "SP-AR-RC",
                  local_service=None,
                  client_factory: "Callable[[WorkerSpec], VerificationClient] | None" = None,
-                 request_timeout_s: float = 300.0,
-                 retry_base_delay_s: float = 0.05) -> None:
+                 request_timeout_s: float = 300.0) -> None:
         from repro.experiments.runner import ResultCache
 
         self.topology = topology
-        self.golden_architecture = golden_architecture
         self.local_service = local_service
         self.request_timeout_s = request_timeout_s
         self._client_factory = client_factory
         self._clients: dict[str, VerificationClient] = {}
         self.cache = (ResultCache(topology.cache_dir)
                       if topology.cache_dir else None)
-        self.retry_policy = RetryPolicy(max_attempts=topology.max_attempts,
-                                        base_delay_s=retry_base_delay_s)
+        self.retry_policy = RetryPolicy(max_attempts=topology.max_attempts)
         #: ``(monotonic time, request index, worker name)`` per dispatch.
         self.dispatch_log: list[tuple[float, int, str]] = []
         self.worker_versions: dict[str, dict] = {}
@@ -175,8 +171,7 @@ class FleetDispatcher:
         if self.local_service is None:
             from repro.api.service import VerificationService
 
-            self.local_service = VerificationService(
-                golden_architecture=self.golden_architecture)
+            self.local_service = VerificationService()
         return self.local_service
 
     def check_workers(self, down: "set[str] | None" = None) -> dict[str, dict]:
@@ -376,7 +371,7 @@ class _FleetRun:
             if self.d.cache is not None:
                 from repro.api.service import request_cache_key
 
-                key = request_cache_key(request, self.d.golden_architecture)
+                key = request_cache_key(request)
                 if key is not None:
                     report = self.d.cache.get(key)
                     if report is not None:

@@ -216,8 +216,8 @@ class VerificationServerApp:
 
     ``budgets`` fill the budget fields a wire document omits (see
     :meth:`request_from_document`); ``jobs``/``cache_dir`` configure the
-    batch pool, ``job_store_limit`` bounds the async job store and
-    ``job_workers`` the background batch executor.
+    batch pool, and ``job_store_limit`` bounds the async job store, whose
+    batches run on two background threads.
 
     Resilience (``docs/robustness.md``): ``max_inflight`` bounds the
     verification POSTs executing at once — the excess is answered ``429``
@@ -231,11 +231,9 @@ class VerificationServerApp:
     """
 
     def __init__(self, budgets: Budgets | None = None,
-                 golden_architecture: str = "SP-AR-RC",
                  jobs: int = 1,
                  cache_dir=None,
                  job_store_limit: int = 256,
-                 job_workers: int = 2,
                  certificate_store_limit: int = 256,
                  max_inflight: int | None = None,
                  retry_after_s: int = 1,
@@ -245,7 +243,6 @@ class VerificationServerApp:
                  shared_cache_url: str | None = None,
                  fleet_topology=None) -> None:
         self.budgets = budgets if budgets is not None else Budgets()
-        self.golden_architecture = golden_architecture
         self.jobs = jobs
         self.cache_dir = cache_dir
         self.max_inflight = max_inflight
@@ -265,7 +262,7 @@ class VerificationServerApp:
         self._pool_lock = threading.Lock()
         self.job_store = JobStore(limit=job_store_limit)
         self._job_executor = ThreadPoolExecutor(
-            max_workers=job_workers, thread_name_prefix="repro-batch")
+            max_workers=2, thread_name_prefix="repro-batch")
         self._metrics_lock = threading.Lock()
         self._started_monotonic = time.monotonic()
         self._requests_total = 0
@@ -296,7 +293,6 @@ class VerificationServerApp:
     def service(self, pool=None) -> VerificationService:
         """A fresh service with the app-level defaults (thread-safe by construction)."""
         return VerificationService(
-            golden_architecture=self.golden_architecture,
             jobs=self.jobs,
             cache_dir=self.cache_dir,
             retry_policy=self.retry_policy,
@@ -328,10 +324,7 @@ class VerificationServerApp:
         if self.fleet_topology is not None:
             from repro.fleet import FleetDispatcher
 
-            return FleetDispatcher(
-                self.fleet_topology,
-                golden_architecture=self.golden_architecture,
-                local_service=service)
+            return FleetDispatcher(self.fleet_topology, local_service=service)
         return service
 
     @property
@@ -388,7 +381,7 @@ class VerificationServerApp:
             return None
         from repro.api.service import request_cache_key
 
-        return request_cache_key(request, self.golden_architecture)
+        return request_cache_key(request)
 
     def _shared_cache_get(self, key: str):
         """Best-effort coordinator lookup; any failure is just a miss."""

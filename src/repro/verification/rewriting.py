@@ -57,13 +57,11 @@ class RewriteStatistics:
     batches: int = 0
     batched_steps: int = 0
     #: Vanishing-rule cache counters of the pass that owns the oracle
-    #: (mask→verdict memo hits/misses, final size, cap-forced resets, and
-    #: verdicts answered by the minimal-witness monotonicity shortcut).
+    #: (mask→verdict memo hits/misses, final size and cap-forced resets).
     vanishing_cache_hits: int = 0
     vanishing_cache_misses: int = 0
     vanishing_cache_size: int = 0
     vanishing_cache_resets: int = 0
-    vanishing_witness_hits: int = 0
 
 
 @dataclass
@@ -254,7 +252,6 @@ def gb_rewrite(tails: dict[int, Polynomial], keep_variables: set[int],
         stats.vanishing_cache_misses = getattr(vanishing, "cache_misses", 0)
         stats.vanishing_cache_size = len(getattr(vanishing, "cache", ()))
         stats.vanishing_cache_resets = getattr(vanishing, "cache_resets", 0)
-        stats.vanishing_witness_hits = getattr(vanishing, "witness_hits", 0)
     stats.elapsed_s = time.perf_counter() - start
     return kept, stats
 

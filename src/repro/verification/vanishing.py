@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.algebra.monomial import any_submask, bits_of, mask_of, Monomial
+from repro.algebra.monomial import bits_of, mask_of, Monomial
 from repro.algebra.polynomial import Polynomial
 from repro.circuit.gates import GateType
 from repro.modeling.model import AlgebraicModel
@@ -46,9 +46,6 @@ Literal = tuple[int, bool]
 
 #: An implied-literal table entry: ``(pos, neg)`` bitmasks over variables.
 MustMasks = tuple[int, int]
-
-#: Cap on the minimal-witness set behind the cache's monotonicity shortcut.
-WITNESS_LIMIT = 128
 
 #: Default cap on the mask->verdict memo (:attr:`VanishingRules.cache_limit`);
 #: a ``vanishing_cache_limit`` budget of ``None`` means this cap.
@@ -87,10 +84,8 @@ class VanishingRules:
     #: Verdicts served from :attr:`cache` (including the inline probes of
     #: :meth:`remove_vanishing`).
     cache_hits: int = 0
-    #: Verdicts that had to be computed (witness shortcut included).
+    #: Verdicts that had to be computed by the rule.
     cache_misses: int = 0
-    #: Uncached verdicts answered by the minimal-witness divisibility check.
-    witness_hits: int = 0
     #: Whole-cache resets forced by :attr:`cache_limit`.
     cache_resets: int = 0
     _must1: dict[int, MustMasks] = field(default_factory=dict, repr=False)
@@ -107,15 +102,6 @@ class VanishingRules:
     #: only themselves and are folded into the accumulated ``pos`` mask in
     #: one AND.
     _nontrivial_mask: int = field(default=0, repr=False)
-    #: Minimal recorded vanishing masks, bucketed by their lowest variable;
-    #: any multiple of one vanishes too (the rule is monotone under adding
-    #: variables), so a supermask query is answered without running the
-    #: rule.  A witness that divides the queried mask must have its lowest
-    #: bit inside the mask, so one AND against :attr:`_witness_low_mask`
-    #: rejects most queries before any bucket is scanned.
-    _witness_low: dict[int, list[int]] = field(default_factory=dict, repr=False)
-    _witness_low_mask: int = field(default=0, repr=False)
-    _witness_count: int = field(default=0, repr=False)
     #: When set, every mask proven to vanish is appended to
     #: :attr:`proven_masks` (survives cache resets) so a certificate
     #: emitter can justify each cancellation independently.
@@ -317,72 +303,19 @@ class VanishingRules:
             # Cached so the inline probes of repeated sweeps hit instead of
             # falling through to a call; the verdict is always ``False``
             # (a single variable or the constant ``1`` never vanishes).
-            cache = self.cache
-            if self.cache_limit is not None and len(cache) >= self.cache_limit:
-                cache.clear()
-                self.cache_resets += 1
-            cache[mask] = False
-            return False
-        self.cache_misses += 1
-        # Monotonicity shortcut: a multiple of a recorded vanishing monomial
-        # vanishes without re-running the rule (both rules only ever gain
-        # contradictions when variables are added, never lose them).
-        if self._witness_low_mask & mask and self._witness_divides(mask):
-            self.witness_hits += 1
-            result = True
+            result = False
         else:
+            self.cache_misses += 1
             result = (self._xor_and_rule(mask) if self.xor_and_only
                       else self._implied_literal_rule(mask))
-            if result:
-                self._record_witness(mask)
-        if result and self.record_proven:
-            self.proven_masks.append(mask)
+            if result and self.record_proven:
+                self.proven_masks.append(mask)
         cache = self.cache
         if self.cache_limit is not None and len(cache) >= self.cache_limit:
             cache.clear()
             self.cache_resets += 1
         cache[mask] = result
         return result
-
-    def _witness_divides(self, mask: int) -> bool:
-        """Whether a recorded vanishing mask divides (is a submask of) ``mask``.
-
-        Only the buckets of the witness low-bits present in ``mask`` are
-        scanned — a dividing witness necessarily has its lowest variable
-        inside the mask.
-        """
-        buckets = self._witness_low
-        gate = mask & self._witness_low_mask
-        while gate:
-            low = gate & -gate
-            gate ^= low
-            if any_submask(buckets[low.bit_length() - 1], mask):
-                return True
-        return False
-
-    def _record_witness(self, mask: int) -> None:
-        """Add a newly proven vanishing mask to the minimal-witness set.
-
-        New witnesses are only recorded when no recorded witness already
-        divides them (guaranteed by the lookup order of
-        :meth:`is_vanishing_mask`) and recorded multiples sharing the same
-        lowest variable are evicted, keeping the set near-minimal.  The cap
-        of :data:`WITNESS_LIMIT` bounds the lookup cost; forgetting a
-        witness never changes a verdict, only the shortcut's reach.
-        """
-        if self._witness_count >= WITNESS_LIMIT:
-            return
-        low_var = (mask & -mask).bit_length() - 1
-        bucket = self._witness_low.get(low_var)
-        if bucket is None:
-            self._witness_low[low_var] = [mask]
-            self._witness_low_mask |= 1 << low_var
-        else:
-            survivors = [w for w in bucket if w & mask != mask]
-            self._witness_count -= len(bucket) - len(survivors)
-            survivors.append(mask)
-            self._witness_low[low_var] = survivors
-        self._witness_count += 1
 
     def _xor_and_rule(self, mask: int) -> bool:
         """The literal rule from the paper: XOR and AND over the same pair."""

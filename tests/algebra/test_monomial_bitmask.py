@@ -117,14 +117,3 @@ def test_union_mask_is_the_support_of_a_term_map():
     assert union_mask([]) == 0
     assert union_mask([0b101, 0b011, 0]) == 0b111
     assert union_mask({0b1000: 3, 0b0001: -1}) == 0b1001
-
-
-def test_any_submask_is_divisibility_of_some_candidate():
-    from repro.algebra.monomial import any_submask
-
-    assert any_submask([0b011], 0b111)
-    assert any_submask([0b1000, 0b011], 0b011)
-    assert not any_submask([0b011, 0b101], 0b110)
-    assert not any_submask([], 0b1)
-    # The empty monomial (constant 1) divides everything.
-    assert any_submask([0], 0b10)

@@ -28,7 +28,7 @@ def _row(architecture: str, width: int, method: str,
     """The table row of one batch cell, as a pool worker produces it."""
     return run_request(VerificationRequest.from_architecture(
         architecture, width, method, budgets=budgets,
-        find_counterexample=False), "SP-AR-RC")
+        find_counterexample=False))
 
 
 def _assert_row_roundtrip(row: dict) -> None:

@@ -331,7 +331,7 @@ def test_the_hard_task_timeout_binds_every_batch_entry(monkeypatch, tmp_path):
     killed at their hard limit like any other, and name their circuit as
     a run of them would: by the module, not the file."""
     monkeypatch.setattr(runner_module, "run_request",
-                        lambda request, golden_architecture: time.sleep(60))
+                        lambda request: time.sleep(60))
     budgets = Budgets(task_timeout_s=1.0)
     cell = tmp_path / "cell.v"
     save_verilog(generate_multiplier("BP-CT-BK", 3), str(cell))
@@ -359,10 +359,10 @@ def test_one_job_batches_run_inline_and_lazily(monkeypatch):
     events: list[tuple[str, str]] = []
     threads: set[int] = set()
 
-    def run_request(request, golden_architecture):
+    def run_request(request):
         threads.add(threading.get_ident())
         events.append(("run", request.architecture))
-        return real_run_request(request, golden_architecture)
+        return real_run_request(request)
 
     monkeypatch.setattr(runner_module, "run_request", run_request)
     architectures = ("SP-AR-RC", "SP-WT-CL", "BP-CT-BK")
@@ -406,7 +406,7 @@ def test_custom_backend_method_name_propagates():
 
         from repro.experiments.runner import run_request
         row = run_request(VerificationRequest.from_architecture(
-            "SP-AR-RC", 3, "sat-custom"), service.golden_architecture)
+            "SP-AR-RC", 3, "sat-custom"))
         assert row["method"] == "sat-custom"
     finally:
         unregister("sat-custom")

@@ -156,7 +156,7 @@ def test_unknown_method_is_reported_as_error_row():
     assert rows[0]["status"] == "error"
     assert "mt-gone" in rows[0]["reason"]
     with pytest.raises(ReproError):
-        run_request(request, "SP-AR-RC")
+        run_request(request)
 
 
 @needs_fork
@@ -165,10 +165,10 @@ def test_worker_crash_is_reported_per_job(monkeypatch):
 
     real_run_request = runner_module.run_request
 
-    def crashing_run_request(request, golden_architecture):
+    def crashing_run_request(request):
         if request.architecture == "SP-WT-CL":
             os._exit(17)  # simulate a segfault/OOM kill
-        return real_run_request(request, golden_architecture)
+        return real_run_request(request)
 
     monkeypatch.setattr(runner_module, "run_request", crashing_run_request)
     jobs = [job("SP-AR-RC"), job("SP-WT-CL"), job("SP-DT-HC")]
@@ -181,10 +181,10 @@ def test_worker_crash_is_reported_per_job(monkeypatch):
 def test_hard_task_timeout_kills_the_worker(monkeypatch):
     real_run_request = runner_module.run_request
 
-    def sleeping_run_request(request, golden_architecture):
+    def sleeping_run_request(request):
         if request.architecture == "SP-WT-CL":
             time.sleep(60)
-        return real_run_request(request, golden_architecture)
+        return real_run_request(request)
 
     monkeypatch.setattr(runner_module, "run_request", sleeping_run_request)
     jobs = [job("SP-WT-CL", task_timeout_s=1.0),
@@ -203,8 +203,8 @@ def test_workers_are_reused_across_jobs(monkeypatch):
 
     real_run_request = runner_module.run_request
 
-    def pid_stamping_run_request(request, golden_architecture):
-        row = real_run_request(request, golden_architecture)
+    def pid_stamping_run_request(request):
+        row = real_run_request(request)
         row["worker_pid"] = os.getpid()
         return row
 
@@ -223,10 +223,10 @@ def test_pool_survives_timeout_then_finishes_remaining_jobs(monkeypatch):
 
     real_run_request = runner_module.run_request
 
-    def sleeping_run_request(request, golden_architecture):
+    def sleeping_run_request(request):
         if request.architecture == "SP-WT-CL":
             time.sleep(60)
-        return real_run_request(request, golden_architecture)
+        return real_run_request(request)
 
     monkeypatch.setattr(runner_module, "run_request", sleeping_run_request)
     jobs = [job(architecture, task_timeout_s=1.0) for architecture in
@@ -332,10 +332,10 @@ def test_job_budgets_key_the_cache_separately(tmp_path):
 def test_job_task_timeout_is_enforced_per_job(monkeypatch):
     real_run_request = runner_module.run_request
 
-    def sleeping_run_request(request, golden_architecture):
+    def sleeping_run_request(request):
         if request.architecture == "SP-WT-CL":
             time.sleep(60)
-        return real_run_request(request, golden_architecture)
+        return real_run_request(request)
 
     monkeypatch.setattr(runner_module, "run_request", sleeping_run_request)
     jobs = [job("SP-WT-CL", task_timeout_s=1.0), job("SP-AR-RC")]

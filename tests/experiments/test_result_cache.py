@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.api import service as service_module
 from repro.api.request import Budgets, VerificationRequest
 from repro.api.service import VerificationService
 from repro.experiments import runner as runner_module
@@ -39,9 +40,9 @@ def _run_counting(monkeypatch):
     executed = []
     real = runner_module.run_request
 
-    def counting(request, golden_architecture):
+    def counting(request):
         executed.append(_cell(request))
-        return real(request, golden_architecture)
+        return real(request)
 
     monkeypatch.setattr(runner_module, "run_request", counting)
     return executed
@@ -71,7 +72,7 @@ def test_cache_streams_callbacks_for_cached_rows(tmp_path):
     assert all(row["verified"] for row in rows)
 
 
-def test_cache_key_depends_on_budgets_and_content(tmp_path):
+def test_cache_key_depends_on_budgets_and_content(tmp_path, monkeypatch):
     cache = ResultCache(tmp_path)
     request = job("SP-AR-RC")
     base = cache.key(request)
@@ -87,8 +88,10 @@ def test_cache_key_depends_on_budgets_and_content(tmp_path):
     assert cache.key(dataclasses.replace(request, seed=3)) is None
     # The golden netlist is part of the sat-cec key only.
     sat = job("SP-AR-RC", method="sat-cec")
-    assert cache.key(sat, "SP-WT-CL") != cache.key(sat)
-    assert cache.key(request, "SP-WT-CL") == base
+    sat_key = cache.key(sat)
+    monkeypatch.setattr(service_module, "GOLDEN_ARCHITECTURE", "SP-WT-CL")
+    assert cache.key(sat) != sat_key
+    assert cache.key(request) == base
 
 
 def _pinned(architecture: str, width: int, method: str,
@@ -136,7 +139,7 @@ def test_request_cache_key_bytes_are_pinned():
 def test_error_rows_are_not_cached(tmp_path, monkeypatch):
     executed = []
 
-    def failing(request, golden_architecture):
+    def failing(request):
         executed.append(_cell(request))
         raise RuntimeError("injected failure")
 

@@ -15,7 +15,7 @@ def small_budgets():
 def _row(architecture, width, method, budgets):
     return run_request(VerificationRequest.from_architecture(
         architecture, width, method, budgets=budgets,
-        find_counterexample=False), "SP-AR-RC")
+        find_counterexample=False))
 
 
 def test_config_from_environment(monkeypatch):
@@ -42,9 +42,8 @@ def test_config_defaults(monkeypatch):
                                      monomial_budget=2_000_000,
                                      sat_conflict_budget=200_000,
                                      bdd_node_budget=1_000_000)
-    assert (config.golden_architecture, config.jobs, config.cache_dir) == (
-        "SP-AR-RC", 1, None)
-    assert len(ExperimentConfig.__dataclass_fields__) == 5
+    assert (config.jobs, config.cache_dir) == (1, None)
+    assert len(ExperimentConfig.__dataclass_fields__) == 4
 
 
 def test_membership_testing_row_for_mt_lr(small_budgets):

@@ -126,9 +126,9 @@ def _slow_jobs(monkeypatch, delay_s: float = 0.3) -> None:
     """Make every pooled job take at least ``delay_s`` seconds."""
     real_run_request = runner_module.run_request
 
-    def slow_run_request(request, golden_architecture):
+    def slow_run_request(request):
         time.sleep(delay_s)
-        return real_run_request(request, golden_architecture)
+        return real_run_request(request)
 
     monkeypatch.setattr(runner_module, "run_request", slow_run_request)
 
@@ -250,14 +250,14 @@ def test_a_worker_killed_between_batches_is_replaced_not_used():
 def test_a_hard_timeout_kill_never_leaks_a_row_into_the_next_run(monkeypatch):
     real_run_request = runner_module.run_request
 
-    def run_request(request, golden_architecture):
+    def run_request(request):
         if request.architecture == "SP-WT-CL":
             time.sleep(1.0)
-            return {**real_run_request(request, golden_architecture),
+            return {**real_run_request(request),
                     "reason": "late row"}
         if request.architecture == "SP-CT-BK":
             time.sleep(1.2)   # keeps the next run open past the late row
-        return real_run_request(request, golden_architecture)
+        return real_run_request(request)
 
     monkeypatch.setattr(runner_module, "run_request", run_request)
     budgets = Budgets(time_budget_s=60.0)
@@ -284,13 +284,13 @@ def test_a_due_retry_waits_for_a_busy_worker_without_spinning(monkeypatch,
     real_run_request = runner_module.run_request
     crashed = tmp_path / "crashed"
 
-    def run_request(request, golden_architecture):
+    def run_request(request):
         if request.width == 4 and not crashed.exists():
             crashed.touch()
             os._exit(137)
         if request.width == 3:
             time.sleep(1.0)   # both workers stay busy past the backoff
-        return real_run_request(request, golden_architecture)
+        return real_run_request(request)
 
     timeouts = []
     real_wait = multiprocessing.connection.wait
@@ -347,7 +347,7 @@ def test_busy_workers_exit_when_their_parent_dies():
         "import os, time\n"
         "from repro.api.request import VerificationRequest\n"
         "from repro.experiments import runner\n"
-        "def run_request(request, golden_architecture):\n"
+        "def run_request(request):\n"
         "    print(os.getpid(), flush=True)\n"
         "    time.sleep(60)\n"
         "runner.run_request = run_request\n"
@@ -513,10 +513,10 @@ def test_a_held_report_does_not_stretch_the_hard_limit(assigned, monkeypatch):
     long the consumer held on."""
     real_run_request = runner_module.run_request
 
-    def run_request(request, golden_architecture):
+    def run_request(request):
         if request.budgets.task_timeout_s is not None:
             time.sleep(1.0)
-        return real_run_request(request, golden_architecture)
+        return real_run_request(request)
 
     monkeypatch.setattr(runner_module, "run_request", run_request)
     requests = (_requests("SP-AR-RC", width=3)

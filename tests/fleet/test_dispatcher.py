@@ -236,7 +236,7 @@ def test_transient_5xx_is_retried_and_recorded_in_attempts(workers):
 
     def factory(worker):
         flaky[worker.name] = _FlakyOnce(
-            VerificationClient(port=worker.port))
+            VerificationClient(port=worker.port, keep_alive=False))
         return flaky[worker.name]
 
     dispatcher = FleetDispatcher(topology_for(workers[:1]),
@@ -263,7 +263,8 @@ def test_exhausted_retries_yield_an_honest_error_report(workers):
     busy: dict[str, _AlwaysBusy] = {}
 
     def factory(worker):
-        busy[worker.name] = _AlwaysBusy(VerificationClient(port=worker.port))
+        busy[worker.name] = _AlwaysBusy(
+            VerificationClient(port=worker.port, keep_alive=False))
         return busy[worker.name]
 
     topology = topology_for(workers[:1], max_attempts=2)
@@ -299,7 +300,7 @@ def test_queued_jobs_resolve_when_every_worker_goes_down(workers):
     dispatcher = FleetDispatcher(
         topology_for(workers[:1]),
         client_factory=lambda worker: _Dead(
-            VerificationClient(port=worker.port)))
+            VerificationClient(port=worker.port, keep_alive=False)))
     reports: list = []
     consumer = threading.Thread(
         target=lambda: reports.extend(
@@ -359,7 +360,7 @@ def test_request_timeout_is_retried_without_marking_worker_down(workers):
     dispatcher = FleetDispatcher(
         topology_for(workers[:1]),
         client_factory=lambda worker: _TimesOutOnce(
-            VerificationClient(port=worker.port)))
+            VerificationClient(port=worker.port, keep_alive=False)))
     report = dispatcher.run_batch(requests_for(GRID[:1]))[0]
     assert report.verdict == "verified"
     assert dispatcher.last_retries == 1
@@ -398,7 +399,7 @@ def test_steal_annotation_recorded_when_stolen_attempt_wins(workers):
     gate = threading.Event()
 
     def factory(worker):
-        client = VerificationClient(port=worker.port)
+        client = VerificationClient(port=worker.port, keep_alive=False)
         # w0 blocks until released; the steal to w1 runs through and wins.
         return _Gated(client, gate=gate if worker.name == "w0" else None)
 
@@ -423,7 +424,7 @@ def test_no_steal_annotation_when_original_attempt_wins(workers):
     gate = threading.Event()
 
     def factory(worker):
-        client = VerificationClient(port=worker.port)
+        client = VerificationClient(port=worker.port, keep_alive=False)
         if worker.name == "w0":
             # Slow enough to trip the grace and trigger a steal, but the
             # steal target blocks — the original finishes first and wins.

@@ -119,6 +119,7 @@ def test_worker_killed_mid_batch_grid_still_completes():
             if process.poll() is None:
                 process.terminate()
                 process.wait(timeout=30)
+            process.stderr.close()
 
 
 def test_a_stalled_job_is_stolen_and_the_batch_does_not_wait(tmp_path):

@@ -61,7 +61,7 @@ def test_corrupted_publish_is_quarantined_and_reexecuted(job, chaos,
 def test_tampered_verdict_fails_the_checksum(job, tmp_path):
     """Flipping a stored verdict breaks the entry checksum -> miss."""
     cache = ResultCache(tmp_path / "cache")
-    report = VerificationReport.from_row(run_request(job, "SP-AR-RC"))
+    report = VerificationReport.from_row(run_request(job))
     key = cache.key(job)
     assert cache.put(key, report, job) is True
     assert cache.get(key) is not None
@@ -94,7 +94,7 @@ def test_concurrent_writers_never_publish_a_torn_entry(job, tmp_path):
     """Many threads hammering put() on one key: readers always see a
     complete entry (atomic tmp+rename publish), and no tmp litter stays."""
     cache = ResultCache(tmp_path / "cache")
-    row = run_request(job, "SP-AR-RC")
+    row = run_request(job)
     key = cache.key(job)
 
     def writer(_):

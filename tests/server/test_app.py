@@ -284,7 +284,7 @@ def test_the_request_deadline_hard_kills_every_batch_entry(monkeypatch):
     from repro.experiments import runner as runner_module
 
     monkeypatch.setattr(runner_module, "run_request",
-                        lambda request, golden_architecture: time.sleep(60))
+                        lambda request: time.sleep(60))
     app = VerificationServerApp(request_deadline_s=0.5, jobs=2)
     try:
         start = time.monotonic()

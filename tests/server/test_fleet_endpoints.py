@@ -38,7 +38,9 @@ def cached_server(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def client(cached_server):
-    return VerificationClient(port=cached_server.port)
+    client = VerificationClient(port=cached_server.port)
+    yield client
+    client.close()
 
 
 # -- /v1/version ---------------------------------------------------------------
@@ -92,7 +94,7 @@ def test_cache_put_refuses_uncacheable_reports(client):
 
 def test_cache_routes_404_when_server_has_no_cache():
     with ServerThread(VerificationServerApp()) as thread:
-        bare = VerificationClient(port=thread.port)
+        bare = VerificationClient(port=thread.port, keep_alive=False)
         with pytest.raises(ServerError) as info:
             bare.request("GET", "/v1/cache/" + "00" * 32)
         assert info.value.code == "cache_disabled"

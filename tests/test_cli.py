@@ -97,7 +97,7 @@ def test_verify_stats_surfaces_engine_and_vanishing_counters(capsys):
     assert "rewrite[xor-rewriting]:" in out
     assert "vanishing-cache[xor-rewriting]:" in out
     assert "hits=" in out and "misses=" in out and "size=" in out
-    assert "witness-hits=" in out
+    assert "resets=" in out
     assert "batches=" in out and "batched-steps=" in out
     assert "reduction: substitutions=" in out
 

@@ -2,11 +2,10 @@
 
 ``VanishingRules`` packs the ``must1``/``must0`` implied-literal tables into
 ``(pos, neg)`` integer bitmasks and runs the consistency test with a handful
-of machine-level AND/OR operations, plus a cache with a minimal-witness
-monotonicity shortcut and a relevance prefilter.  This module pins all of
-that against an independent frozenset re-implementation of the original
-rule (the pre-bitmask semantics), on random DAG netlists and on the
-generated circuits.
+of machine-level AND/OR operations, behind a verdict memo and a relevance
+prefilter.  This module pins all of that against an independent frozenset
+re-implementation of the original rule (the pre-bitmask semantics), on
+random DAG netlists and on the generated circuits.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from repro.circuit.netlist import Netlist
 from repro.generators.adders import generate_adder
 from repro.generators.multipliers import generate_multiplier
 from repro.modeling.model import AlgebraicModel
-from repro.verification.vanishing import WITNESS_LIMIT, VanishingRules
+from repro.verification.vanishing import VanishingRules
 
 Literal = tuple[int, bool]
 
@@ -31,7 +30,7 @@ class FrozensetReference:
 
     Kept deliberately independent of the bitmask code paths: literal sets
     are Python frozensets, the consistency test walks plain sets, and no
-    caching, witnesses, or relevance prefilters are involved.
+    caching or relevance prefilters are involved.
     """
 
     def __init__(self, model: AlgebraicModel,
@@ -167,8 +166,8 @@ def test_bitmask_tables_match_frozenset_reference_on_random_netlists(seed):
                 var, value), f"must table differs for var {var}, {value}"
 
     # Verdicts agree on random monomials (including repeats, which exercise
-    # the cache, and supermasks of known-vanishing masks, which exercise the
-    # monotonicity witnesses).
+    # the cache), and supermasks of known-vanishing masks check that the
+    # rule itself is monotone under adding variables.
     vanishing_masks = []
     for _ in range(300):
         size = rng.randint(2, 6)
@@ -251,22 +250,6 @@ def test_cache_counters_and_cap_reset():
     reference = FrozensetReference(model)
     for mask in relevant:
         assert rules.is_vanishing_mask(mask) == reference.is_vanishing_mask(mask)
-
-
-def test_witness_set_stays_bounded():
-    model = AlgebraicModel.from_netlist(generate_multiplier("SP-DT-HC", 4))
-    rules = VanishingRules(model)
-    rng = random.Random(11)
-    variables = list(model.records)
-    for _ in range(2000):
-        rules.is_vanishing_mask(mask_of(rng.sample(variables, 4)))
-    recorded = sum(len(bucket) for bucket in rules._witness_low.values())
-    assert recorded <= WITNESS_LIMIT
-    # Every witness really is a vanishing monomial.
-    reference = FrozensetReference(model)
-    for bucket in rules._witness_low.values():
-        for witness in bucket:
-            assert reference.is_vanishing_mask(witness)
 
 
 def test_xor_and_only_mode_unchanged_by_bitmask_core():
