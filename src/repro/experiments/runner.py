@@ -5,7 +5,9 @@
 persistent pool of worker processes (``multiprocessing``), yields result
 rows as they complete from a generator that runs in the caller's thread,
 and isolates crashes and hard timeouts per request so one bad request
-can never take down a table reproduction.
+can never take down a table reproduction.  A fleet batch runs on the same
+loop, over remote workers instead of processes (see
+:mod:`repro.fleet.dispatcher`).
 Every request runs through :meth:`VerificationService.submit
 <repro.api.service.VerificationService.submit>` (see :func:`run_request`),
 the one code path that calls a backend; its report comes back as a flat
@@ -444,9 +446,21 @@ def _pool_worker_main(connection, parent_end) -> None:
 
 
 class _PoolWorker:
-    """Parent-side handle of one persistent worker process and its pipe."""
+    """Parent-side handle of one persistent worker process and its pipe.
 
-    __slots__ = ("connection", "process", "index", "job", "deadline")
+    One slot of :meth:`ParallelRunner.iter_rows`, which drives a fleet's
+    remote slots (:class:`repro.fleet.dispatcher._RemoteSlot`) through the
+    same attributes and methods.  A process runs any job and is never
+    outrun by a second attempt: it owns the job's hard deadline, and the
+    loop kills and replaces it there.
+    """
+
+    __slots__ = ("connection", "process", "index", "job", "deadline",
+                 "attempt")
+
+    #: Only remote slots are stolen from or prefer jobs they have not tried.
+    grace = None
+    tried = frozenset()
 
     def __init__(self, context) -> None:
         with _START_LOCK:
@@ -459,18 +473,32 @@ class _PoolWorker:
         self.index: int | None = None
         self.job: VerificationRequest | None = None
         self.deadline: float | None = None
+        self.attempt = 0
 
     @property
     def busy(self) -> bool:
         return self.index is not None
 
+    @property
+    def handles(self) -> tuple:
+        """What the loop waits on: the row's pipe and the process's exit."""
+        return self.connection, self.process.sentinel
+
+    def accepts(self, job: VerificationRequest) -> bool:
+        """Whether this slot may run ``job``: a process runs any."""
+        return True
+
     def assign(self, index: int, job: VerificationRequest,
                task_timeout_s: float | None) -> None:
-        """Record that this worker now runs ``job``, the run's ``index``-th."""
+        """Hand this worker ``job``, the run's ``index``-th."""
         self.index = index
         self.job = job
         self.deadline = (time.monotonic() + task_timeout_s
                          if task_timeout_s is not None else None)
+        try:
+            self.connection.send((job, self.deadline))
+        except OSError:
+            pass  # died just now: its sentinel reports the crash
 
     def receive(self) -> dict | None:
         """The row of the job this worker holds (``None``: it died first)."""
@@ -637,6 +665,8 @@ class ParallelRunner:
         self.last_executed = 0
         #: Extra attempts (beyond each job's first) spent by the last run.
         self.last_retries = 0
+        #: Straggling jobs the last run dispatched a second time (fleets).
+        self.last_steals = 0
 
     # -- cache plumbing --------------------------------------------------------
 
@@ -676,21 +706,34 @@ class ParallelRunner:
         return rows
 
     def iter_rows(self, jobs: list[VerificationRequest],
+                  slots: list | None = None,
                   ) -> Iterator[tuple[int, dict]]:
         """Yield ``(index, row)`` for each of ``jobs`` as it resolves.
 
-        Cache hits come first.  With one worker (or one job to run) and no
-        hard task timeout, the jobs then run in this process in job order,
-        each once the consumer asks for the next row; otherwise they go to
-        leased pool workers, longest expected first, and idle workers take
-        their next jobs before each round of rows is handed over.  The
-        generator runs in whichever thread iterates it and dispatches only
-        while it is iterated, so a consumer holding a row pauses dispatch;
-        a job's hard limit still binds meanwhile, since each worker ends
-        itself at its job's deadline (see :func:`_pool_worker_main`).
-        Closing it, or an exception escaping it, kills the workers still
-        busy and gives the rest back: no later job runs or is cached.  The
-        ``last_*`` counters are final once every row is out.
+        Cache hits come first.  With one worker (or one job to run), no
+        hard task timeout and no ``slots``, the jobs then run in this
+        process in job order, each once the consumer asks for the next
+        row; otherwise they go to slots, longest expected first, and idle
+        slots take their next jobs before each round of rows is handed
+        over.  The slots are worker processes leased from the pool, or
+        ``slots`` when given: a fleet's remote workers (see
+        :class:`repro.fleet.dispatcher.FleetDispatcher`), which this loop
+        drives through the same attributes and methods as a process.  A
+        slot that refuses a job (:meth:`_PoolWorker.accepts`) never runs
+        it, and a job that every slot refuses fails once no slot is busy.
+        An idle slot with a straggler ``grace`` may take over a job that
+        has been in flight alone on another worker for longer than its
+        grace, while the job has attempts left: both attempts race, and
+        the first answer wins.
+
+        The generator runs in whichever thread iterates it and dispatches
+        only while it is iterated, so a consumer holding a row pauses
+        dispatch; a job's hard limit still binds meanwhile, since each
+        worker ends itself at its job's deadline (see
+        :func:`_pool_worker_main`).  Closing it, or an exception escaping
+        it, kills the slots still busy and gives the rest back: no later
+        job runs or is cached.  The ``last_*`` counters are final once
+        every row is out.
 
         The consumer may append a follow-up to ``jobs`` between rows (the
         fallback rung of a row it took, say): it runs next, where the batch
@@ -698,6 +741,7 @@ class ParallelRunner:
         ``last_executed``.
         """
         self.last_retries = 0
+        self.last_steals = 0
         keys: list[str | None] = []
         hits: list[tuple[int, dict]] = []
         pending: list[int] = []
@@ -719,8 +763,9 @@ class ParallelRunner:
 
         # The hard wall-clock limit needs a killable worker process, so the
         # in-process path only applies when no such limit was requested.
-        if (all(jobs[index].budgets.task_timeout_s is None
-                for index in pending)
+        if (slots is None
+                and all(jobs[index].budgets.task_timeout_s is None
+                        for index in pending)
                 and (self.workers <= 1 or len(pending) <= 1)):
             queue = collections.deque(pending)
             while True:
@@ -736,65 +781,125 @@ class ParallelRunner:
         # batch.  The sort is stable, so equal-cost jobs keep grid order,
         # and the result rows are joined by index — byte-identical to the
         # in-process path regardless of the schedule.
-        queue = collections.deque(sorted(
+        queue = sorted(
             pending, key=lambda index: expected_cost_key(jobs[index]),
-            reverse=True))
+            reverse=True)
         outstanding = len(pending)
-        pool = self.pool if self.pool is not None else WorkerPool(self.workers)
-        workers = pool.lease(min(self.workers, len(pending)))
+        pool = None
+        if slots is None:
+            pool = (self.pool if self.pool is not None
+                    else WorkerPool(self.workers))
+            slots = pool.lease(min(self.workers, len(pending)))
         policy = self.retry_policy
-        # Per-job retry state: 1-based attempt counts, accumulated attempt
-        # histories, and re-dispatches waiting out their backoff delay.
-        attempt_counts: dict[int, int] = {}
+        # Per-job retry state: dispatches so far of each unresolved job (a
+        # steal is one too), accumulated attempt histories, re-dispatches
+        # waiting out their backoff, and the history entry of the attempt
+        # a steal superseded, which holds only if the stealing attempt wins.
+        attempts: dict[int, int] = {}
         histories: dict[int, list[dict]] = {}
         retry_queue: list[tuple[float, int]] = []
+        superseded: dict[tuple[int, int], dict] = {}
 
-        def pop_ready_index() -> int | None:
-            now = time.monotonic()
-            for position, (ready_at, index) in enumerate(retry_queue):
-                if ready_at <= now:
-                    retry_queue.pop(position)
-                    return index
-            return queue.popleft() if queue else None
-
-        def replace(slot: int) -> None:
-            """Kill the worker in ``slot`` (its pipe goes with it) for a new one."""
+        def replace(position: int) -> None:
+            """Kill the process in ``position`` (its pipe goes with it) for a new one."""
             fresh = pool.start()
-            workers[slot].kill()
-            workers[slot] = fresh
+            slots[position].kill()
+            slots[position] = fresh
 
-        def assign_idle() -> None:
-            for slot, worker in enumerate(workers):
-                if worker.busy:
-                    continue
-                index = pop_ready_index()
-                if index is None:
-                    break
-                if not worker.process.is_alive():
-                    # An idle worker that died between jobs (e.g. an OOM
-                    # kill after delivering its result) must not receive
-                    # work — the job would be misreported as a crash.
-                    replace(slot)
-                    worker = workers[slot]
-                job = jobs[index]
-                worker.assign(index, job, job.budgets.task_timeout_s)
-                try:
-                    worker.connection.send((job, worker.deadline))
-                except OSError:
-                    pass  # died just now: its sentinel reports the crash
+        def start(position: int, index: int) -> None:
+            if pool is not None and not slots[position].process.is_alive():
+                # An idle worker that died between jobs (e.g. an OOM kill
+                # after delivering its result) must not receive work —
+                # the job would be misreported as a crash.
+                replace(position)
+            slot, job = slots[position], jobs[index]
+            attempts[index] = attempts.get(index, 0) + 1
+            slot.assign(index, job, job.budgets.task_timeout_s)
+            slot.attempt = attempts[index]
+
+        def pick(slot) -> int | None:
+            """The first queued job ``slot`` accepts, one it has not tried if any."""
+            fallback = None
+            for index in queue:
+                if slot.accepts(jobs[index]):
+                    if index not in slot.tried:
+                        return index
+                    if fallback is None:
+                        fallback = index
+            return fallback
+
+        def straggler(thief, now: float):
+            """The earliest-dispatched slot whose job ``thief`` may steal."""
+            if thief.grace is None or queue or policy is None:
+                return None
+            return min((slot for slot in slots
+                        if slot.busy and slot.grace is not None
+                        and now - slot.started > slot.grace
+                        and slot.name != thief.name
+                        and slot.index in attempts
+                        and attempts[slot.index] < policy.max_attempts
+                        and sum(other.index == slot.index
+                                for other in slots) == 1
+                        and thief.accepts(slot.job)),
+                       key=lambda slot: slot.started, default=None)
+
+        def assign_idle() -> list[tuple[int, dict]]:
+            """Hand idle slots their next jobs; the rows of jobs none runs."""
+            now = time.monotonic()
+            due = [index for ready_at, index in retry_queue if ready_at <= now]
+            if due:
+                retry_queue[:] = [(ready_at, index)
+                                  for ready_at, index in retry_queue
+                                  if ready_at > now]
+                # Retries jump the queue: they already waited out a backoff.
+                queue[:0] = due
+            for position, slot in enumerate(slots):
+                index = None if slot.busy else pick(slot)
+                if index is not None:
+                    queue.remove(index)
+                    start(position, index)
+            for position, slot in enumerate(slots):
+                victim = None if slot.busy else straggler(slot, now)
+                if victim is not None:
+                    start(position, victim.index)
+                    self.last_steals += 1
+                    superseded[(victim.index, slot.attempt)] = attempt_entry(
+                        victim.attempt, victim.job.method,
+                        "initial" if victim.attempt == 1 else "retry",
+                        "hard_timeout",
+                        reason=f"straggler re-dispatch after "
+                               f"{victim.grace:g}s grace to {slot.name}")
+            if not queue or any(slot.busy for slot in slots):
+                return []
+            # Every slot is idle and refused every queued job: all workers
+            # that could run one are down.
+            rows = []
+            for index in queue:
+                row = _failure_row(jobs[index], "error",
+                                   f"all workers for method "
+                                   f"{jobs[index].method!r} are down")
+                rows.append((index, finish(index, attempts.get(index, 0) + 1,
+                                           row)))
+            queue.clear()
+            return rows
 
         def wait_timeout() -> float | None:
-            """Seconds to the nearest deadline or backoff."""
+            """Seconds to the nearest deadline, backoff or straggler's grace."""
             # A retry that came due since ``assign_idle`` ran goes to an
-            # idle worker at once; with every worker busy it waits for one
+            # idle slot at once; with every slot busy it waits for one
             # to finish, whose handle wakes the wait (counting it would
-            # spin).
+            # spin).  An expired grace is left out too: its job can only
+            # be stolen by a slot that frees up, which wakes the wait.
             now = time.monotonic()
-            idle = not all(worker.busy for worker in workers)
+            idle = not all(slot.busy for slot in slots)
             moments = [ready_at for ready_at, _ in retry_queue
                        if idle or ready_at > now]
-            moments += [worker.deadline for worker in workers
-                        if worker.busy and worker.deadline is not None]
+            for slot in slots:
+                if slot.busy and slot.deadline is not None:
+                    moments.append(slot.deadline)
+                if (slot.busy and slot.grace is not None and not queue
+                        and now - slot.started <= slot.grace):
+                    moments.append(slot.started + slot.grace)
             if not moments:
                 return None
             return max(0.0, min(moments) - now)
@@ -803,42 +908,51 @@ class ParallelRunner:
             return _failure_row(job, "TO", "hard task timeout",
                                 job.budgets.task_timeout_s)
 
-        def finish(index: int, row: dict) -> dict | None:
-            """The job's final row, or ``None`` when it goes back for a retry."""
+        def finish(index: int, attempt: int, row: dict) -> dict | None:
+            """The job's final row, or ``None`` while it may still get another."""
             job = jobs[index]
-            attempt = attempt_counts.get(index, 1)
             if policy is not None:
                 failure = classify_row(row)
-                if (policy.is_retryable(failure)
-                        and attempt < policy.max_attempts):
-                    # Retryable environment failure with budget left: log
-                    # the attempt, wait out the (deterministic) backoff,
-                    # and re-dispatch on whichever worker frees up — the
-                    # crashed worker is already being replaced.
-                    delay = policy.delay_s(attempt, key=(
-                        job.architecture, job.width, job.method))
-                    histories.setdefault(index, []).append(attempt_entry(
-                        attempt, job.method,
-                        "initial" if attempt == 1 else "retry",
-                        failure, reason=row.get("reason"),
-                        next_delay_s=round(delay, 6)))
-                    attempt_counts[index] = attempt + 1
-                    self.last_retries += 1
-                    retry_queue.append((time.monotonic() + delay, index))
-                    return None
-                if index in histories:
+                kind = "initial" if attempt == 1 else "retry"
+                if policy.is_retryable(failure):
+                    entry = attempt_entry(attempt, job.method, kind, failure,
+                                          reason=row.get("reason"))
+                    if any(slot.index == index for slot in slots):
+                        # The job's other attempt (a steal's) still runs
+                        # and answers for it.
+                        histories.setdefault(index, []).append(entry)
+                        return None
+                    if (attempts.get(index, 0) < policy.max_attempts
+                            and any(slot.accepts(job) for slot in slots)):
+                        # Retryable environment failure with budget left:
+                        # log the attempt, wait out the (deterministic)
+                        # backoff, and re-dispatch on whichever slot frees
+                        # up — a crashed worker is already being replaced.
+                        delay = policy.delay_s(attempt, key=(
+                            job.architecture, job.width, job.method))
+                        entry["next_delay_s"] = round(delay, 6)
+                        histories.setdefault(index, []).append(entry)
+                        self.last_retries += 1
+                        retry_queue.append((time.monotonic() + delay, index))
+                        return None
+                history = histories.pop(index, [])
+                steal = superseded.pop((index, attempt), None)
+                if steal is not None and all(
+                        entry["attempt"] != steal["attempt"]
+                        for entry in history):
+                    history.append(steal)
+                if history:
                     # The job needed more than one attempt: close the
                     # history with the final outcome and let it ride on
                     # the row (and therefore through cache and report).
-                    history = histories.pop(index)
                     report = VerificationReport.from_row(row)
                     history.append(attempt_entry(
-                        attempt, job.method,
-                        "initial" if attempt == 1 else "retry",
+                        attempt, job.method, kind,
                         failure if failure != "none" else report.verdict,
                         reason=row.get("reason")))
                     report.attempts = history
                     row = report.to_row()
+            attempts.pop(index, None)
             return self._store(job, row, keys[index])
 
         # Imported here: importing it at module level would cost every CLI
@@ -848,60 +962,63 @@ class ParallelRunner:
         try:
             while True:
                 fresh = follow_ups()
-                queue.extendleft(reversed(fresh))
+                queue[:0] = fresh
                 outstanding += len(fresh)
                 if not outstanding:
                     break
-                assign_idle()
-                handles = [handle for worker in workers if worker.busy
-                           for handle in (worker.connection,
-                                          worker.process.sentinel)]
-                ready = set(wait(handles, timeout=wait_timeout()))
-                now = time.monotonic()
-                resolved: list[tuple[int, dict]] = []
-                for slot, worker in enumerate(workers):
-                    if not worker.busy:
-                        continue
-                    index, job = worker.index, worker.job
-                    if (worker.connection in ready
-                            or worker.process.sentinel in ready):
-                        # A row the worker sent before dying is still in
-                        # its pipe, so only an empty pipe means it died in
-                        # the job: by its deadline alarm or in a crash.
-                        row = worker.receive()
-                        if row is None:
-                            worker.process.join(5.0)
-                            code = worker.process.exitcode
-                            row = (timed_out(job) if code is not None
-                                   and code == _DEADLINE_EXITCODE
-                                   else _failure_row(
-                                       job, "crash",
-                                       f"worker exited with code {code}"))
-                            replace(slot)
+                resolved = assign_idle()
+                if not resolved:
+                    handles = [handle for slot in slots if slot.busy
+                               for handle in slot.handles]
+                    ready = set(wait(handles, timeout=wait_timeout()))
+                    now = time.monotonic()
+                    for position, slot in enumerate(slots):
+                        if not slot.busy:
+                            continue
+                        index, job, attempt = slot.index, slot.job, slot.attempt
+                        if any(handle in ready for handle in slot.handles):
+                            # A row the worker sent before dying is still
+                            # in its pipe, so only an empty pipe means a
+                            # process died in the job: by its deadline
+                            # alarm or in a crash.
+                            row = slot.receive()
+                            if row is None:
+                                slot.process.join(5.0)
+                                code = slot.process.exitcode
+                                row = (timed_out(job) if code is not None
+                                       and code == _DEADLINE_EXITCODE
+                                       else _failure_row(
+                                           job, "crash",
+                                           f"worker exited with code {code}"))
+                                replace(position)
+                            else:
+                                slot.release()
+                        elif slot.deadline is not None and now > slot.deadline:
+                            # Hard timeout: the worker is wedged inside the
+                            # job, so it is killed and replaced.
+                            replace(position)
+                            row = timed_out(job)
                         else:
-                            worker.release()
-                    elif worker.deadline is not None and now > worker.deadline:
-                        # Hard timeout: the worker is wedged inside the
-                        # job, so it is killed and replaced.
-                        replace(slot)
-                        row = timed_out(job)
-                    else:
-                        continue
-                    row = finish(index, row)
-                    if row is not None:
-                        resolved.append((index, row))
+                            continue
+                        if index not in attempts:
+                            continue  # a steal's loser: the job has its row
+                        row = finish(index, attempt, row)
+                        if row is not None:
+                            resolved.append((index, row))
+                    # Idle slots take their next jobs before the rows go
+                    # out, so they keep running while the consumer holds
+                    # a row.
+                    resolved += assign_idle()
                 outstanding -= len(resolved)
-                # Idle workers take their next jobs before the rows go out,
-                # so they keep running while the consumer holds a row.
-                assign_idle()
                 yield from resolved
         finally:
-            # A worker still busy here (the run raised, or its consumer
+            # A slot still busy here (the run raised, or its consumer
             # closed it) holds a job whose row must never reach a later
             # run or the cache: it is killed, not kept.
-            for worker in workers:
-                if worker.busy:
-                    worker.kill()
-            pool.give_back(worker for worker in workers if not worker.busy)
-            if self.pool is None:
-                pool.close()
+            for slot in slots:
+                if slot.busy:
+                    slot.kill()
+            if pool is not None:
+                pool.give_back(slot for slot in slots if not slot.busy)
+                if self.pool is None:
+                    pool.close()

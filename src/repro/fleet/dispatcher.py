@@ -6,64 +6,55 @@ server) on some host/port; the dispatcher speaks the same wire protocol
 as :class:`~repro.server.client.VerificationClient` and therefore needs
 no worker-side changes beyond the ``/v1/version`` handshake.
 
-Scheduling mirrors :class:`~repro.experiments.runner.ParallelRunner`,
-whose loop is also a generator in its consumer's thread:
+A fleet batch runs on :meth:`ParallelRunner.iter_rows
+<repro.experiments.runner.ParallelRunner.iter_rows>`, the loop that runs
+local batches on worker processes: each worker's ``capacity`` becomes
+that many :class:`_RemoteSlot` entries of it.  Queueing,
+longest-expected-first placement, the :class:`~repro.resilience.policy.
+RetryPolicy` backoff, ``attempts`` histories, the topology's result cache
+and the ``last_*`` counters are therefore the runner's.  What a remote
+slot brings to the loop is its own:
 
-* **One loop, in the consumer's thread** — ``iter_batch`` is a
-  generator.  It dispatches, steals and books answers only while it is
-  iterated, so a consumer holding a report (or a local entry running)
-  pauses dispatch.  Each remote attempt is a daemon thread that posts
-  one request and hands the answer back; nothing else runs beside it.
-* **Longest-expected-first placement** — queued requests are sorted by
-  :func:`~repro.experiments.runner.expected_cost_key` (descending) so
-  the heavy Booth/tree rows go out first and the grid's wall-clock is
-  not dominated by a straggling tail.
-* **Bounded in-flight per worker** — each :class:`WorkerSpec` carries a
-  ``capacity``; the dispatcher never keeps more than that many requests
-  outstanding on one worker.
-* **Work-stealing** — once the queue drains, an unresolved job in
-  flight longer than ``straggler_grace_s`` is re-dispatched to an idle
-  worker.  Both attempts race and the first finisher wins; a
-  dispatch-epoch guard drops the loser's result.  The batch does not
-  wait for the loser, nor does a closed or failed batch wait for any
-  attempt in flight: those run out on their own, unreported and
+* **One attempt, one thread** — an attempt posts a one-request
+  ``/v1/batch`` from a daemon thread of its own and answers on a pipe the
+  loop waits on beside the processes' pipes.  The loop runs in the
+  consumer's thread, so a consumer holding a report (or a local entry
+  running) pauses dispatch; a closed or failed batch closes the pipes of
+  the attempts in flight, which run out on their own, unreported and
   uncached.
-  The report's ``attempts`` history records the steal only when the
-  stolen attempt is the one that won — when the original outruns its
-  re-dispatch, nothing was actually superseded.
-* **Failure taxonomy** — worker failures route through the PR 7
-  resilience layer: connect errors and 429/5xx answers are retryable
-  (on another worker when one is available, with the deterministic
-  :class:`~repro.resilience.policy.RetryPolicy` backoff); verdicts are
-  final.  A worker that drops the TCP connection is marked down for the
-  rest of the batch; a client-side *request timeout* is not — the
-  worker may be healthy and merely slow on one job, so timeouts retry
-  like any other transient failure.  Exhausted retries produce an
-  honest ``error`` report, never a silent gap.
+* **Backend allowlists** — a slot accepts only the methods its worker
+  runs.
+* **Down-marking** — a worker that drops the TCP connection is marked
+  down for the rest of the batch; a client-side *request timeout* is not
+  (the worker may be healthy and merely slow on one job).  Connect
+  errors, timeouts, unparseable answers and 429/5xx answers are
+  ``crash`` rows, which the retry rule re-dispatches, on a worker that
+  has not tried the job when one is free; other answers are final.
+* **Work-stealing** — once the queue drains, a job in flight alone for
+  longer than ``straggler_grace_s`` is re-dispatched to an idle slot of
+  another worker.  Both attempts race and the first answer wins; the
+  report's ``attempts`` history records the steal only when the stolen
+  attempt is the one that won.
 
 Results are byte-identical to local runs: workers return canonical
 :class:`~repro.api.report.VerificationReport` JSON, and the dispatcher
 only annotates ``attempts`` (excluded from parity by definition) when a
-job needed more than one dispatch.  When the topology names a
-``cache_dir`` the dispatcher consults the content-addressed
-:class:`~repro.experiments.runner.ResultCache` before dispatching and
-publishes every worker verdict back into it — a row verified anywhere
-is verified everywhere.
+job needed more than one dispatch.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import threading
 import time
-from queue import Empty, SimpleQueue
 from typing import Callable, Iterator, Sequence
 
 from repro.api.report import REPORT_SCHEMA, VerificationReport
 from repro.api.request import Budgets, VerificationRequest
 from repro.errors import VerificationError
-from repro.resilience.policy import RetryPolicy, attempt_entry
+from repro.resilience.policy import RetryPolicy
 from repro.server.client import ServerError, VerificationClient
 
 from .topology import FleetTopology, WorkerSpec
@@ -128,15 +119,11 @@ class FleetDispatcher:
                  local_service=None,
                  client_factory: "Callable[[WorkerSpec], VerificationClient] | None" = None,
                  request_timeout_s: float = 300.0) -> None:
-        from repro.experiments.runner import ResultCache
-
         self.topology = topology
         self.local_service = local_service
         self.request_timeout_s = request_timeout_s
         self._client_factory = client_factory
         self._clients: dict[str, VerificationClient] = {}
-        self.cache = (ResultCache(topology.cache_dir)
-                      if topology.cache_dir else None)
         self.retry_policy = RetryPolicy(max_attempts=topology.max_attempts)
         #: ``(monotonic time, request index, worker name)`` per dispatch.
         self.dispatch_log: list[tuple[float, int, str]] = []
@@ -234,373 +221,194 @@ class FleetDispatcher:
                    ) -> Iterator[VerificationReport]:
         """Yield reports in request order as the fleet resolves them.
 
-        The batch's one scheduling loop runs in whichever thread iterates
-        this generator (see :meth:`_FleetRun.reports`).  ``jobs`` is
-        accepted for service-interface compatibility; fleet concurrency
+        Requests that can travel run on the runner's loop over this
+        topology's remote slots, in whichever thread iterates this
+        generator; the others (see :func:`wire_document`, and methods no
+        worker runs) run on the coordinator's local service when their
+        turn to be yielded comes, through the same single-request
+        ``run_batch`` path, so their reports stay identical too.  ``jobs``
+        is accepted for service-interface compatibility; fleet concurrency
         is governed by worker capacities, not a local pool.
         """
+        from repro.experiments.runner import ParallelRunner
+
         del jobs
-        return _FleetRun(self, list(requests)).reports()
+        requests = list(requests)
+        down: set[str] = set()
+        self.check_workers(down=down)
+        remote = [index for index, request in enumerate(requests)
+                  if wire_document(request) is not None
+                  and self.topology.workers_for(request.method)]
+        runner = ParallelRunner(cache_dir=self.topology.cache_dir,
+                                retry_policy=self.retry_policy)
+
+        def dispatched(position: int, worker_name: str) -> None:
+            self.dispatch_log.append(
+                (time.monotonic(), remote[position], worker_name))
+
+        workers = [_RemoteWorker(spec, self._client(spec), spec.name in down)
+                   for spec in self.topology.workers]
+        # Round-robin over the workers, so a batch's first jobs spread.
+        slots = [_RemoteSlot(worker, self.topology.straggler_grace_s,
+                             dispatched)
+                 for rank in range(max(spec.capacity
+                                       for spec in self.topology.workers))
+                 for worker in workers if rank < worker.spec.capacity]
+        rows = runner.iter_rows([requests[index] for index in remote], slots)
+        travels = set(remote)
+        reports: dict[int, VerificationReport] = {}
+        executed = 0
+        try:
+            for index, request in enumerate(requests):
+                if index not in travels:
+                    reports[index] = self._local_service().run_batch(
+                        [request])[0]
+                    executed += 1
+                while index not in reports:
+                    position, row = next(rows)
+                    reports[remote[position]] = VerificationReport.from_row(row)
+                yield reports.pop(index)
+        finally:
+            rows.close()
+        self.last_cache_hits = runner.last_cache_hits
+        self.last_executed = runner.last_executed + executed
+        self.last_retries = runner.last_retries
+        self.last_fallbacks = 0
+        self.last_steals = runner.last_steals
 
 
-def _attempt(answers: SimpleQueue, key: tuple[int, int],
-             client: VerificationClient, worker_name: str,
-             document: dict) -> None:
+@dataclasses.dataclass
+class _RemoteWorker:
+    """One worker's state in a batch, shared by its slots."""
+
+    spec: WorkerSpec
+    client: VerificationClient
+    down: bool
+    #: The batch's jobs dispatched to this worker so far.
+    tried: set = dataclasses.field(default_factory=set)
+
+
+class _RemoteSlot:
+    """One of a remote worker's ``capacity`` slots in the runner's loop.
+
+    :meth:`~repro.experiments.runner.ParallelRunner.iter_rows` drives it
+    through the attributes and methods of a pool worker process
+    (:class:`~repro.experiments.runner._PoolWorker`).  The worker enforces
+    a job's hard limit itself, so a slot has no deadline; it has a
+    straggler ``grace`` instead, past which an idle slot of another worker
+    may steal its job.
+    """
+
+    deadline = None
+
+    def __init__(self, worker: _RemoteWorker, grace: "float | None",
+                 dispatched: Callable[[int, str], None]) -> None:
+        self.worker = worker
+        self.name = worker.spec.name
+        self.grace = grace
+        self.dispatched = dispatched
+        self.tried = worker.tried
+        self.index: "int | None" = None
+        self.job: "VerificationRequest | None" = None
+        self.attempt = 0
+        self.started = 0.0
+        self.connection = None
+
+    @property
+    def busy(self) -> bool:
+        return self.index is not None
+
+    @property
+    def handles(self) -> tuple:
+        return (self.connection,)
+
+    def accepts(self, job: VerificationRequest) -> bool:
+        """Whether the worker is up and its allowlist admits ``job``."""
+        return not self.worker.down and self.worker.spec.supports(job.method)
+
+    def assign(self, index: int, job: VerificationRequest,
+               task_timeout_s: "float | None") -> None:
+        """Post ``job``, the run's ``index``-th, from a thread of its own.
+
+        The hard limit travels in the job's budgets.  The answer comes
+        back on a fresh pipe (a socket pair, which a forked pool worker
+        releases at start), so a dropped attempt's late answer never
+        reaches a later job of this slot.
+        """
+        del task_timeout_s
+        self.index = index
+        self.job = job
+        self.started = time.monotonic()
+        self.tried.add(index)
+        self.dispatched(index, self.name)
+        self.connection, answer = multiprocessing.Pipe()
+        threading.Thread(
+            target=_attempt, name="repro-fleet-attempt", daemon=True,
+            args=(answer, self.worker.client, self.name, job)).start()
+
+    def receive(self) -> dict:
+        """The attempt's row; marks the worker down if it dropped out."""
+        row, down = self.connection.recv()
+        self.worker.down = self.worker.down or down
+        return row
+
+    def release(self) -> None:
+        """Forget the attempt; an answer still to come is dropped."""
+        self.connection.close()
+        self.index = None
+        self.job = None
+
+    kill = release
+
+
+def _attempt(answer, client: VerificationClient, worker_name: str,
+             job: VerificationRequest) -> None:
     """One remote attempt, on its own thread: post, classify, answer.
 
-    Touches no batch state: puts ``key + (report, reason, worker_down,
-    retryable)`` on ``answers``, exactly once, because the batch loop
-    waits for every attempt it dispatched to answer.
+    Sends ``(row, worker_down)`` on ``answer`` once.  Connect errors,
+    request timeouts, unparseable answers and retryable HTTP statuses are
+    ``crash`` rows, which the runner's retry rule re-dispatches; any other
+    HTTP status is a final ``error`` row.  When the batch dropped the
+    attempt meanwhile, the send fails and the answer is lost.
     """
-    report = None
-    reason = None
-    worker_down = False
-    retryable = False
+    status, reason, down = "crash", None, False
+    # One-request batch, not /v1/verify: the worker then executes the job
+    # through the exact same VerificationService.run_batch code path as a
+    # local run, so reports stay byte-identical to the in-process baseline
+    # for every request shape.
+    document = {"requests": [wire_document(job)], "jobs": 1}
     try:
-        status, body = client.request_raw("POST", "/v1/batch", document)
+        code, body = client.request_raw("POST", "/v1/batch", document)
     except ServerError as error:
         reason = f"worker {worker_name}: {error}"
         # Only connection-level failures mark the worker down; a
         # client-side request timeout means one slow job, not a dead
-        # worker — it routes through the normal retry path so one
-        # straggler cannot cascade a healthy fleet into "all down".
-        worker_down = (error.status == 0
-                       and error.code != "request_timeout")
-        retryable = True
+        # worker, so one straggler cannot cascade a healthy fleet into
+        # "all down".
+        down = error.status == 0 and error.code != "request_timeout"
     except Exception as error:  # pragma: no cover - defensive
         reason = f"worker {worker_name}: {type(error).__name__}: {error}"
-        worker_down = True
-        retryable = True
+        down = True
     else:
-        if status == 200:
+        if code == 200:
             try:
                 envelope = json.loads(body.decode("utf-8"))
-                report = VerificationReport.from_dict(envelope["reports"][0])
+                row = VerificationReport.from_dict(
+                    envelope["reports"][0]).to_row()
             except Exception as error:
                 reason = (f"worker {worker_name}: unparseable report "
                           f"({type(error).__name__}: {error})")
-                retryable = True
-        elif status in RETRYABLE_WORKER_STATUSES:
-            reason = f"worker {worker_name}: HTTP {status}"
-            retryable = True
+        elif code in RETRYABLE_WORKER_STATUSES:
+            reason = f"worker {worker_name}: HTTP {code}"
         else:
-            detail = body[:200].decode("utf-8", "replace")
-            reason = f"worker {worker_name}: HTTP {status} {detail}"
-    answers.put(key + (report, reason, worker_down, retryable))
-
-
-class _FleetRun:
-    """One batch: its queue, attempts in flight, retries and results.
-
-    All of it belongs to the thread iterating :meth:`reports`; attempt
-    threads only put their answers on ``answers``.
-    """
-
-    def __init__(self, dispatcher: FleetDispatcher,
-                 requests: list[VerificationRequest]) -> None:
-        self.d = dispatcher
-        self.requests = requests
-        self.documents: dict[int, dict] = {}
-        self.keys: dict[int, "str | None"] = {}
-        self.results: dict[int, VerificationReport] = {}
-        self.local: set[int] = set()
-        self.queue: list[int] = []
-        self.retry_queue: list[tuple[float, int]] = []
-        #: Dispatches so far per request: its n-th dispatch is epoch n,
-        #: and attempt n of its ``attempts`` history.
-        self.epochs: dict[int, int] = {}
-        #: ``(index, epoch) -> (dispatch time, worker name)`` per attempt
-        #: in flight, a steal's loser included until it answers.
-        self.running: dict[tuple[int, int], tuple[float, str]] = {}
-        self.histories: dict[int, list[dict]] = {}
-        #: ``(index, stealing epoch) -> superseded attempt's entry`` —
-        #: steal annotations held back until the stolen attempt wins.
-        self.pending_steals: dict[tuple[int, int], dict] = {}
-        self.tried: dict[int, set[str]] = {}
-        self.down: set[str] = set()
-        self.answers: SimpleQueue = SimpleQueue()
-        self.cache_hits = 0
-        self.executed = 0
-        self.retries = 0
-        self.steals = 0
-
-    def reports(self) -> Iterator[VerificationReport]:
-        """The batch's one loop: yield each report in request order.
-
-        Before a report goes out, the answers that came in are booked and
-        idle workers take their next jobs.  Exhaustion, ``close()`` and
-        an exception return at once: attempts still in flight run out on
-        their own, and their answers are neither reported nor cached.
-        """
-        self._start()
-        for index in range(len(self.requests)):
-            if index in self.local:
-                # Single-request run_batch, mirroring the remote dispatch
-                # path, so local fallbacks stay byte-identical too.
-                self.results[index] = self.d._local_service().run_batch(
-                    [self.requests[index]])[0]
-                self.executed += 1
-            wait: "float | None" = 0.0
-            while True:
-                self._collect(wait)
-                now = time.monotonic()
-                self._promote_retries(now)
-                self._assign(now)
-                self._steal(now)
-                if index in self.results:
-                    break
-                wait = self._wakeup(now)
-            yield self.results[index]
-        self.d.last_cache_hits = self.cache_hits
-        self.d.last_executed = self.executed
-        self.d.last_retries = self.retries
-        self.d.last_fallbacks = 0
-        self.d.last_steals = self.steals
-
-    def _start(self) -> None:
-        from repro.experiments.runner import expected_cost_key
-
-        self.d.check_workers(down=self.down)
-        for index, request in enumerate(self.requests):
-            document = wire_document(request)
-            if document is None \
-                    or not self.d.topology.workers_for(request.method):
-                self.local.add(index)
-                continue
-            key = None
-            if self.d.cache is not None:
-                from repro.api.service import request_cache_key
-
-                key = request_cache_key(request)
-                if key is not None:
-                    report = self.d.cache.get(key)
-                    if report is not None:
-                        self.results[index] = report
-                        self.cache_hits += 1
-                        continue
-            self.keys[index] = key
-            self.documents[index] = document
-        # Longest expected cost first; stable on grid order for ties.
-        self.queue = sorted(
-            self.documents,
-            key=lambda index: expected_cost_key(self.requests[index]),
-            reverse=True)
-
-    # -- scheduling ------------------------------------------------------------
-
-    def _collect(self, wait: "float | None") -> None:
-        """Book every answer posted, first waiting for one if need be.
-
-        ``wait`` bounds that wait in seconds; ``None`` waits until an
-        answer comes, and ``0`` does not wait.
-        """
-        block = wait is None or wait > 0
-        while True:
-            try:
-                answer = self.answers.get(block, wait)
-            except Empty:
-                return
-            self._settle(*answer)
-            block = False
-
-    def _promote_retries(self, now: float) -> None:
-        ready = [index for ready_at, index in self.retry_queue
-                 if ready_at <= now]
-        if ready:
-            self.retry_queue = [(ready_at, index)
-                                for ready_at, index in self.retry_queue
-                                if ready_at > now]
-            # Retries jump the queue: they already waited out a backoff.
-            self.queue[:0] = ready
-
-    def _free(self, worker: WorkerSpec) -> bool:
-        """True iff ``worker`` is up and has room for one more attempt."""
-        busy = sum(1 for _, name in self.running.values()
-                   if name == worker.name)
-        return worker.name not in self.down and busy < worker.capacity
-
-    def _in_flight(self, index: int) -> int:
-        return sum(1 for other, _ in self.running if other == index)
-
-    def _assign(self, now: float) -> None:
-        self._drop_unservable()
-        progress = True
-        while progress and self.queue:
-            progress = False
-            for worker in self.d.topology.workers:
-                if not self._free(worker):
-                    continue
-                index = self._pick(worker)
-                if index is None:
-                    continue
-                self.queue.remove(index)
-                self._dispatch(index, worker, now)
-                progress = True
-
-    def _drop_unservable(self) -> None:
-        """Fail queued jobs whose every supporting worker is down."""
-        for index in list(self.queue):
-            request = self.requests[index]
-            if any(worker.name not in self.down
-                   for worker in self.d.topology.workers_for(request.method)):
-                continue
-            self.queue.remove(index)
-            self._finish_error(
-                index,
-                f"all fleet workers for method {request.method!r} are down")
-
-    def _pick(self, worker: WorkerSpec) -> "int | None":
-        untried = None
-        fallback = None
-        for index in self.queue:
-            if not worker.supports(self.requests[index].method):
-                continue
-            if worker.name not in self.tried.get(index, ()):
-                untried = index
-                break
-            if fallback is None:
-                fallback = index
-        return untried if untried is not None else fallback
-
-    def _dispatch(self, index: int, worker: WorkerSpec, now: float,
-                  superseded: "int | None" = None) -> None:
-        client = self.d._client(worker)
-        epoch = self.epochs.get(index, 0) + 1
-        self.epochs[index] = epoch
-        self.tried.setdefault(index, set()).add(worker.name)
-        self.running[(index, epoch)] = (now, worker.name)
-        self.d.dispatch_log.append((now, index, worker.name))
-        if superseded is not None:
-            self.steals += 1
-            # Both attempts race and the original frequently wins, so the
-            # "superseded" entry is only pending until this new epoch
-            # actually finishes first (_finish attaches it then).
-            self.pending_steals[(index, epoch)] = attempt_entry(
-                superseded, self.requests[index].method,
-                "initial" if superseded == 1 else "retry",
-                "hard_timeout",
-                reason=f"straggler re-dispatch after "
-                       f"{self.d.topology.straggler_grace_s:g}s grace "
-                       f"to {worker.name}")
-        # One-request batch, not /v1/verify: the worker then executes the
-        # job through the exact same VerificationService.run_batch code
-        # path as a local run, so reports stay byte-identical to the
-        # in-process baseline for every request shape.
-        document = {"requests": [self.documents[index]], "jobs": 1}
-        threading.Thread(
-            target=_attempt, name="repro-fleet-attempt", daemon=True,
-            args=(self.answers, (index, epoch), client, worker.name,
-                  document)).start()
-
-    def _steal(self, now: float) -> None:
-        grace = self.d.topology.straggler_grace_s
-        if grace is None or self.queue:
-            return
-        for worker in self.d.topology.workers:
-            if not self._free(worker):
-                continue
-            # The earliest-dispatched unresolved job alone in flight past
-            # its grace, on another worker, that this one may run.
-            candidates = [
-                (started, index, epoch)
-                for (index, epoch), (started, name) in self.running.items()
-                if now - started > grace and name != worker.name
-                and index not in self.results
-                and self._in_flight(index) == 1
-                and self.epochs[index] < self.d.retry_policy.max_attempts
-                and worker.supports(self.requests[index].method)]
-            if candidates:
-                _, index, epoch = min(candidates, key=lambda item: item[0])
-                self._dispatch(index, worker, now, superseded=epoch)
-
-    def _wakeup(self, now: float) -> "float | None":
-        """Seconds until a retry comes due or a straggler's grace ends.
-
-        An expired grace is left out: its job becomes stealable only when
-        a worker frees up, and that worker's answer ends the wait anyway.
-        """
-        moments = [ready_at for ready_at, _ in self.retry_queue]
-        grace = self.d.topology.straggler_grace_s
-        if grace is not None and not self.queue:
-            moments += [started + grace
-                        for started, _ in self.running.values()
-                        if now - started <= grace]
-        return min(moments) - now if moments else None
-
-    # -- bookkeeping -----------------------------------------------------------
-
-    def _settle(self, index: int, epoch: int,
-                report: "VerificationReport | None", reason: "str | None",
-                worker_down: bool, retryable: bool) -> None:
-        """Book one attempt's answer (see :func:`_attempt`)."""
-        _, worker_name = self.running.pop((index, epoch))
-        if worker_down:
-            self.down.add(worker_name)
-        if index in self.results:
-            return  # a racing duplicate already won; the epoch is stale
-        if report is not None:
-            self._finish(index, epoch, report)
-        else:
-            self._record_failure(index, epoch, reason, retryable)
-
-    def _record_failure(self, index: int, epoch: int, reason: str,
-                        retryable: bool) -> None:
-        request = self.requests[index]
-        # This attempt's real outcome is a crash: it neither supersedes
-        # anything (a failed stealer) nor was superseded (the annotation
-        # claiming so would be false history).
-        self.pending_steals.pop((index, epoch), None)
-        for key, entry in list(self.pending_steals.items()):
-            if key[0] == index and entry["attempt"] == epoch:
-                del self.pending_steals[key]
-        self.histories.setdefault(index, []).append(attempt_entry(
-            epoch, request.method,
-            "initial" if epoch == 1 else "retry",
-            "crash", reason=reason))
-        if self._in_flight(index):
-            return  # a racing duplicate is still in flight
-        up = [worker
-              for worker in self.d.topology.workers_for(request.method)
-              if worker.name not in self.down]
-        if retryable and up \
-                and self.epochs[index] < self.d.retry_policy.max_attempts:
-            delay = self.d.retry_policy.delay_s(
-                epoch,
-                key=(request.architecture, request.width, request.method))
-            self.retries += 1
-            self.retry_queue.append((time.monotonic() + delay, index))
-            return
-        self._finish_error(index, reason)
-
-    def _finish_error(self, index: int, reason: str) -> None:
-        self._finish(index, None, VerificationReport.from_failure(
-            self.requests[index], "error", reason))
-
-    def _finish(self, index: int, epoch: "int | None",
-                report: VerificationReport) -> None:
-        """Resolve ``index`` with the report of attempt ``epoch``.
-
-        ``epoch`` is ``None`` for the batch's own error report, whose
-        history then ends at the last failed attempt.
-        """
-        # A steal annotation only becomes true history if the stolen
-        # (new-epoch) attempt is the one that actually wins the race —
-        # first-finisher-wins means the original frequently does.
-        steal = self.pending_steals.pop((index, epoch), None)
-        if steal is not None:
-            self.histories.setdefault(index, []).append(steal)
-        for key in [key for key in self.pending_steals if key[0] == index]:
-            del self.pending_steals[key]
-        history = self.histories.pop(index, None)
-        if history:
-            if epoch is not None:
-                history.append(attempt_entry(
-                    epoch, report.method,
-                    "initial" if epoch == 1 else "retry",
-                    report.verdict, reason=report.reason))
-            report.attempts = list(report.attempts or ()) + history
-        key = self.keys[index]
-        if key is not None:
-            self.d.cache.put(key, report)
-        self.results[index] = report
-        self.executed += 1
+            status = "error"
+            reason = (f"worker {worker_name}: HTTP {code} "
+                      f"{body[:200].decode('utf-8', 'replace')}")
+    if reason is not None:
+        row = VerificationReport.from_failure(job, status, reason).to_row()
+    try:
+        answer.send((row, down))
+    except OSError:
+        pass  # the batch is over: nobody reads this answer
+    finally:
+        answer.close()

@@ -361,6 +361,11 @@ class VerificationServerApp:
     # -- shared cache (worker side) --------------------------------------------
 
     def _shared_cache_client(self):
+        """The coordinator's client, shared by the transport's threads.
+
+        Without keep-alive, as the fleet's attempt clients: a per-thread
+        connection would stay open after :meth:`close`.
+        """
         if self._shared_cache_client_instance is None:
             from urllib.parse import urlparse
 
@@ -372,7 +377,8 @@ class VerificationServerApp:
                 host=parsed.hostname or "127.0.0.1",
                 port=parsed.port or 80,
                 timeout_s=10.0,
-                retry_policy=RetryPolicy(max_attempts=1))
+                retry_policy=RetryPolicy(max_attempts=1),
+                keep_alive=False)
         return self._shared_cache_client_instance
 
     def _shared_cache_key(self, request: VerificationRequest) -> str | None:

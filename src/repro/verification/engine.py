@@ -172,16 +172,15 @@ def verify(netlist: Netlist, specification: Specification | str = "multiplier",
     if certificate:
         # Cache resets may re-prove a mask: dedup before recording.  The
         # schedule is recomputed from the rewritten tails — it is a pure
-        # function of (model, tails, scheme), identical to the one the
-        # reduction consumed.
+        # function of (model, tails), identical to the one the reduction
+        # consumed.
         proven = sorted(set(vanishing.proven_masks)) if vanishing else []
         result.certificate_data = {
             "netlist": netlist,
             "model": model,
             "tails": rewritten.tails,
             "spec": spec,
-            "schedule": substitution_order(model, rewritten.tails,
-                                           options.order_scheme),
+            "schedule": substitution_order(model, rewritten.tails),
             "vanishing_masks": proven,
             "remainder": remainder,
             "verified": verified,

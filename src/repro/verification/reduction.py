@@ -12,7 +12,7 @@ cancel before they blow up.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.algebra.monomial import bits_of
 from repro.algebra.polynomial import Polynomial
@@ -34,9 +34,6 @@ class ReductionOptions:
     #: every substitution (sound because such terms stay multiples of the
     #: modulus under further substitution); ``None`` keeps all terms.
     coefficient_modulus: int | None = None
-    #: Substitution ordering scheme (``"structural"`` or ``"level"``), see
-    #: :func:`substitution_order`.
-    order_scheme: str = "structural"
 
 
 @dataclass
@@ -59,39 +56,25 @@ class ReductionTrace:
     #: and steps executed inside them.
     batches: int = 0
     batched_steps: int = 0
-    history: list[tuple[str, int]] = field(default_factory=list)
-    record_history: bool = False
 
 
-def substitution_order(model: AlgebraicModel, tails: dict[int, Polynomial],
-                       scheme: str = "structural") -> list[int]:
+def substitution_order(model: AlgebraicModel,
+                       tails: dict[int, Polynomial]) -> list[int]:
     """Variables in substitution order (Algorithm 1, line 1).
 
-    Two orders are provided:
-
-    ``"level"``
-        Plain reverse topological order by circuit level (descending variable
-        index).  This is sufficient for ripple-carry-style circuits but lets
-        the propagate (XOR skeleton) variables of parallel-prefix adders be
-        expanded before the corresponding carry terms have cancelled, which
-        blows up the remainder.
-
-    ``"structural"`` (default)
-        A consumer-first schedule of the rewritten model's dependency graph:
-        a variable becomes *ready* once every polynomial whose tail references
-        it has been substituted, and among ready variables non-XOR variables
-        (carries, generates, Booth selects) are substituted before XOR-gate
-        variables, deepest first.  This realises the paper's requirement that
-        variables of the same level that depend on common inputs follow each
-        other: the sums and carries of one bit position are processed
-        back-to-back and the shared propagate variables are only expanded
-        once all their consumers have cancelled.
+    A consumer-first schedule of the rewritten model's dependency graph: a
+    variable becomes *ready* once every polynomial whose tail references it
+    has been substituted, and among ready variables non-XOR variables
+    (carries, generates, Booth selects) are substituted before XOR-gate
+    variables, deepest first.  This realises the paper's requirement that
+    variables of the same level that depend on common inputs follow each
+    other: the sums and carries of one bit position are processed
+    back-to-back and the shared propagate variables are only expanded once
+    all their consumers have cancelled.  Plain reverse topological order
+    (descending variable index) would expand the propagate (XOR skeleton)
+    variables of parallel-prefix adders before the corresponding carry
+    terms have cancelled, which blows up the remainder.
     """
-    if scheme == "level":
-        return sorted(tails.keys(), reverse=True)
-    if scheme != "structural":
-        raise ValueError(f"unknown substitution order scheme {scheme!r}")
-
     from heapq import heapify, heappush, heappop
 
     from repro.circuit.gates import GateType
@@ -188,17 +171,15 @@ def groebner_basis_reduction(spec: Polynomial, model: AlgebraicModel,
     # variable is substitutable.
     engine = SubstitutionEngine(initial, coefficient_modulus=modulus)
     items = [(var, tails[var].term_view())
-             for var in substitution_order(model, tails, options.order_scheme)]
+             for var in substitution_order(model, tails)]
     results, tripped = engine.substitute_batch(
         items, term_limit=options.monomial_budget, deadline=deadline)
-    for (var, _), (affected, size) in zip(items, results):
+    for affected, size in results:
         if not affected:
             continue
         trace.substitutions += 1
         if size > trace.peak_monomials:
             trace.peak_monomials = size
-        if trace.record_history:
-            trace.history.append((model.ring.name(var), size))
     if tripped is not None:
         trace.elapsed_s = time.perf_counter() - start
         _copy_engine_counters(engine, trace)

@@ -226,6 +226,48 @@ def test_concurrent_batches_never_share_a_worker(monkeypatch):
             _timeless(report) for report in serial]
 
 
+def test_the_benchmark_hooks_see_every_pooled_job(monkeypatch):
+    """The seam ``perfbench/tracing.py`` wraps (``_wrap_pool``).
+
+    It times each pooled job from ``_PoolWorker.assign`` to the row that
+    ``ParallelRunner.run`` hands its ``on_result``, keyed by the job
+    object, in per-thread state, and reads the row's phase times.  So each
+    pooled job must be assigned once, in the thread that called ``run``,
+    and come back as a row with ``rewrite_time_s``.
+    """
+    original_run = runner_module.ParallelRunner.run
+    original_assign = runner_module._PoolWorker.assign
+    assigned: list[tuple[int, int]] = []
+    delivered: list[tuple[int, dict]] = []
+    callers: list[int] = []
+
+    def assign(self, token, job, task_timeout_s):
+        assigned.append((id(job), threading.get_ident()))
+        return original_assign(self, token, job, task_timeout_s)
+
+    def run(self, jobs, on_result=None):
+        callers.append(threading.get_ident())
+
+        def on_row(job, row):
+            delivered.append((id(job), row))
+            if on_result is not None:
+                on_result(job, row)
+
+        return original_run(self, jobs, on_result=on_row)
+
+    monkeypatch.setattr(runner_module._PoolWorker, "assign", assign)
+    monkeypatch.setattr(runner_module.ParallelRunner, "run", run)
+    reports = VerificationService(jobs=2).run_batch(
+        _requests("SP-AR-RC", "SP-WT-CL", "SP-DT-HC", "BP-WT-CL"))
+    assert [report.verdict for report in reports] == ["verified"] * 4
+    assert callers == [threading.get_ident()]
+    assert len(assigned) == 4
+    assert {thread for _, thread in assigned} == set(callers)
+    assert sorted(job for job, _ in assigned) == \
+        sorted(job for job, _ in delivered)
+    assert all(row["rewrite_time_s"] > 0 for _, row in delivered)
+
+
 def test_a_worker_killed_between_batches_is_replaced_not_used():
     app = VerificationServerApp(jobs=2, retry_policy=RetryPolicy(
         max_attempts=3, base_delay_s=0.01, max_delay_s=0.05))

@@ -270,7 +270,8 @@ def test_exhausted_retries_yield_an_honest_error_report(workers):
     topology = topology_for(workers[:1], max_attempts=2)
     dispatcher = FleetDispatcher(topology, client_factory=factory)
     report = dispatcher.run_batch(requests_for(GRID[:1]))[0]
-    assert report.status == "error"
+    # The job answers with its last failure, as a pool job's does.
+    assert report.status == "crash"
     assert report.verdict == "error"
     assert "HTTP 503" in report.reason
     assert busy["w0"].failures == 2             # max_attempts, then give up
@@ -325,7 +326,7 @@ def test_a_bookkeeping_error_reaches_the_consumer(workers, tmp_path,
     """
     from repro.experiments.runner import ResultCache
 
-    def broken_put(self, key, report):
+    def broken_put(self, key, report, job=None):
         raise RuntimeError("injected cache publish failure")
 
     monkeypatch.setattr(ResultCache, "put", broken_put)

@@ -309,6 +309,19 @@ def test_fleet_job_checks_parity_steals_and_cache(workflow):
     assert "executed=0" in commands
 
 
+def test_fleet_job_fails_on_unclosed_sockets(workflow):
+    """The fleet suite runs under ``-X dev``, which prints a
+    ``ResourceWarning`` for every socket or file left unclosed, and the
+    step fails on any such line in its output."""
+    [step] = [step for step in workflow["jobs"]["fleet"]["steps"]
+              if "python -X dev -m pytest tests/fleet" in step.get("run", "")]
+    command = step["run"]
+    assert "tests/server/test_fleet_endpoints.py" in command
+    assert "|| { cat fleet-tests.txt; exit 1; }" in command
+    assert 'grep -q "ResourceWarning" fleet-tests.txt' in command
+    assert command.rstrip().endswith("exit 1\nfi")
+
+
 def test_campaign_job_reruns_cross_checks_and_resumes(workflow):
     """Seeded mutation campaign, twice, with cross-check, parity and resume.
 
