@@ -34,7 +34,9 @@ in this order (absent values are ``null``, never omitted)::
       "specification": "...",       // human-readable spec description
       "time": "00:00:00.12",        // display time; "TO" on budget trips
       "time_s": 0.123,              // total wall-clock seconds
-      "reason": null,               // budget-trip / failure reason
+      "reason": null,               // budget-trip / failure reason, or
+                                    //   where the algebra stopped before
+                                    //   a refutation by simulation
       "counterexample": null,       // {"a0": 1, ...} input assignment
       "remainder": null,            // non-zero remainder (algebraic refute)
       "counters": {...}             // backend counters, declared order:
@@ -45,9 +47,10 @@ in this order (absent values are ``null``, never omitted)::
                                     //     max_polynomial_terms,
                                     //     max_monomial_variables,
                                     //     peak_remainder
-                                    //   algebraic budget trip refuted by
-                                    //     simulation (no remainder):
-                                    //     simulated_vectors
+                                    //   algebraic refutation by
+                                    //     simulation, after a budget trip
+                                    //     or the refutation probe (no
+                                    //     remainder): simulated_vectors
                                     //   sat-cec: conflicts, clauses
                                     //   bdd-cec: bdd_nodes
       "certificate": null,          // checkable proof certificate

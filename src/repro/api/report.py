@@ -297,20 +297,22 @@ class VerificationReport:
             result=result)
 
     @classmethod
-    def from_simulation(cls, tripped: "VerificationReport",
-                        counterexample: dict[str, int], vectors: int,
-                        elapsed_s: float) -> "VerificationReport":
-        """A budget trip that the service's simulation stage refuted.
+    def from_simulation(cls, method: str, circuit: str, width: int | None,
+                        reason: str, counterexample: dict[str, int],
+                        vectors: int, elapsed_s: float,
+                        ) -> "VerificationReport":
+        """A refutation by the service's simulation stage.
 
         The algebra did not finish, so there is no remainder and no engine
         counters: ``counters`` holds only ``simulated_vectors``, and
-        ``reason`` keeps the trip's message.
+        ``reason`` says why the algebra stopped (the budget trip's message,
+        or the refutation probe's).
         """
         return cls(
-            verdict="refuted", status="mismatch", method=tripped.method,
-            circuit=tripped.circuit, width=tripped.width,
+            verdict="refuted", status="mismatch", method=method,
+            circuit=circuit, width=width,
             time=format_seconds(elapsed_s), time_s=elapsed_s,
-            reason=tripped.reason, counterexample=counterexample,
+            reason=reason, counterexample=counterexample,
             counters={"simulated_vectors": vectors})
 
     @classmethod

@@ -16,6 +16,7 @@ without the caller touching runner internals.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -31,6 +32,36 @@ from repro.errors import BlowUpError, VerificationError
 #: The reference multiplier that the SAT baseline and the SAT cross-check
 #: of a refutation compare a circuit with.
 GOLDEN_ARCHITECTURE = "SP-AR-RC"
+
+#: Widths whose golden multiplier one process keeps, least recently used
+#: first out.  A golden netlist grows with the square of its width (tens
+#: of MB at 128 bits), and a server or campaign sees few widths.
+GOLDEN_MEMO_SIZE = 4
+
+
+@functools.lru_cache(maxsize=GOLDEN_MEMO_SIZE)
+def _golden_multiplier(width: int):
+    """The :data:`GOLDEN_ARCHITECTURE` multiplier of ``width``, generated
+    once per process.
+
+    Every request at that width shares the one netlist, read-only:
+    :func:`~repro.baselines.sat.miter.build_miter` only encodes it and
+    :func:`~repro.circuit.simulate.simulate` only evaluates it, so no
+    caller may change it.
+    """
+    from repro.generators.multipliers import generate_multiplier
+    return generate_multiplier(GOLDEN_ARCHITECTURE, width)
+
+
+class _SimulationRefutation(Exception):
+    """The simulation stage's first failing vector; it ends the request."""
+
+    def __init__(self, reason: str, counterexample: dict[str, int],
+                 vectors: int) -> None:
+        super().__init__(reason)
+        self.reason = reason
+        self.counterexample = counterexample
+        self.vectors = vectors
 
 
 def _certifiable_backends():
@@ -234,53 +265,67 @@ class VerificationService:
                           budgets: Budgets) -> VerificationReport:
         from repro.verification.engine import verify
         start = time.perf_counter()
+        stage = self._simulation_stage(request, netlist, budgets, start)
         try:
-            result = verify(netlist,
-                            specification=request.resolve_specification(),
-                            method=request.method,
-                            budgets=budgets,
-                            xor_and_only=request.xor_and_only,
-                            find_counterexample=request.find_counterexample,
-                            certificate=request.certificate,
-                            seed=request.seed)
-        except BlowUpError as error:
-            tripped = VerificationReport.from_blowup(
-                error, method=request.method, circuit=circuit, width=width,
-                elapsed_s=time.perf_counter() - start)
-            report = self._refute_by_simulation(request, netlist, tripped,
-                                                budgets, start)
-            if report is None:
+            try:
+                result = verify(netlist,
+                                specification=request.resolve_specification(),
+                                method=request.method,
+                                budgets=budgets,
+                                xor_and_only=request.xor_and_only,
+                                find_counterexample=request.find_counterexample,
+                                certificate=request.certificate,
+                                seed=request.seed,
+                                probe=stage)
+            except BlowUpError as error:
+                tripped = VerificationReport.from_blowup(
+                    error, method=request.method, circuit=circuit,
+                    width=width, elapsed_s=time.perf_counter() - start)
+                if stage is not None:
+                    stage(tripped.reason)
                 return tripped
-            report.cross_check = self._cross_check_refutation(
-                request, netlist, report.counterexample, width, budgets)
-            return report
-        report = VerificationReport.from_result(result, circuit=circuit,
-                                                width=width)
-        if request.certificate and result.certificate_data is not None:
-            from repro.certify import build_certificate
-            report.certificate = build_certificate(result)
-        if report.verdict == "refuted":
-            report.cross_check = self._cross_check_refutation(
-                request, netlist, result.counterexample, width, budgets)
+        except _SimulationRefutation as refutation:
+            report = VerificationReport.from_simulation(
+                request.method, circuit, width, refutation.reason,
+                refutation.counterexample, refutation.vectors,
+                elapsed_s=time.perf_counter() - start)
+        else:
+            report = VerificationReport.from_result(result, circuit=circuit,
+                                                    width=width)
+            if request.certificate and result.certificate_data is not None:
+                from repro.certify import build_certificate
+                report.certificate = build_certificate(result)
+            if report.verdict != "refuted":
+                return report
+        report.cross_check = self._cross_check_refutation(
+            request, netlist, report.counterexample, width, budgets)
         return report
 
-    def _refute_by_simulation(self, request: VerificationRequest, netlist,
-                              tripped: VerificationReport, budgets: Budgets,
-                              start: float) -> VerificationReport | None:
-        """Search for a counterexample by simulation after a budget trip.
+    def _simulation_stage(self, request: VerificationRequest, netlist,
+                          budgets: Budgets, start: float):
+        """The request's search for a counterexample by simulation, or
+        ``None`` when it does not apply.
 
-        A trip answers nothing, yet a buggy circuit is usually wrong on
-        many inputs.  When the request searches for a counterexample
-        (``find_counterexample``) against the word-level ``"multiplier"``
-        or ``"adder"`` specification and asks for no certificate (the
-        algebra's journal), the circuit is simulated bit-parallel over
-        ``counterexample_tries`` vectors drawn from the request seed, and
-        its ``s`` word is compared with a bit-sliced ``a * b`` (or
-        ``a + b``).  A mismatch refutes the circuit at its first failing
-        vector.  ``None`` when the stage does not apply, when every
-        vector agrees (which proves nothing), or when the time budget,
-        counted from ``start``, runs out first.  The model build that
-        preceded the trip has already checked the three words.
+        An algebra that stops answers nothing, yet a buggy circuit is
+        usually wrong on many inputs.  When the request searches for a
+        counterexample (``find_counterexample``) against the word-level
+        ``"multiplier"`` or ``"adder"`` specification and asks for no
+        certificate (the algebra's journal), the returned stage simulates
+        the circuit bit-parallel over ``counterexample_tries`` vectors
+        drawn from the request seed, and compares its ``s`` word with a
+        bit-sliced ``a * b`` (or ``a + b``).
+
+        Two triggers call it with the reason the algebra stopped: the GB
+        reduction's refutation probe, once the remainder outgrows the
+        specification (see
+        :data:`~repro.verification.reduction.REFUTATION_PROBE_FACTOR`),
+        and a budget trip.  A mismatch raises
+        :class:`_SimulationRefutation` at the first failing vector.  The
+        stage returns when every vector agrees (which proves nothing), or
+        when the time budget, counted from ``start``, runs out first; it
+        searches once per request, so a budget trip after a probe that
+        missed does not simulate the same vectors again.  The model build
+        that precedes either trigger has already checked the three words.
         """
         specification = request.resolve_specification()
         samples = budgets.counterexample_tries
@@ -294,30 +339,39 @@ class VerificationService:
             lane_sum,
             simulate_lanes,
         )
-        a_names, b_names, s_names = _relation_words(netlist)
         reference = lane_product if specification == "multiplier" else lane_sum
         budget_s = budgets.time_budget_s
-        simulated = 0
-        for inputs, lanes in input_lanes(netlist, samples, request.seed):
-            if budget_s is not None and time.perf_counter() - start >= budget_s:
-                return None
-            values = simulate_lanes(netlist, inputs, lanes)
-            expected = reference([values[name] for name in a_names],
-                                 [values[name] for name in b_names])
-            wrong = 0
-            # Bits beyond either word are 0: a wider output must read 0
-            # there, and a narrower one cannot hold the result.
-            for got, want in itertools.zip_longest(
-                    [values[name] for name in s_names], expected, fillvalue=0):
-                wrong |= got ^ want
-            simulated += lanes
-            if wrong:
-                lane = (wrong & -wrong).bit_length() - 1
-                return VerificationReport.from_simulation(
-                    tripped, {name: (inputs[name] >> lane) & 1
-                              for name in netlist.inputs},
-                    simulated, elapsed_s=time.perf_counter() - start)
-        return None
+        searched = False
+
+        def search(reason: str) -> None:
+            nonlocal searched
+            if searched:
+                return
+            searched = True
+            a_names, b_names, s_names = _relation_words(netlist)
+            simulated = 0
+            for inputs, lanes in input_lanes(netlist, samples, request.seed):
+                if (budget_s is not None
+                        and time.perf_counter() - start >= budget_s):
+                    return
+                values = simulate_lanes(netlist, inputs, lanes)
+                expected = reference([values[name] for name in a_names],
+                                     [values[name] for name in b_names])
+                wrong = 0
+                # Bits beyond either word are 0: a wider output must read 0
+                # there, and a narrower one cannot hold the result.
+                for got, want in itertools.zip_longest(
+                        [values[name] for name in s_names], expected,
+                        fillvalue=0):
+                    wrong |= got ^ want
+                simulated += lanes
+                if wrong:
+                    lane = (wrong & -wrong).bit_length() - 1
+                    raise _SimulationRefutation(
+                        reason, {name: (inputs[name] >> lane) & 1
+                                 for name in netlist.inputs}, simulated)
+
+        return search
 
     def _cross_check_refutation(self, request: VerificationRequest, netlist,
                                 counterexample: dict[str, int] | None,
@@ -346,8 +400,7 @@ class VerificationService:
             netlist, specification, values)
         if specification == "multiplier" and width:
             from repro.baselines.sat.miter import sat_equivalence_check
-            from repro.generators.multipliers import generate_multiplier
-            golden = generate_multiplier(GOLDEN_ARCHITECTURE, width)
+            golden = _golden_multiplier(width)
             if _outputs_differ(netlist, golden, counterexample, values):
                 record.update(status="different", agrees=True, conflicts=0)
                 return record
@@ -364,12 +417,11 @@ class VerificationService:
                     budgets: Budgets, method: str = "sat-cec",
                     ) -> VerificationReport:
         from repro.baselines.sat.miter import sat_equivalence_check
-        from repro.generators.multipliers import generate_multiplier
         if not width:
             raise VerificationError(
                 f"{method} needs the operand width to build the golden "
                 "reference (no 'a' input word found)")
-        golden = generate_multiplier(GOLDEN_ARCHITECTURE, width)
+        golden = _golden_multiplier(width)
         result = sat_equivalence_check(
             netlist, golden, conflict_limit=budgets.sat_conflict_budget,
             time_budget_s=budgets.time_budget_s)

@@ -206,8 +206,9 @@ def _run_request(request: VerificationRequest, args: argparse.Namespace) -> int:
         _report(report.result, show_stats=args.stats)
         return report.exit_code
     # SAT/BDD baselines and simulation refutations: the uniform report
-    # summary (the engine tripped before a simulation refutation, so
-    # --stats has no counters to print).
+    # summary (the algebra stopped before a simulation refutation, at a
+    # budget trip or at the refutation probe, so --stats has no counters
+    # to print; the reason names which).
     print(report.summary())
     if "simulated_vectors" in report.counters:
         print(f"refuted by simulation over "

@@ -63,7 +63,8 @@ def verify(netlist: Netlist, specification: Specification | str = "multiplier",
            find_counterexample: bool = True,
            certificate: bool = False,
            seed: int = 0,
-           model: AlgebraicModel | None = None) -> VerificationResult:
+           model: AlgebraicModel | None = None,
+           probe=None) -> VerificationResult:
     """Verify a gate-level circuit against an arithmetic specification.
 
     The canonical entry point is the service layer
@@ -107,6 +108,14 @@ def verify(netlist: Netlist, specification: Specification | str = "multiplier",
         from ``netlist``; pass it to avoid rebuilding the model when the
         caller needed one to derive the specification (variable numbering is
         deterministic, so model and specification always agree).
+    probe:
+        The refutation probe of the GB reduction (see
+        :func:`~repro.verification.reduction.groebner_basis_reduction`):
+        called once when the remainder first grows past
+        :data:`~repro.verification.reduction.REFUTATION_PROBE_FACTOR`
+        times the specification's term count, below the monomial budget.
+        An exception it raises propagates; when it returns, the reduction
+        goes on.  The service passes its simulation stage here.
     """
     # Validate against the live registry, not the import-time METHODS
     # snapshot, so backends registered later are honoured here too.
@@ -144,7 +153,8 @@ def verify(netlist: Netlist, specification: Specification | str = "multiplier",
     trace = ReductionTrace()
     start_reduce = time.perf_counter()
     remainder = groebner_basis_reduction(spec.polynomial, model,
-                                         rewritten.tails, options, trace)
+                                         rewritten.tails, options, trace,
+                                         probe=probe)
     remainder = spec.apply_modulus(remainder)
     reduction_time = time.perf_counter() - start_reduce
 

@@ -13,12 +13,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.algebra.monomial import bits_of
 from repro.algebra.polynomial import Polynomial
 from repro.algebra.substitution import SubstitutionEngine
 from repro.errors import BlowUpError
 from repro.modeling.model import AlgebraicModel
+
+
+#: Multiple of the specification's term count past which the remainder is
+#: handed to the refutation probe.  Logic reduction keeps a correct
+#: multiplier's remainder close to its specification: the worst peak
+#: measured under mt-lr is 3.75 times the specification's term count
+#: (BP-RT-KS at 25 bits, 2,533 terms against 675, the worst of the ten
+#: Table I/II architectures there), and at most 3.6 times on all 50
+#: catalog architectures at 4, 8, 12 and 16 bits.  A correct mt-lr
+#: circuit stays far below this bound.
+REFUTATION_PROBE_FACTOR = 32
 
 
 @dataclass
@@ -52,8 +64,9 @@ class ReductionTrace:
     affected_terms: int = 0
     #: Terms dropped because their coefficient became a modulus multiple.
     modulus_removed_terms: int = 0
-    #: ``substitute_batch`` calls issued (the whole schedule is one batch)
-    #: and steps executed inside them.
+    #: ``substitute_batch`` calls issued (the whole schedule is one batch,
+    #: split in two where the refutation probe resumes it) and steps
+    #: executed inside them.
     batches: int = 0
     batched_steps: int = 0
 
@@ -140,12 +153,21 @@ def substitution_order(model: AlgebraicModel,
 def groebner_basis_reduction(spec: Polynomial, model: AlgebraicModel,
                              tails: dict[int, Polynomial],
                              options: ReductionOptions | None = None,
-                             trace: ReductionTrace | None = None) -> Polynomial:
+                             trace: ReductionTrace | None = None, *,
+                             probe: Callable[[str], None] | None = None,
+                             ) -> Polynomial:
     """Reduce ``spec`` w.r.t. the model polynomials and return the remainder.
 
     ``tails`` maps each leading variable to the tail of its polynomial
     ``-x + tail`` (either the raw gate tails or the rewritten model).  The
     remainder is fully reduced: it only references primary inputs.
+
+    ``probe`` is the refutation probe.  When
+    :data:`REFUTATION_PROBE_FACTOR` times the specification's term count is
+    below the monomial budget, it is called once, with a one-line reason,
+    at the first step that leaves the remainder above that bound.  An
+    exception it raises ends the reduction; when it returns, the
+    reduction resumes from the same remainder under the monomial budget.
     """
     options = options or ReductionOptions()
     trace = trace if trace is not None else ReductionTrace()
@@ -172,23 +194,33 @@ def groebner_basis_reduction(spec: Polynomial, model: AlgebraicModel,
     engine = SubstitutionEngine(initial, coefficient_modulus=modulus)
     items = [(var, tails[var].term_view())
              for var in substitution_order(model, tails)]
+    budget = options.monomial_budget
+    bound = REFUTATION_PROBE_FACTOR * len(spec)
+    if probe is None or budget is None or bound >= budget:
+        bound = budget
     results, tripped = engine.substitute_batch(
-        items, term_limit=options.monomial_budget, deadline=deadline)
-    for affected, size in results:
-        if not affected:
-            continue
-        trace.substitutions += 1
-        if size > trace.peak_monomials:
-            trace.peak_monomials = size
+        items, term_limit=bound, deadline=deadline)
+    _record_steps(results, trace)
+    done = len(results)
+    if tripped == "terms" and bound != budget:
+        # The probe point: the batch stopped at the bound, not the budget.
+        probe(f"GB reduction exceeded {REFUTATION_PROBE_FACTOR}x the "
+              f"specification's {len(spec)} terms at variable "
+              f"{model.ring.name(items[done - 1][0])!r} "
+              f"({len(engine)} > {bound})")
+        if len(engine) <= budget:
+            results, tripped = engine.substitute_batch(
+                items[done:], term_limit=budget, deadline=deadline)
+            _record_steps(results, trace)
+            done += len(results)
     if tripped is not None:
         trace.elapsed_s = time.perf_counter() - start
         _copy_engine_counters(engine, trace)
         if tripped == "terms":
-            var = items[len(results) - 1][0]
+            var = items[done - 1][0]
             raise BlowUpError(
                 f"GB reduction exceeded the monomial budget at variable "
-                f"{model.ring.name(var)!r} ({len(engine)} > "
-                f"{options.monomial_budget})",
+                f"{model.ring.name(var)!r} ({len(engine)} > {budget})",
                 monomials=len(engine), elapsed_s=trace.elapsed_s)
         raise BlowUpError(
             "GB reduction exceeded the time budget",
@@ -197,6 +229,16 @@ def groebner_basis_reduction(spec: Polynomial, model: AlgebraicModel,
     trace.elapsed_s = time.perf_counter() - start
     _copy_engine_counters(engine, trace)
     return Polynomial._raw(engine.terms)
+
+
+def _record_steps(results: list[tuple[int, int]],
+                  trace: ReductionTrace) -> None:
+    for affected, size in results:
+        if not affected:
+            continue
+        trace.substitutions += 1
+        if size > trace.peak_monomials:
+            trace.peak_monomials = size
 
 
 def _copy_engine_counters(engine: SubstitutionEngine,

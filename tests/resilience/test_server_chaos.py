@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
@@ -31,9 +32,9 @@ def _bare() -> RetryPolicy:
 
 def test_client_retry_heals_a_dropped_response(chaos):
     chaos(Fault("disconnect", match="POST /v1/verify", times=1))
-    with ServerThread(VerificationServerApp()) as server:
-        client = VerificationClient(port=server.port,
-                                    retry_policy=_fast_retries())
+    with ServerThread(VerificationServerApp()) as server, \
+            closing(VerificationClient(port=server.port,
+                                       retry_policy=_fast_retries())) as client:
         report = client.verify(DOCUMENT)
         assert report.verdict == "verified"
 
@@ -85,8 +86,9 @@ def test_transport_errors_distinguish_timeouts_from_connect_failures():
 
 def test_saturated_server_answers_429_with_retry_after():
     app = VerificationServerApp(max_inflight=0, retry_after_s=3)
-    with ServerThread(app) as server:
-        client = VerificationClient(port=server.port, retry_policy=_bare())
+    with ServerThread(app) as server, \
+            closing(VerificationClient(port=server.port,
+                                       retry_policy=_bare())) as client:
         status, body = client.request_raw("POST", "/v1/verify", DOCUMENT)
         assert status == 429
         assert json.loads(body)["error"]["code"] == "too_many_requests"
@@ -139,9 +141,9 @@ def test_streaming_batch_releases_the_slot_on_close_before_first_chunk():
 
 def test_backpressure_admits_when_capacity_frees_up():
     app = VerificationServerApp(max_inflight=2, retry_after_s=1)
-    with ServerThread(app) as server:
-        client = VerificationClient(port=server.port,
-                                    retry_policy=_fast_retries())
+    with ServerThread(app) as server, \
+            closing(VerificationClient(port=server.port,
+                                       retry_policy=_fast_retries())) as client:
         reports = [client.verify(DOCUMENT) for _ in range(4)]
         assert all(report.verdict == "verified" for report in reports)
 
@@ -150,8 +152,8 @@ def test_backpressure_admits_when_capacity_frees_up():
 
 def test_request_deadline_clamps_to_budget_verdict():
     app = VerificationServerApp(request_deadline_s=1e-6)
-    with ServerThread(app) as server:
-        client = VerificationClient(port=server.port)
+    with ServerThread(app) as server, \
+            closing(VerificationClient(port=server.port)) as client:
         report = client.verify({"architecture": "SP-AR-RC", "width": 8,
                                 "method": "mt-lr"})
         assert report.verdict == "budget"

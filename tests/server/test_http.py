@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -53,7 +54,8 @@ def server():
 
 @pytest.fixture(scope="module")
 def client(server):
-    return VerificationClient(port=server.port)
+    with closing(VerificationClient(port=server.port)) as client:
+        yield client
 
 
 _TIMING_KEYS = ("time", "time_s", "reduction_time_s", "rewrite_time_s",
@@ -153,8 +155,8 @@ def test_50_row_batch_byte_identical_to_service_through_shared_cache(
     assert len(documents) >= 50
 
     cache_dir = tmp_path / "server-cache"
-    with ServerThread(VerificationServerApp(cache_dir=cache_dir)) as thread:
-        local = VerificationClient(port=thread.port)
+    with ServerThread(VerificationServerApp(cache_dir=cache_dir)) as thread, \
+            closing(VerificationClient(port=thread.port)) as local:
         served = local.batch(documents)
         executed = local.metrics()["cache"]["executed_total"]
     assert [report.verdict for report in served] == ["verified"] * len(served)
@@ -298,11 +300,12 @@ def test_concurrent_clients_agree_with_serial_verdicts(server):
     results: list = [None] * len(documents)
 
     def fetch(index: int) -> None:
-        client = VerificationClient(port=server.port)
-        try:
-            results[index] = client.verify(documents[index]).verdict
-        except Exception as error:  # noqa: BLE001 - surfaced via assert
-            results[index] = error
+        # A client closes the connection of the thread that calls close().
+        with closing(VerificationClient(port=server.port)) as client:
+            try:
+                results[index] = client.verify(documents[index]).verdict
+            except Exception as error:  # noqa: BLE001 - surfaced via assert
+                results[index] = error
 
     threads = [threading.Thread(target=fetch, args=(index,))
                for index in range(len(documents))]

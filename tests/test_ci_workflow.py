@@ -322,6 +322,20 @@ def test_fleet_job_fails_on_unclosed_sockets(workflow):
     assert command.rstrip().endswith("exit 1\nfi")
 
 
+def test_fleet_job_fails_on_unclosed_server_test_sockets(workflow):
+    """The HTTP end-to-end and server chaos suites run under the same
+    ``-X dev`` gate as the fleet suite: any ``ResourceWarning`` line in
+    their output fails the step."""
+    [step] = [step for step in workflow["jobs"]["fleet"]["steps"]
+              if "python -X dev -m pytest tests/server/test_http.py"
+              in step.get("run", "")]
+    command = step["run"]
+    assert "tests/resilience/test_server_chaos.py" in command
+    assert "|| { cat server-tests.txt; exit 1; }" in command
+    assert 'grep -q "ResourceWarning" server-tests.txt' in command
+    assert command.rstrip().endswith("exit 1\nfi")
+
+
 def test_campaign_job_reruns_cross_checks_and_resumes(workflow):
     """Seeded mutation campaign, twice, with cross-check, parity and resume.
 
