@@ -9,11 +9,11 @@ the behaviour the paper's introduction cites for decision-diagram methods.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
 from repro.baselines.bdd.bdd import BddManager
-from repro.circuit.analysis import topological_signals
 from repro.circuit.netlist import Netlist
 from repro.errors import BddError
 
@@ -64,9 +64,8 @@ def _build_output_bdds(netlist: Netlist, manager: BddManager,
     nodes: dict[str, int] = {}
     for name in netlist.inputs:
         nodes[name] = manager.variable(levels[name])
-    for signal in topological_signals(netlist):
-        if signal in nodes:
-            continue
+    order = netlist.topology()[0]
+    for signal in itertools.islice(order, len(nodes), None):
         gate = netlist.gate_of(signal)
         operands = [nodes[s] for s in gate.inputs]
         nodes[signal] = manager.apply_gate(gate.gate_type.value, operands)

@@ -8,7 +8,7 @@ handled as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from functools import reduce
 from typing import Sequence
@@ -59,32 +59,42 @@ _ARITY: dict[GateType, tuple[int, int | None]] = {
 _DISTINCT_INPUTS = frozenset((GateType.XOR, GateType.XNOR))
 
 
-@dataclass(frozen=True)
-class Gate:
-    """A single combinational gate driving one output signal."""
+class Gate(namedtuple("Gate", ("output", "gate_type", "inputs", "name"))):
+    """A single combinational gate driving one output signal.
 
-    output: str
-    gate_type: GateType
-    inputs: tuple[str, ...] = field(default_factory=tuple)
-    name: str = ""
+    Fields: ``output``, ``gate_type``, ``inputs`` (a tuple of signal
+    names) and ``name``.  A validated named tuple rather than a frozen
+    dataclass: a netlist holds one per gate, and a tuple is built without
+    a per-field ``object.__setattr__``.  The constructor, which a pickled
+    copy, ``_make`` and ``_replace`` pass through too, checks the arity of
+    ``gate_type`` and that XOR/XNOR inputs are distinct.
+    """
 
-    def __post_init__(self) -> None:
-        gate_type = self.gate_type
-        arity = len(self.inputs)
+    __slots__ = ()
+
+    def __new__(cls, output: str, gate_type: GateType,
+                inputs: tuple[str, ...] = (), name: str = "") -> "Gate":
+        arity = len(inputs)
         low, high = _ARITY[gate_type]
         if arity < low:
             raise CircuitError(
-                f"gate {gate_type.value!r} driving {self.output!r} needs at "
+                f"gate {gate_type.value!r} driving {output!r} needs at "
                 f"least {low} inputs, got {arity}")
         if high is not None and arity > high:
             raise CircuitError(
-                f"gate {gate_type.value!r} driving {self.output!r} accepts at "
+                f"gate {gate_type.value!r} driving {output!r} accepts at "
                 f"most {high} inputs, got {arity}")
-        if gate_type in _DISTINCT_INPUTS and len(set(self.inputs)) != arity:
-            # x ^ x is legal logic but defeats structural reasoning; normalise
-            # at construction time by rejecting it so generators stay clean.
+        if gate_type in _DISTINCT_INPUTS and len(set(inputs)) != arity:
+            # x ^ x is legal logic but defeats structural reasoning;
+            # normalise at construction time by rejecting it so generators
+            # stay clean.
             raise CircuitError(
-                f"XOR/XNOR gate driving {self.output!r} has duplicated inputs")
+                f"XOR/XNOR gate driving {output!r} has duplicated inputs")
+        return tuple.__new__(cls, (output, gate_type, inputs, name))
+
+    @classmethod
+    def _make(cls, iterable) -> "Gate":
+        return cls(*iterable)
 
     @property
     def arity(self) -> int:
@@ -93,8 +103,8 @@ class Gate:
 
     def renamed(self, mapping) -> "Gate":
         """Return a copy with all signal names passed through ``mapping``."""
-        return Gate(output=mapping(self.output), gate_type=self.gate_type,
-                    inputs=tuple(mapping(s) for s in self.inputs), name=self.name)
+        return Gate(mapping(self.output), self.gate_type,
+                    tuple(mapping(s) for s in self.inputs), self.name)
 
 
 def evaluate_gate(gate_type: GateType, values: Sequence[int]) -> int:

@@ -4,6 +4,11 @@ A netlist is a directed acyclic graph of gates.  Signals are identified by
 name; each internal signal is driven by exactly one gate, primary inputs are
 driven externally.  Word-level helpers (``add_input_word`` and friends) make
 the arithmetic generators concise while keeping everything bit-level.
+
+A netlist also owns its topology (:meth:`Netlist.topology`): the
+topological order and levels of its signals, sorted on first use and
+reset by every change of its structure, so the model build, simulation
+and the BDD builder of one netlist share a single traversal.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ class Netlist:
         self._gates: dict[str, Gate] = {}
         self._input_set: set[str] = set()
         self._fresh_counter = 0
+        #: ``(order, levels)`` of :meth:`topology`, ``None`` until sorted.
+        self._topology: tuple[list[str], dict[str, int]] | None = None
 
     # -- construction ----------------------------------------------------------
 
@@ -34,6 +41,7 @@ class Netlist:
             raise CircuitError(f"signal {name!r} is already driven")
         self._inputs.append(name)
         self._input_set.add(name)
+        self._topology = None
         return name
 
     def add_input_word(self, prefix: str, width: int) -> list[str]:
@@ -45,6 +53,7 @@ class Netlist:
         if name in self._outputs:
             raise CircuitError(f"output {name!r} declared twice")
         self._outputs.append(name)
+        self._topology = None           # its driver is checked by the sort
         return name
 
     def add_output_word(self, signals: Sequence[str]) -> list[str]:
@@ -61,6 +70,7 @@ class Netlist:
         elif output in gates or output in self._input_set:
             raise CircuitError(f"signal {output!r} is already driven")
         gates[output] = Gate(output, gate_type, tuple(inputs), name or output)
+        self._topology = None
         return output
 
     def fresh_signal(self, hint: str = "w") -> str:
@@ -204,6 +214,80 @@ class Netlist:
         """All primary outputs named ``prefix<i>`` ordered by index."""
         return _select_word(self._outputs, prefix)
 
+    # -- topology --------------------------------------------------------------
+
+    def topology(self) -> tuple[list[str], dict[str, int]]:
+        """Every signal in topological order, and its longest-path level.
+
+        The order lists the primary inputs first, then the gates in the
+        order Kahn's algorithm makes them ready; inputs and constants have
+        level 0, a gate one more than its deepest input.  The sort runs on
+        first use and kept until :meth:`add_input`, :meth:`add_gate`,
+        :meth:`add_output` or :meth:`replace_gate` changes the netlist, so
+        model extraction, simulation and the BDD builder of one netlist
+        share it.  Callers must not modify the returned list or dict.
+
+        The sort checks the drivers: a gate reading an undriven signal
+        never becomes ready, so only an incomplete pass scans them
+        (:meth:`check_drivers` raises first, the loop error after); a
+        complete one checks the primary outputs.
+        """
+        topology = self._topology
+        # A gate stored past ``add_gate`` leaves the kept order short.
+        if (topology is None or len(topology[0])
+                != len(self._inputs) + len(self._gates)):
+            topology = self._topology = self._sort()
+        return topology
+
+    def _sort(self) -> tuple[list[str], dict[str, int]]:
+        """Kahn's algorithm: the order and levels :meth:`topology` keeps."""
+        gates = self._gates
+        indegree: dict[str, int] = {}
+        consumers: dict[str, list[str]] = {}
+        for output, gate in gates.items():
+            inputs = gate.inputs
+            indegree[output] = len(inputs)
+            for signal in inputs:
+                bucket = consumers.get(signal)
+                if bucket is None:
+                    consumers[signal] = [output]
+                else:
+                    bucket.append(output)
+
+        # The ready FIFO *is* the topological order: consumers are appended
+        # as they become ready, and a gate's level is final at that moment.
+        order: list[str] = list(self._inputs)
+        levels: dict[str, int] = dict.fromkeys(order, 0)
+        for output, degree in indegree.items():
+            if degree == 0:
+                order.append(output)
+                levels[output] = 0
+        consumers_get = consumers.get
+        head = 0
+        while head < len(order):
+            signal = order[head]
+            head += 1
+            for consumer in consumers_get(signal, ()):
+                remaining = indegree[consumer] - 1
+                indegree[consumer] = remaining
+                if remaining == 0 and consumer not in levels:
+                    order.append(consumer)
+                    inputs = gates[consumer].inputs
+                    if len(inputs) == 2:
+                        # Two-input gates dominate synthesised netlists;
+                        # dodging ``max`` speeds the sort measurably.
+                        first = levels[inputs[0]]
+                        second = levels[inputs[1]]
+                        levels[consumer] = 1 + (first if first >= second
+                                                else second)
+                    else:
+                        levels[consumer] = 1 + max(levels[s] for s in inputs)
+        if len(order) != len(self._inputs) + len(gates):
+            self.check_drivers()
+            raise CircuitError("netlist contains a combinational loop")
+        self.check_drivers(gate_inputs=False)
+        return order, levels
+
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> None:
@@ -289,6 +373,7 @@ class Netlist:
         if gate.output != output:
             raise CircuitError("replacement gate must drive the same signal")
         self._gates[output] = gate
+        self._topology = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"Netlist({self.name!r}, inputs={len(self._inputs)}, "

@@ -4,24 +4,32 @@ Simulation serves three purposes: validating the arithmetic generators
 against the integer functions they are supposed to implement, providing the
 ground truth used by property-based tests of the vanishing-monomial rule
 (every monomial removed by the rule must evaluate to zero on the circuit),
-and searching for a counterexample when the algebra trips its budget.
+and searching for a counterexample when the algebra looks lost (its
+remainder outgrows the specification, or it trips its budget).
 
-:func:`simulate` evaluates one input vector gate by gate through
-:func:`~repro.circuit.gates.evaluate_gate`.  :func:`simulate_lanes`
-evaluates many vectors at once: each signal is one Python integer whose bit
-``k`` is the signal's value in vector ``k`` (lane ``k``), so one big-integer
-operation per gate input covers every vector.  :func:`simulate` stays the
-reference the lane kernel is tested against, and the replay that confirms a
-counterexample the lanes found.
+:func:`simulate` evaluates one input vector gate by gate: a two-input
+gate is one operator on its two values, and every other gate goes through
+:func:`~repro.circuit.gates.evaluate_gate`, the reference of every gate
+function.  :func:`simulate_lanes` evaluates many vectors at once: each
+signal is one Python integer whose bit ``k`` is the signal's value in
+vector ``k`` (lane ``k``), so one big-integer operation per gate input
+covers every vector.  :func:`simulate` stays the reference the lane kernel
+is tested against, and the replay that confirms a counterexample the lanes
+found.
+
+Both walk the gates in the netlist's own topological order
+(:meth:`~repro.circuit.netlist.Netlist.topology`), which is sorted once
+per netlist: the model build, the replay of a counterexample, the lane
+search and every replay on a kept golden netlist share one sort.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from typing import Callable, Iterator, Mapping, Sequence
 
-from repro.circuit.analysis import topological_signals
 from repro.circuit.gates import GateType, evaluate_gate
 from repro.circuit.netlist import Netlist
 from repro.errors import CircuitError
@@ -32,6 +40,14 @@ from repro.errors import CircuitError
 LANE_CHUNK = 16384
 
 
+#: A two-input gate as ``operator(x, y) ^ inverted`` on 0/1 values.
+_PAIR = {
+    GateType.AND: (operator.and_, 0), GateType.NAND: (operator.and_, 1),
+    GateType.OR: (operator.or_, 0), GateType.NOR: (operator.or_, 1),
+    GateType.XOR: (operator.xor, 0), GateType.XNOR: (operator.xor, 1),
+}
+
+
 def simulate(netlist: Netlist, inputs: Mapping[str, int]) -> dict[str, int]:
     """Evaluate every signal under the given primary-input assignment."""
     values: dict[str, int] = {}
@@ -39,12 +55,20 @@ def simulate(netlist: Netlist, inputs: Mapping[str, int]) -> dict[str, int]:
         if name not in inputs:
             raise CircuitError(f"missing value for primary input {name!r}")
         values[name] = inputs[name] & 1
-    for signal in topological_signals(netlist):
-        if signal in values:
-            continue
-        gate = netlist.gate_of(signal)
-        values[signal] = evaluate_gate(gate.gate_type,
-                                       [values[s] for s in gate.inputs])
+    order = netlist.topology()[0]
+    gate_of = netlist.gate_of
+    pair = _PAIR.get
+    # The order opens with the primary inputs; the gates follow.
+    for signal in itertools.islice(order, len(values), None):
+        gate = gate_of(signal)
+        operands = gate.inputs
+        function = pair(gate.gate_type)
+        if function is not None and len(operands) == 2:
+            values[signal] = function[0](values[operands[0]],
+                                         values[operands[1]]) ^ function[1]
+        else:
+            values[signal] = evaluate_gate(gate.gate_type,
+                                           [values[s] for s in operands])
     return values
 
 
@@ -86,9 +110,8 @@ def simulate_lanes(netlist: Netlist, inputs: Mapping[str, int],
             raise CircuitError(f"missing value for primary input {name!r}")
         values[name] = inputs[name] & ones
     gate_of = netlist.gate_of
-    for signal in topological_signals(netlist):
-        if signal in values:
-            continue
+    order = netlist.topology()[0]
+    for signal in itertools.islice(order, len(values), None):
         gate = gate_of(signal)
         kind = gate.gate_type
         operands = gate.inputs

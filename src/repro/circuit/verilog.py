@@ -98,24 +98,28 @@ _GATE_RE = re.compile(r"^(\w+)\s+(?:\w+\s+)?\(([^)]*)\)$")
 _ASSIGN_RE = re.compile(r"^assign\s+(\S+)\s*=\s*(.+)$")
 _BIT_SELECT_RE = re.compile(r"(\w+)\s*\[\s*(\d+)\s*\]")
 
+#: The declaration keywords :data:`_DECL_RE` reads.
+_DECLARATIONS = ("input", "output", "wire")
 
-def _expand_decl(kind_match: re.Match, budget: int) -> tuple[str, list[str]]:
+
+def _expand_decl(statement: str, fields: tuple, budget: int) -> list[str]:
     """The signals of one declaration, refusing more than ``budget`` bits.
 
-    The bound is checked before anything is expanded, so a short text
-    cannot declare a vector too wide to build.
+    ``fields`` are the groups of :data:`_DECL_RE` on ``statement``.  The
+    bound is checked before anything is expanded, so a short text cannot
+    declare a vector too wide to build.
     """
-    kind, msb, lsb, rest = kind_match.groups()
+    _, msb, lsb, rest = fields
     names = [n.strip() for n in rest.split(",") if n.strip()]
     try:
         hi, lo = (0, 0) if msb is None else (int(msb), int(lsb))
     except ValueError:          # more digits than int() converts
         raise CircuitError(f"vector index out of range in "
-                           f"{kind_match.group(0)[:80]!r}") from None
+                           f"{statement[:80]!r}") from None
     bits = abs(hi - lo) + 1
     if bits * len(names) > budget:
         raise CircuitError(
-            f"declaration {kind_match.group(0)[:80]!r} declares "
+            f"declaration {statement[:80]!r} declares "
             f"{bits * len(names)} bits, more than the source could "
             "reference")
     expanded: list[str] = []
@@ -126,7 +130,7 @@ def _expand_decl(kind_match: re.Match, budget: int) -> tuple[str, list[str]]:
             step = 1 if hi >= lo else -1
             for i in range(lo, hi + step, step):
                 expanded.append(f"{name}{i}")
-    return kind, expanded
+    return expanded
 
 
 def _normalise_signal(token: str) -> str:
@@ -168,44 +172,63 @@ def parse_verilog(text: str, name: str | None = None) -> Netlist:
     netlist: Netlist | None = None
     declared_outputs: list[str] = []
     for statement in statements:
-        if statement.startswith("module"):
-            header = re.match(r"module\s+(\w+)", statement)
-            if not header:
-                raise CircuitError(f"malformed module header: {statement!r}")
-            netlist = Netlist(name or header.group(1))
-            continue
-        if statement.startswith("endmodule"):
-            continue
-        if netlist is None:
-            raise CircuitError("statement before module header")
+        # A written netlist is primitive instances and scalar declarations,
+        # told apart by their first word; every other statement (and any
+        # before the module header) goes through the general matchers.
+        keyword, _, rest = statement.partition(" ")
+        decl: tuple | None = None
+        if netlist is not None and keyword in _PRIMITIVES:
+            gate = _GATE_RE.match(statement)
+            if gate is None:
+                continue
+        elif (netlist is not None and keyword in _DECLARATIONS
+              and rest.lstrip()[:1] != "["):
+            decl = (keyword, None, None, rest)
+        else:
+            if statement.startswith("module"):
+                header = re.match(r"module\s+(\w+)", statement)
+                if not header:
+                    raise CircuitError(
+                        f"malformed module header: {statement!r}")
+                netlist = Netlist(name or header.group(1))
+                continue
+            if statement.startswith("endmodule"):
+                continue
+            if netlist is None:
+                raise CircuitError("statement before module header")
+            match = _DECL_RE.match(statement)
+            if match:
+                decl = match.groups()
+            else:
+                assign = _ASSIGN_RE.match(statement)
+                if assign:
+                    target = _normalise_signal(assign.group(1))
+                    _parse_assign(netlist, target, assign.group(2).strip())
+                    continue
+                gate = _GATE_RE.match(statement)
+                if gate is None:
+                    continue
+                if gate.group(1) not in _PRIMITIVES:
+                    raise CircuitError(
+                        f"unsupported instantiation: {statement!r}")
 
-        decl = _DECL_RE.match(statement)
-        if decl:
-            kind, names = _expand_decl(decl, declared_budget)
+        if decl is not None:
+            names = _expand_decl(statement, decl, declared_budget)
             declared_budget -= len(names)
-            if kind == "input":
+            if decl[0] == "input":
                 for signal in names:
                     netlist.add_input(signal)
-            elif kind == "output":
+            elif decl[0] == "output":
                 declared_outputs.extend(names)
             continue
 
-        assign = _ASSIGN_RE.match(statement)
-        if assign:
-            target = _normalise_signal(assign.group(1))
-            _parse_assign(netlist, target, assign.group(2).strip())
-            continue
-
-        gate = _GATE_RE.match(statement)
-        if gate and gate.group(1) in _PRIMITIVES:
-            ports = [_normalise_signal(p) for p in gate.group(2).split(",")]
-            if len(ports) < 2:
-                raise CircuitError(f"primitive with too few ports: {statement!r}")
-            netlist.add_gate(_PRIMITIVES[gate.group(1)], ports[1:], ports[0])
-            continue
-
-        if gate:  # unknown instantiation
-            raise CircuitError(f"unsupported instantiation: {statement!r}")
+        body = gate.group(2)
+        ports = [port.strip() for port in body.split(",")]
+        if "[" in body:
+            ports = [_normalise_signal(port) for port in ports]
+        if len(ports) < 2:
+            raise CircuitError(f"primitive with too few ports: {statement!r}")
+        netlist.add_gate(_PRIMITIVES[gate.group(1)], ports[1:], ports[0])
 
     if netlist is None:
         raise CircuitError("no module found in Verilog source")

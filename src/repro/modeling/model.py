@@ -19,7 +19,7 @@ from repro.algebra.monomial import Monomial
 from repro.algebra.ordering import LEX
 from repro.algebra.polynomial import Polynomial
 from repro.algebra.ring import PolynomialRing
-from repro.circuit.analysis import fanout_counts, topological_levels
+from repro.circuit.analysis import fanout_counts
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 from repro.errors import ModelingError
@@ -70,9 +70,9 @@ class AlgebraicModel:
         outputs) signal; the induced lex order realises the paper's reverse
         topological substitution order.
         """
-        # The one topological pass also checks every driver, so the
-        # netlist is not validated separately.
-        order, levels = topological_levels(netlist)
+        # The netlist's topology checks every driver when it is sorted, so
+        # the netlist is not validated separately.
+        order, levels = netlist.topology()
         # Stable sort by level keeps same-level signals in construction order,
         # which groups sum/carry cells that share inputs next to each other —
         # the secondary criterion of the paper's substitution ordering.

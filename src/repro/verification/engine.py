@@ -40,7 +40,6 @@ from repro.verification.reduction import (
     ReductionOptions,
     ReductionTrace,
     groebner_basis_reduction,
-    substitution_order,
 )
 from repro.verification.rewriting import (
     RewrittenModel,
@@ -113,9 +112,10 @@ def verify(netlist: Netlist, specification: Specification | str = "multiplier",
         :func:`~repro.verification.reduction.groebner_basis_reduction`):
         called once when the remainder first grows past
         :data:`~repro.verification.reduction.REFUTATION_PROBE_FACTOR`
-        times the specification's term count, below the monomial budget.
-        An exception it raises propagates; when it returns, the reduction
-        goes on.  The service passes its simulation stage here.
+        times the specification's term count, below the monomial budget
+        or with none.  An exception it raises propagates; when it returns,
+        the reduction goes on.  The service passes its simulation stage
+        here.
     """
     # Validate against the live registry, not the import-time METHODS
     # snapshot, so backends registered later are honoured here too.
@@ -180,17 +180,14 @@ def verify(netlist: Netlist, specification: Specification | str = "multiplier",
         reduction_time_s=reduction_time,
         total_time_s=time.perf_counter() - start_total)
     if certificate:
-        # Cache resets may re-prove a mask: dedup before recording.  The
-        # schedule is recomputed from the rewritten tails — it is a pure
-        # function of (model, tails), identical to the one the reduction
-        # consumed.
+        # Cache resets may re-prove a mask: dedup before recording.
         proven = sorted(set(vanishing.proven_masks)) if vanishing else []
         result.certificate_data = {
             "netlist": netlist,
             "model": model,
             "tails": rewritten.tails,
             "spec": spec,
-            "schedule": substitution_order(model, rewritten.tails),
+            "schedule": trace.schedule,
             "vanishing_masks": proven,
             "remainder": remainder,
             "verified": verified,

@@ -12,7 +12,7 @@ cancel before they blow up.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.algebra.monomial import bits_of
@@ -59,6 +59,9 @@ class ReductionTrace:
 
     substitutions: int = 0
     peak_monomials: int = 0
+    #: The substitution order the reduction ran (see
+    #: :func:`substitution_order`); a certificate's journal records it.
+    schedule: list[int] = field(default_factory=list)
     elapsed_s: float = 0.0
     #: Terms that contained the substituted variable, summed over all steps.
     affected_terms: int = 0
@@ -164,10 +167,11 @@ def groebner_basis_reduction(spec: Polynomial, model: AlgebraicModel,
 
     ``probe`` is the refutation probe.  When
     :data:`REFUTATION_PROBE_FACTOR` times the specification's term count is
-    below the monomial budget, it is called once, with a one-line reason,
-    at the first step that leaves the remainder above that bound.  An
-    exception it raises ends the reduction; when it returns, the
-    reduction resumes from the same remainder under the monomial budget.
+    below the monomial budget, or there is no budget, it is called once,
+    with a one-line reason, at the first step that leaves the remainder
+    above that bound.  An exception it raises ends the reduction; when it
+    returns, the reduction resumes from the same remainder under the
+    monomial budget (with no term limit when there is none).
     """
     options = options or ReductionOptions()
     trace = trace if trace is not None else ReductionTrace()
@@ -192,11 +196,11 @@ def groebner_basis_reduction(spec: Polynomial, model: AlgebraicModel,
     # outputs — primary inputs never own a polynomial), so every scheduled
     # variable is substitutable.
     engine = SubstitutionEngine(initial, coefficient_modulus=modulus)
-    items = [(var, tails[var].term_view())
-             for var in substitution_order(model, tails)]
+    trace.schedule = substitution_order(model, tails)
+    items = [(var, tails[var].term_view()) for var in trace.schedule]
     budget = options.monomial_budget
     bound = REFUTATION_PROBE_FACTOR * len(spec)
-    if probe is None or budget is None or bound >= budget:
+    if probe is None or (budget is not None and bound >= budget):
         bound = budget
     results, tripped = engine.substitute_batch(
         items, term_limit=bound, deadline=deadline)
@@ -208,7 +212,7 @@ def groebner_basis_reduction(spec: Polynomial, model: AlgebraicModel,
               f"specification's {len(spec)} terms at variable "
               f"{model.ring.name(items[done - 1][0])!r} "
               f"({len(engine)} > {bound})")
-        if len(engine) <= budget:
+        if budget is None or len(engine) <= budget:
             results, tripped = engine.substitute_batch(
                 items[done:], term_limit=budget, deadline=deadline)
             _record_steps(results, trace)

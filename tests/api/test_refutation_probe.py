@@ -6,9 +6,9 @@ word-level ``"multiplier"`` or ``"adder"`` specification, no certificate),
 the GB reduction hands the stage its remainder at the first step that
 leaves it above :data:`~repro.verification.reduction.REFUTATION_PROBE_FACTOR`
 times the specification's term count, when that bound is below the
-monomial budget.  A mismatch ends the request as a refutation by
-simulation, with no budget trip; otherwise the reduction resumes from the
-same remainder.
+monomial budget or there is no budget.  A mismatch ends the request as a
+refutation by simulation, with no budget trip; otherwise the reduction
+resumes from the same remainder.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from repro.api.service import (
     _golden_multiplier,
 )
 from repro.baselines.bdd.equivalence import bdd_equivalence_check
-from repro.circuit.mutate import apply_mutation, list_mutations
+from repro.circuit.gates import GateType
+from repro.circuit.mutate import Mutation, apply_mutation, list_mutations
 from repro.errors import BlowUpError
 from repro.generators.catalog import (
     TABLE1_ARCHITECTURES,
@@ -153,12 +154,16 @@ def test_sampled_8_bit_mutants_are_refuted_without_a_budget_trip(events):
     assert probed > 0
 
 
-def test_a_correct_cell_past_the_bound_is_searched_once_and_verified(events):
+@pytest.mark.parametrize("monomial_budget", [Budgets().monomial_budget, None])
+def test_a_correct_cell_past_the_bound_is_searched_once_and_verified(
+        events, monomial_budget):
     """The probe misses on a correct circuit, and the reduction resumes from
-    the same remainder: one model build, one rewriting pass."""
+    the same remainder: one model build, one rewriting pass; with no
+    monomial budget the cell pays the same one lane search."""
     architecture, width, method = PAST_THE_BOUND
     report = VerificationService().submit(VerificationRequest.from_architecture(
-        architecture, width, method, find_counterexample=True))
+        architecture, width, method, find_counterexample=True,
+        budgets=Budgets(monomial_budget=monomial_budget)))
     assert report.verdict == "verified"
     assert report.counters["peak_remainder"] > REFUTATION_PROBE_FACTOR * 80
     assert events == ["model", "rewrite", "lanes"]
@@ -176,15 +181,18 @@ def test_a_probe_that_missed_is_not_repeated_after_a_trip(events):
     assert events == ["model", "rewrite", "lanes", "blowup"]
 
 
+@pytest.mark.parametrize("monomial_budget", [2_000_000, None])
 @pytest.mark.parametrize("architecture", ["BP-CT-HC", "SP-WT-HC"])
-def test_a_probe_that_returns_resumes_from_the_same_remainder(architecture):
+def test_a_probe_that_returns_resumes_from_the_same_remainder(
+        architecture, monomial_budget):
     """A probe that misses leaves the remainder and the step counters as a
-    run without a probe has them."""
+    run without a probe has them, under a budget or with none."""
     model = AlgebraicModel.from_netlist(generate_multiplier(architecture, 8))
     spec = multiplier_specification(model)
     rewritten = logic_reduction_rewriting(model, VanishingRules(model),
                                           apply_common=False)
-    options = ReductionOptions(coefficient_modulus=spec.modulus)
+    options = ReductionOptions(monomial_budget=monomial_budget,
+                               coefficient_modulus=spec.modulus)
     reasons: list[str] = []
     plain, probed = ReductionTrace(), ReductionTrace()
     expected = groebner_basis_reduction(spec.polynomial, model,
@@ -199,6 +207,24 @@ def test_a_probe_that_returns_resumes_from_the_same_remainder(architecture):
                   "modulus_removed_terms", "batched_steps"):
         assert getattr(probed, field) == getattr(plain, field), field
     assert (plain.batches, probed.batches) == (1, 2)
+
+
+def test_a_mutant_without_a_monomial_budget_is_refuted_by_the_probe(events):
+    """A request that sends ``"monomial_budget": null`` still gets the
+    probe: this 8-bit mutant's remainder grows without bound, and the lane
+    search at the bound refutes it, which the SAT cross-check confirms."""
+    mutant = apply_mutation(generate_multiplier("SP-WT-CL", 8), Mutation(
+        "cla_p13_312", GateType.XOR, GateType.XNOR))
+    report = VerificationService().submit(VerificationRequest.from_netlist(
+        mutant, budgets=Budgets(monomial_budget=None)))
+    assert report.verdict == "refuted"
+    assert report.reason.startswith(
+        f"GB reduction exceeded {REFUTATION_PROBE_FACTOR}x the "
+        "specification's 80 terms at variable ")
+    assert report.counters == {"simulated_vectors": 4096}
+    assert report.cross_check["agrees"] is True
+    assert report.cross_check["counterexample_confirmed"] is True
+    assert events == ["model", "rewrite", "lanes"]
 
 
 def test_no_probe_where_the_bound_reaches_the_budget():

@@ -141,3 +141,26 @@ def test_build_certificate_requires_the_journal():
     assert result.certificate_data is None
     with pytest.raises(CertificateError, match="no certificate journal"):
         build_certificate(result)
+
+
+def test_the_journal_records_the_schedule_the_reduction_ran(monkeypatch):
+    """The certificate's schedule is the reduction's own, not a second
+    ``substitution_order`` pass over the same tails."""
+    import repro.verification.reduction as reduction
+
+    calls: list[int] = []
+    order = reduction.substitution_order
+
+    def spy(model, tails):
+        calls.append(len(tails))
+        return order(model, tails)
+
+    monkeypatch.setattr(reduction, "substitution_order", spy)
+    result = verify(generate_multiplier("BP-WT-CL", WIDTH), method="mt-lr",
+                    find_counterexample=False, certificate=True)
+    assert len(calls) == 1
+    schedule = result.certificate_data["schedule"]
+    assert schedule is result.reduction_trace.schedule
+    assert schedule == order(result.certificate_data["model"],
+                             result.certificate_data["tails"])
+    assert build_certificate(result)["body"]["schedule"] == schedule

@@ -2,9 +2,10 @@
 
 :func:`~repro.circuit.simulate.simulate_lanes` evaluates every input vector
 at once, one packed integer per signal.  :func:`~repro.circuit.simulate.simulate`
-evaluates one vector through :func:`~repro.circuit.gates.evaluate_gate` and
-is the reference: on random netlists over every gate type, each signal must
-agree with it in every lane.
+evaluates one vector gate by gate (``tests/circuit/test_topology.py`` holds
+both to :func:`~repro.circuit.gates.evaluate_gate`) and is the reference: on
+random netlists over every gate type, each signal must agree with it in
+every lane.
 """
 
 from __future__ import annotations

@@ -123,3 +123,33 @@ def test_declared_bits_are_bounded_by_the_source_length():
                                         ("a[x]", "a[x]")])
 def test_signal_tokens_normalise_as_before(token, name):
     assert _normalise_signal(token) == name
+
+
+MIXED_SOURCE = """
+module mix (a, b, y);
+  input [1:0] a;
+  input  b;
+  output y;
+  wire   t, u;
+  and g0 (t, a[0], a [1]);
+  xor  (u, t, b);
+  or g2 (y, u, a[0]);
+endmodule
+"""
+
+
+@pytest.mark.parametrize("text", [
+    write_verilog(generate_multiplier("SP-AR-RC", 4)),
+    write_verilog(generate_multiplier("BP-WT-CL", 4)),
+    MIXED_SOURCE,
+], ids=["SP-AR-RC-4", "BP-WT-CL-4", "mixed"])
+def test_classified_statements_parse_as_the_general_matchers(text):
+    """The reader sorts statements by the word before their first space.
+    With tabs for spaces no statement has such a word, so every one takes
+    the general matchers, and the netlist must come out the same."""
+    classified = parse_verilog(text)
+    general = parse_verilog(text.replace(" ", "\t"))
+    assert classified.name == general.name
+    assert (classified.inputs, classified.outputs) == (general.inputs,
+                                                      general.outputs)
+    assert list(classified.gates()) == list(general.gates())

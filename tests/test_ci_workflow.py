@@ -109,6 +109,28 @@ def test_bench_smoke_job_runs_a_traced_certify(workflow):
     assert '["value"] > 0' in command
 
 
+def test_bench_smoke_job_runs_a_traced_mutant_refute(workflow):
+    """A traced mutant-refute run fails the build when the Verilog parse,
+    model-build or scalar-simulation span reads zero."""
+    steps = workflow["jobs"]["bench-smoke"]["steps"]
+    [step] = [step for step in steps
+              if "--workload mutant-refute" in step.get("run", "")]
+    assert step["name"] == "Traced mutant-refute (Verilog path layer hooks)"
+    command = step["run"]
+    assert ("python perfbench/run.py --workload mutant-refute --seed 1 \\\n"
+            "  --seconds 1 --trace 1") in command
+    assert 'summary["correct"] is True' in command
+    assert 'summary["failed"] == 0' in command
+    assert "perfbench/results/mutant-refute-seed1-trace1.json" in command
+    for layer in ("circuit.verilog.parse_ms", "modeling.self_ms",
+                  "circuit.simulate.self_ms"):
+        assert f'"{layer}"' in command
+    assert '["value"] > 0' in command
+    names = [step.get("name") for step in steps]
+    assert (names.index("Traced certify (construction and algebra layer hooks)")
+            + 1 == names.index(step["name"]))
+
+
 def test_bench_smoke_job_runs_perfbench_tests(workflow):
     """perfbench/tests lies outside `testpaths`; this job is what runs it."""
     commands = " ".join(step.get("run", "")
